@@ -56,7 +56,6 @@ from .ideals import (
 from .metricdim import (
     DimReport,
     ResolvingCheck,
-    completeness_check,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
@@ -117,7 +116,6 @@ __all__ = [
     "sum_is_essential_or_unit",
     "DimReport",
     "ResolvingCheck",
-    "completeness_check",
     "constructive_resolving_set",
     "dim_bruteforce",
     "dim_formula",

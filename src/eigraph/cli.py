@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import __version__
 from .arithmetic import FactoredInteger, divisor_count, factor, factor_range
@@ -24,53 +21,25 @@ from .graph import (
     all_pairs_distances,
     build_aig,
     build_essential_graph,
-    build_join_construction,
-    check_divisor_conjugate_iso,
-    check_field_product_iso,
     diameter,
-    distance_similar_partition,
-    squarefree_distance,
     to_dot,
     to_json_dict,
 )
-from .ideals import (
-    class_partition,
-    gcd_lemma_check,
-    intersects_every_ideal,
-    is_essential,
-    sum_is_essential_or_unit,
-)
+from .ideals import class_partition, mask_indices
 from .metricdim import (
+    DEFAULT_SEARCH_BUDGET,
     DimReport,
-    completeness_check,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
-    dim_lower_bound,
-    finiteness_bound_check,
 )
-from .zagreb import (
-    ZAGREB_CSV_HEADER,
-    compute_zagreb_report,
-    level_partition,
-    squarefree_within_level_sum,
-)
+from .verify import CHECK_CATEGORIES, VERIFY_JSON_SCHEMA, run_verify  # noqa: F401
+from .zagreb import ZAGREB_CSV_HEADER, compute_zagreb_report
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONSISTENT = 2
 EXIT_IO = 3
-
-CHECK_CATEGORIES = (
-    "adjacency",
-    "distances",
-    "partition",
-    "join",
-    "dim",
-    "zagreb",
-    "iso",
-    "bounds",
-)
 
 CLASSES_JSON_SCHEMA = {
     "type": "object",
@@ -111,42 +80,6 @@ DISTANCES_JSON_SCHEMA = {
     },
 }
 
-VERIFY_JSON_SCHEMA = {
-    "type": "object",
-    "required": ["start", "end", "checks", "categories", "failures", "passed"],
-    "properties": {
-        "start": {"type": "integer"},
-        "end": {"type": "integer"},
-        "checks": {"type": "array", "items": {"type": "string"}},
-        "categories": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["run", "passed", "failed"],
-                "properties": {
-                    "run": {"type": "integer"},
-                    "passed": {"type": "integer"},
-                    "failed": {"type": "integer"},
-                },
-            },
-        },
-        "failures": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["n", "category", "detail"],
-                "properties": {
-                    "n": {"type": "integer"},
-                    "category": {"type": "string"},
-                    "detail": {"type": "string"},
-                },
-            },
-        },
-        "passed": {"type": "boolean"},
-    },
-}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; route them to exit 1 instead.
     def error(self, message):
@@ -154,14 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _mask_label(mask: int) -> str:
-    indices = []
-    i = 1
-    while mask:
-        if mask & 1:
-            indices.append(str(i))
-        mask >>= 1
-        i += 1
-    return "{" + ",".join(indices) + "}"
+    return "{" + ",".join(map(str, mask_indices(mask))) + "}"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -262,7 +188,7 @@ def cmd_classes(args) -> int:
             "essential": [v.d for v in part.essential_class],
             "classes": [
                 {
-                    "xi": [i + 1 for i in range(f.k) if mask >> i & 1],
+                    "xi": list(mask_indices(mask)),
                     "size": part.class_size(mask),
                     "members": [v.d for v in part.classes[mask]],
                 }
@@ -382,399 +308,11 @@ def cmd_zagreb(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Verification sweep
-# ---------------------------------------------------------------------------
-
-
-class _VerifyContext:
-    """Lazily built per-n artifacts shared by the check categories."""
-
-    def __init__(self, f: FactoredInteger, max_t: int | None):
-        self.f = f
-        self.max_t = max_t
-
-    @cached_property
-    def ess(self):
-        return build_essential_graph(self.f, self.max_t)
-
-    @cached_property
-    def aig(self):
-        return build_aig(self.f, self.max_t)
-
-    @cached_property
-    def part(self):
-        return class_partition(self.f, list(self.ess.vertices))
-
-    @cached_property
-    def distances(self):
-        return all_pairs_distances(self.ess)
-
-    @cached_property
-    def ds_partition(self):
-        return distance_similar_partition(self.ess)
-
-
-def _check_adjacency(ctx: _VerifyContext):
-    f = ctx.f
-    ess = ctx.ess
-    results = []
-    verts = ess.vertices
-    t = ess.order
-
-    ok = all(
-        ess.adjacent(i, j) == sum_is_essential_or_unit(verts[i], verts[j])
-        for i in range(t)
-        for j in range(i + 1, t)
-    )
-    results.append((ok, "essential adjacency vs ideal-sum oracle"))
-
-    ok = all(is_essential(v) == intersects_every_ideal(v) for v in verts)
-    results.append((ok, "full-exponent mask vs ring-definition essentiality"))
-
-    n = f.n
-    ok = all(
-        ctx.aig.adjacent(i, j) == (verts[i].d * verts[j].d % n == 0)
-        for i in range(t)
-        for j in range(i + 1, t)
-    )
-    results.append((ok, "annihilating adjacency vs integer divisibility"))
-
-    part = ctx.part
-    if part.m >= 1:
-        ok = all(
-            ess.degrees[ess.index_of(v.d)] == t - 1 for v in part.essential_class
-        )
-        results.append((ok, "essential vertices are universal"))
-        # A non-essential vertex can be universal only for n = p^a * q with
-        # a >= 2: the full power of the heavy prime sits alone in its class
-        # and that class is joined to everything else.
-        ok = True
-        for i in range(t):
-            if ess.degrees[i] == t - 1 and verts[i].xi_mask:
-                if f.k != 2 or part.class_size(verts[i].xi_mask) != 1:
-                    ok = False
-                    break
-        results.append((ok, "universal non-essentials only in two-prime singleton class"))
-        ok = True
-        for mask in part.class_masks():
-            want = part.class_degree(mask)
-            if any(ess.degrees[ess.index_of(v.d)] != want for v in part.classes[mask]):
-                ok = False
-                break
-        if ok:
-            ok = all(
-                ess.degrees[ess.index_of(v.d)] == t - 1 for v in part.essential_class
-            )
-        results.append((ok, "class degree law"))
-    if f.is_squarefree() and f.k >= 2:
-        lp = level_partition(ess)
-        ok = all(
-            ess.degrees[idx] == lp.expected_degree(i + 1)
-            and len(level) == lp.expected_size(i + 1)
-            for i, level in enumerate(lp.levels)
-            for idx in level
-        )
-        results.append((ok, "squarefree level degree law"))
-    return results
-
-
-def _check_distances(ctx: _VerifyContext):
-    results = []
-    try:
-        dist = ctx.distances
-    except InconsistencyError:
-        return [(False, "essential graph is disconnected")]
-    t = ctx.ess.order
-    ok = all(dist[i][i] == 0 for i in range(t)) and all(
-        dist[i][j] == dist[j][i] and 1 <= dist[i][j] <= 3
-        for i in range(t)
-        for j in range(i + 1, t)
-    )
-    results.append((ok, "distance matrix symmetric with entries in 1..3"))
-    if t >= 2:
-        diam = max(max(row) for row in dist)
-        results.append((diam <= 3, "diameter at most 3"))
-        results.append(
-            ((diam == 1) == ctx.ess.is_complete(), "diameter 1 iff complete")
-        )
-    if ctx.f.is_squarefree():
-        verts = ctx.ess.vertices
-        ok = all(
-            squarefree_distance(verts[i], verts[j]) == dist[i][j]
-            for i in range(t)
-            for j in range(i + 1, t)
-        )
-        results.append((ok, "squarefree closed-form distance vs BFS"))
-    return results
-
-
-def _check_partition(ctx: _VerifyContext):
-    f = ctx.f
-    part = ctx.part
-    results = []
-    expected_m = math.prod(f.exponents) - 1
-    ok = part.m == expected_m
-    for mask in part.class_masks():
-        want = math.prod(m for i, m in enumerate(f.exponents) if not mask >> i & 1)
-        ok = ok and part.class_size(mask) == want
-    ok = ok and part.m + sum(part.class_size(m) for m in part.class_masks()) == part.T
-    results.append((ok, "class partition sizes"))
-    if part.m >= 1 and part.T >= 2:
-        # The classes are the distance-similar blocks except for n = p^a * q
-        # (a >= 2), where the heavy prime's singleton class is universal and
-        # merges with the essential class.
-        index_sets = {
-            mask: frozenset(ctx.ess.index_of(v.d) for v in members)
-            for mask, members in part.classes.items()
-        }
-        x_set = frozenset(ctx.ess.index_of(v.d) for v in part.essential_class)
-        exps = f.exponents
-        expected_blocks = set()
-        if f.k == 2 and min(exps) == 1 and max(exps) >= 2:
-            heavy_mask = 1 << (0 if exps[0] > 1 else 1)
-            expected_blocks.add(x_set | index_sets[heavy_mask])
-            expected_blocks.update(
-                s for mask, s in index_sets.items() if mask != heavy_mask
-            )
-        else:
-            expected_blocks.add(x_set)
-            expected_blocks.update(index_sets.values())
-        actual = {frozenset(b) for b in ctx.ds_partition.blocks}
-        results.append(
-            (actual == expected_blocks, "distance-similar blocks match the class structure")
-        )
-        ok = all(
-            _block_mutually_similar(ctx, block)
-            for block in part.blocks_in_order()
-            if block
-        )
-        results.append((ok, "every class is internally distance-similar"))
-    return results
-
-
-def _block_mutually_similar(ctx: _VerifyContext, block) -> bool:
-    indices = sorted(ctx.ess.index_of(v.d) for v in block)
-    rows = ctx.ess.adjacency
-    for a_pos, i in enumerate(indices):
-        for j in indices[a_pos + 1 :]:
-            if (rows[i] ^ rows[j]) & ~((1 << i) | (1 << j)):
-                return False
-    return True
-
-
-def _check_join(ctx: _VerifyContext):
-    join = build_join_construction(ctx.f, ctx.max_t)
-    same = join.adjacency == ctx.ess.adjacency and tuple(
-        v.d for v in join.vertices
-    ) == tuple(v.d for v in ctx.ess.vertices)
-    return [(same, "join construction equals direct construction")]
-
-
-def _check_dim(ctx: _VerifyContext, budget: int):
-    f = ctx.f
-    results = []
-    formula = dim_formula(f)
-    t = formula.T
-    if t == 1:
-        results.append((formula.dim_value == 0, "single-vertex dim is 0"))
-        return results
-    lower = dim_lower_bound(ctx.ds_partition)
-    results.append(
-        (formula.lower_bound <= lower, "partition bound dominates class-count bound")
-    )
-    if formula.is_exact:
-        results.append(
-            (lower <= formula.dim_value <= t - 1, "dim within 1..T-1 bounds")
-        )
-        complete = completeness_check(ctx.ess)
-        shape = f.k == 1 or (f.k == 2 and f.is_squarefree())
-        results.append(
-            (
-                (formula.dim_value == t - 1) == complete == shape,
-                "dim = T-1 iff complete iff prime power or two primes",
-            )
-        )
-    if not (f.is_squarefree() and f.k <= 5):
-        try:
-            cons = constructive_resolving_set(f, graph=ctx.ess, budget=budget)
-            ok = cons.witness is not None
-            if formula.is_exact and cons.is_exact:
-                ok = ok and cons.dim_value == formula.dim_value
-            results.append((ok, "constructive witness resolves with expected size"))
-        except InconsistencyError as exc:
-            results.append((False, f"constructive witness failed: {exc}"))
-    brute = dim_bruteforce(ctx.ess, ctx.ds_partition, budget)
-    if brute.is_exact:
-        if formula.is_exact:
-            results.append(
-                (brute.dim_value == formula.dim_value, "brute force equals formula")
-            )
-        else:
-            results.append(
-                (brute.dim_value <= formula.dim_value, "brute force within upper bound")
-            )
-    return results
-
-
-def _check_zagreb(ctx: _VerifyContext):
-    f = ctx.f
-    report = compute_zagreb_report(f, graph=ctx.ess)
-    results = [
-        (report.m1_agrees, "M1 closed form equals definition"),
-        (report.m2_agrees, "M2 closed form equals definition"),
-        (
-            (report.m2_definition == 0) == (ctx.ess.edge_count == 0),
-            "M2 zero iff edgeless",
-        ),
-    ]
-    if f.is_squarefree() and f.k >= 2:
-        diff = report.m2_paper_convention - report.m2_closed
-        results.append(
-            (
-                diff == squarefree_within_level_sum(f.k),
-                "published-convention excess equals within-level sum",
-            )
-        )
-    return results
-
-
-def _check_iso(ctx: _VerifyContext):
-    f = ctx.f
-    results = []
-    if f.k >= 2:
-        conj = check_divisor_conjugate_iso(f, ctx.max_t)
-        results.append(
-            (
-                conj.isomorphic == f.is_squarefree(),
-                "divisor-conjugate isomorphism iff squarefree",
-            )
-        )
-        if f.is_squarefree() and f.k <= 10:
-            model = check_field_product_iso(f, ctx.max_t)
-            results.append((model.edge_preserving, "field-product model embeds in AIG"))
-    return results
-
-
-def _check_bounds(ctx: _VerifyContext, budget: int):
-    f = ctx.f
-    results = []
-    if f.is_squarefree():
-        n = f.n
-        divisors = sorted(v.d for v in ctx.ess.vertices)
-        ok = all(
-            gcd_lemma_check(n, d1, d2)
-            for i, d1 in enumerate(divisors)
-            for d2 in divisors[i + 1 :]
-        )
-        results.append((ok, "gcd biconditional for all divisor pairs"))
-    formula = dim_formula(f)
-    if formula.is_exact and formula.T >= 2:
-        results.append(
-            (
-                finiteness_bound_check(formula.dim_value, formula.T),
-                "vertex count within 4^dim + dim",
-            )
-        )
-    return results
-
-
-@dataclass
-class VerifySummary:
-    """Counts per check category plus the failing (n, category, detail) triples."""
-
-    start: int
-    end: int
-    checks: tuple[str, ...]
-    categories: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-    def record(self, n: int, category: str, results) -> None:
-        run, passed = self.categories.get(category, (0, 0))
-        for ok, detail in results:
-            run += 1
-            if ok:
-                passed += 1
-            else:
-                self.failures.append({"n": n, "category": category, "detail": detail})
-        self.categories[category] = (run, passed)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "checks": list(self.checks),
-            "categories": {
-                name: {"run": run, "passed": passed, "failed": run - passed}
-                for name, (run, passed) in sorted(self.categories.items())
-            },
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-
-    def to_text(self) -> str:
-        lines = [f"verify {self.start}..{self.end} checks={','.join(self.checks)}"]
-        for name in self.checks:
-            run, passed = self.categories.get(name, (0, 0))
-            lines.append(f"{name}: run={run} passed={passed} failed={run - passed}")
-        for failure in self.failures:
-            lines.append(
-                f"FAIL n={failure['n']} {failure['category']}: {failure['detail']}"
-            )
-        lines.append(f"result = {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def run_verify(
-    start: int,
-    end: int,
-    checks=CHECK_CATEGORIES,
-    budget: int = 10_000_000,
-    max_t: int | None = None,
-) -> VerifySummary:
-    """Run the selected check categories over every composite n in [start, end]."""
-    if start > end:
-        raise InputError(f"range start {start} exceeds end {end}")
-    summary = VerifySummary(start, end, tuple(checks))
-    for f in factor_range(end):
-        n = f.n
-        if n < max(4, start) or f.is_prime():
-            continue
-        ctx = _VerifyContext(f, max_t)
-        for name in checks:
-            if name == "adjacency":
-                summary.record(n, name, _check_adjacency(ctx))
-            elif name == "distances":
-                summary.record(n, name, _check_distances(ctx))
-            elif name == "partition":
-                summary.record(n, name, _check_partition(ctx))
-            elif name == "join":
-                summary.record(n, name, _check_join(ctx))
-            elif name == "dim":
-                summary.record(n, name, _check_dim(ctx, budget))
-            elif name == "zagreb":
-                summary.record(n, name, _check_zagreb(ctx))
-            elif name == "iso":
-                summary.record(n, name, _check_iso(ctx))
-            elif name == "bounds":
-                summary.record(n, name, _check_bounds(ctx, budget))
-    return summary
-
-
 def cmd_verify(args) -> int:
     if args.checks == "all":
         checks = CHECK_CATEGORIES
     else:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-        unknown = [name for name in checks if name not in CHECK_CATEGORIES]
-        if unknown:
-            raise InputError(
-                f"unknown checks {unknown}; valid: {', '.join(CHECK_CATEGORIES)}"
-            )
     summary = run_verify(args.start, args.end, checks, args.budget, args.max_t)
     if args.format == "json":
         _emit(_json_text(summary.to_json_dict()), args.output)
@@ -786,6 +324,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    return value
 
 
 def _add_common(parser, formats, default_format="text"):
@@ -836,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto = closed form plus search-free certificate",
     )
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_dim)
 
@@ -861,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start", type=int)
     p.add_argument("end", type=int)
     p.add_argument("--checks", default="all", help="all or comma-separated categories")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
     _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_verify)
 

@@ -33,10 +33,6 @@ class FieldProductVertex:
     k: int
     theta_mask: int
 
-    @property
-    def theta(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.k) if self.theta_mask >> i & 1)
-
 
 def vertex_key(v):
     """Stable lookup key: the generator for ideals, the zero-slot mask for model vertices."""
@@ -99,21 +95,30 @@ def _finish(kind, factored, vertices, rows) -> IdealGraph:
     return IdealGraph(kind, factored, tuple(vertices), tuple(rows), degrees)
 
 
+def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
+    """Bitset rows of the graph on `masks` in which i ~ j iff the masks are disjoint.
+
+    A subset OR-transform over the 2^k masks gives down[s], the vertices
+    whose mask is a subset of s; row i is down[full ^ masks[i]] without i.
+    """
+    size = 1 << k
+    down = [0] * size
+    for i, mask in enumerate(masks):
+        down[mask] |= 1 << i
+    for b in range(k):
+        bit = 1 << b
+        for s in range(size):
+            if s & bit:
+                down[s] |= down[s ^ bit]
+    full = size - 1
+    return [down[full ^ mask] & ~(1 << i) for i, mask in enumerate(masks)]
+
+
 def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     """Essential ideal graph: vertices adjacent iff their full-exponent masks are disjoint."""
     check_caps(f, max_t)
     verts = enumerate_vertices(f)
-    t = len(verts)
-    masks = [v.xi_mask for v in verts]
-    rows = [0] * t
-    for i in range(t):
-        mi = masks[i]
-        ri = rows[i]
-        for j in range(i + 1, t):
-            if not mi & masks[j]:
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
+    rows = _disjoint_mask_rows([v.xi_mask for v in verts], f.k)
     return _finish(KIND_ESSENTIAL, f, verts, rows)
 
 
@@ -144,17 +149,8 @@ def build_field_product_model(k: int) -> IdealGraph:
     if k > 20:
         raise InputError(f"k = {k} exceeds the cap of 20 distinct factors")
     masks = list(range(1, (1 << k) - 1))
-    t = len(masks)
     verts = [FieldProductVertex(k, m) for m in masks]
-    rows = [0] * t
-    for i in range(t):
-        mi = masks[i]
-        ri = rows[i]
-        for j in range(i + 1, t):
-            if not mi & masks[j]:
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
+    rows = _disjoint_mask_rows(masks, k)
     return _finish(KIND_FIELD_PRODUCT, None, verts, rows)
 
 
@@ -323,6 +319,17 @@ class ConjugateCheck:
     failing_pair: tuple[int, int] | None
 
 
+def _first_mismatch(g: IdealGraph, h: IdealGraph, image: list[int]) -> tuple[int, int] | None:
+    """First index pair i < j of g whose adjacency differs from h's at (image[i], image[j])."""
+    t = g.order
+    for i in range(t):
+        row = g.adjacency[i]
+        for j in range(i + 1, t):
+            if bool(row >> j & 1) != h.adjacent(image[i], image[j]):
+                return i, j
+    return None
+
+
 def check_divisor_conjugate_iso(f: FactoredInteger, max_t: int | None = None) -> ConjugateCheck:
     """Evaluate whether d -> n/d carries essential-graph edges onto AIG edges.
 
@@ -332,18 +339,10 @@ def check_divisor_conjugate_iso(f: FactoredInteger, max_t: int | None = None) ->
     ess = build_essential_graph(f, max_t)
     aig = build_aig(f, max_t)
     n = f.n
-    t = ess.order
     image = [aig.index_of(n // v.d) for v in ess.vertices]
     mapping = {v.d: n // v.d for v in ess.vertices}
-    failing = None
-    for i in range(t):
-        row = ess.adjacency[i]
-        for j in range(i + 1, t):
-            if bool(row >> j & 1) != aig.adjacent(image[i], image[j]):
-                failing = (ess.vertices[i].d, ess.vertices[j].d)
-                break
-        if failing:
-            break
+    pair = _first_mismatch(ess, aig, image)
+    failing = None if pair is None else tuple(ess.vertices[i].d for i in pair)
     return ConjugateCheck(
         failing is None, mapping, ess.edge_count, aig.edge_count, failing
     )
@@ -378,16 +377,8 @@ def check_field_product_iso(f: FactoredInteger, max_t: int | None = None) -> Fie
         image.append(aig.index_of(d))
     if len(set(image)) != aig.order:
         return FieldModelCheck(False, mapping, None)
-    failing = None
-    t = model.order
-    for i in range(t):
-        row = model.adjacency[i]
-        for j in range(i + 1, t):
-            if bool(row >> j & 1) != aig.adjacent(image[i], image[j]):
-                failing = (model.vertices[i].theta_mask, model.vertices[j].theta_mask)
-                break
-        if failing:
-            break
+    pair = _first_mismatch(model, aig, image)
+    failing = None if pair is None else tuple(model.vertices[i].theta_mask for i in pair)
     return FieldModelCheck(failing is None, mapping, failing)
 
 

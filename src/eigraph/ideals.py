@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arithmetic import FactoredInteger, divisor_count, factor
-from .errors import InputError
+from .errors import InconsistencyError, InputError
+
+
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """The 1-based prime indices set in an index mask, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,7 @@ class Ideal:
     @property
     def xi_indices(self) -> tuple[int, ...]:
         """Full-exponent prime indices, 1-based, ascending."""
-        return tuple(i + 1 for i in range(self.modulus.k) if self.xi_mask >> i & 1)
+        return mask_indices(self.xi_mask)
 
 
 def _xi_mask(exponents, full) -> int:
@@ -82,14 +87,13 @@ def enumerate_vertices(f: FactoredInteger) -> list[Ideal]:
     """All nonzero proper ideals of Z_n, sorted ascending by generator."""
     if f.n < 4 or f.is_prime():
         raise InputError(f"n must be composite and at least 4, got {f.n}")
-    full = f.exponents
-    verts = []
-    for exps in product(*(range(m + 1) for m in full)):
-        if all(r == 0 for r in exps) or exps == full:
-            continue
-        verts.append(ideal_from_exponents(f, exps))
-    verts.sort(key=lambda v: v.d)
-    assert len(verts) == divisor_count(f) - 2
+    # product() yields the unit ideal first and the zero ideal last
+    vectors = list(product(*(range(m + 1) for m in f.exponents)))[1:-1]
+    verts = sorted((ideal_from_exponents(f, exps) for exps in vectors), key=lambda v: v.d)
+    if len(verts) != divisor_count(f) - 2:
+        raise InconsistencyError(
+            f"{len(verts)} vertices for n = {f.n}, expected {divisor_count(f) - 2}"
+        )
     return verts
 
 
@@ -194,6 +198,25 @@ class ClassPartition:
         """The essential class followed by the classes in canonical order."""
         return [self.essential_class] + [self.classes[m] for m in self.class_masks()]
 
+    def similarity_blocks(self) -> list[tuple[Ideal, ...]]:
+        """Distance-similar blocks of the essential ideal graph, essential block first.
+
+        Every class is a block, except for n = p^a * q (a >= 2): there the
+        full power p^a is alone in its class (mask {p}), which is joined to X
+        and to the {q}-class, so p^a is universal, a closed twin of every
+        essential vertex, and its class merges with X.  Defined for n with
+        an essential vertex (m >= 1).
+        """
+        if self.m == 0:
+            raise InputError("no essential vertices: squarefree n has no class law")
+        blocks = self.blocks_in_order()
+        exps = self.modulus.exponents
+        if self.modulus.k == 2 and min(exps) == 1:
+            # blocks_in_order lists X, then the classes of masks {1} and {2}
+            heavy = 1 if exps[0] > 1 else 2
+            blocks[0] += blocks.pop(heavy)
+        return blocks
+
 
 def class_partition(f: FactoredInteger, vertices: list[Ideal] | None = None) -> ClassPartition:
     """Partition the vertex set by full-exponent index mask."""
@@ -205,13 +228,12 @@ def class_partition(f: FactoredInteger, vertices: list[Ideal] | None = None) -> 
         if v.xi_mask:
             classes[v.xi_mask].append(v)
     frozen = {mask: tuple(members) for mask, members in classes.items()}
-    expected_m = 1
-    for m in f.exponents:
-        expected_m *= m
-    expected_m -= 1
-    part = ClassPartition(f, essential, frozen, len(essential), len(vertices))
-    assert part.m == expected_m
-    return part
+    expected_m = math.prod(f.exponents) - 1
+    if len(essential) != expected_m:
+        raise InconsistencyError(
+            f"{len(essential)} essential vertices for n = {f.n}, expected {expected_m}"
+        )
+    return ClassPartition(f, essential, frozen, len(essential), len(vertices))
 
 
 def canonical_representative(f: FactoredInteger, mask: int) -> Ideal:

@@ -23,7 +23,7 @@ from .graph import (
     distance_similar_partition,
     vertex_key,
 )
-from .ideals import Ideal, canonical_representative, class_partition
+from .ideals import canonical_representative, class_partition
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -152,11 +152,6 @@ def dim_lower_bound(partition: DistanceSimilarPartition) -> int:
     if t <= 1:
         return 0
     return max(t - len(partition.blocks), 1)
-
-
-def completeness_check(g: IdealGraph) -> bool:
-    """True iff the graph is complete (certifies the dim = T - 1 cases)."""
-    return g.is_complete()
 
 
 def finiteness_bound_check(dim_value: int, t: int) -> bool:

@@ -61,9 +61,7 @@ def zagreb_squarefree_closed(k: int) -> tuple[int, int, int]:
     if k < 2:
         raise InputError(f"need at least two primes, got k = {k}")
     m1 = sum(comb(k, i) * (2 ** (k - i) - 1) ** 2 for i in range(1, k))
-    m2_once = 0
-    for t in range(1, k // 2 + 1):
-        m2_once += comb(k, t) * comb(k - t, t) * (2 ** (k - t) - 1) ** 2 // 2
+    m2_once = squarefree_within_level_sum(k)
     for t in range(1, k):
         for s in range(t + 1, k - t + 1):
             m2_once += (

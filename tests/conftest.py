@@ -19,33 +19,6 @@ def composites(factored, lo, hi, squarefree=None):
         yield f
 
 
-def heavy_class_mask(f):
-    """Mask of the class that merges with X in the distance-similar law, or None.
-
-    For n = p^a*q (a >= 2) the full power p^a is alone in its class (mask
-    {p}). That class is joined to X and to the {q}-class, so p^a has degree
-    T - 1 and is a closed twin of every essential vertex. No other n merges
-    two classes.
-    """
-    exps = f.exponents
-    if f.k == 2 and min(exps) == 1 and max(exps) >= 2:
-        return 1 << (0 if exps[0] > 1 else 1)
-    return None
-
-
-def expected_similarity_blocks(f, g, part, literal=False):
-    """Distance-similar blocks of g predicted by the class partition `part`.
-
-    The law is {X} u {X_Xi}, except that for n = p^a*q the heavy class
-    {p^a} joins X (see heavy_class_mask). literal=True gives {X} u {X_Xi}
-    without that merge. Blocks are frozensets of vertex indices of g.
-    """
-    index_sets = {
-        mask: frozenset(g.index_of(v.d) for v in members)
-        for mask, members in part.classes.items()
-    }
-    x_set = frozenset(g.index_of(v.d) for v in part.essential_class)
-    heavy = None if literal else heavy_class_mask(f)
-    if heavy is not None:
-        x_set |= index_sets.pop(heavy)
-    return {x_set, *index_sets.values()}
+def index_blocks(g, blocks):
+    """Blocks of ideals as a set of frozensets of vertex indices of g."""
+    return {frozenset(g.index_of(v.d) for v in b) for b in blocks}

@@ -74,6 +74,8 @@ def test_invalid_inputs_exit_1(capsys):
     assert run_cli(capsys, "zagreb", "100", "50")[0] == 1
     assert run_cli(capsys, "verify", "10", "4")[0] == 1
     assert run_cli(capsys, "graph", "2700", "--max-t", "10")[0] == 1
+    assert run_cli(capsys, "dim", "2310", "--method", "brute", "--budget", "-1")[0] == 1
+    assert run_cli(capsys, "verify", "4", "10", "--budget", "-1")[0] == 1
 
 
 def test_io_failure_exit_3(capsys):

@@ -28,7 +28,7 @@ from eigraph import (
 )
 from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph
 
-from conftest import composites, expected_similarity_blocks
+from conftest import composites, index_blocks
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -217,16 +217,28 @@ def test_distance_similar_blocks_vs_classes(factored_100k):
         g = build_essential_graph(f)
         part = class_partition(f, list(g.vertices))
         actual = {frozenset(b) for b in distance_similar_partition(g).blocks}
-        assert actual == expected_similarity_blocks(f, g, part), f.n
+        assert actual == index_blocks(g, part.similarity_blocks()), f.n
 
 
-def test_join_construction_equals_direct():
-    for n in (12, 30, 2700, 60, 24, 36, 4, 8):
-        f = factor(n)
+def test_join_construction_equals_direct(factored_100k):
+    for f in composites(factored_100k, 4, 10_000):
         direct = build_essential_graph(f)
         join = build_join_construction(f)
-        assert direct.adjacency == join.adjacency
-        assert [v.d for v in direct.vertices] == [v.d for v in join.vertices]
+        assert direct.adjacency == join.adjacency, f.n
+        assert [v.d for v in direct.vertices] == [v.d for v in join.vertices], f.n
+
+
+def test_field_product_model_matches_disjointness_oracle():
+    for k in range(2, 13):
+        g = build_field_product_model(k)
+        masks = [v.theta_mask for v in g.vertices]
+        assert masks == list(range(1, (1 << k) - 1))
+        for i, a in enumerate(masks):
+            want = 0
+            for j, b in enumerate(masks):
+                if not a & b:
+                    want |= 1 << j
+            assert g.adjacency[i] == want, (k, a)
 
 
 def test_divisor_conjugate_examples():

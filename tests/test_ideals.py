@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigraph.ideals
 from eigraph import (
+    InconsistencyError,
     InputError,
     canonical_representative,
     class_partition,
@@ -44,6 +46,17 @@ def test_enumerate_rejects_bad_n():
         enumerate_vertices(factor(7))
     with pytest.raises(InputError):
         enumerate_vertices(factor(3))
+
+
+def test_broken_invariants_raise_inconsistency(monkeypatch):
+    # Not asserts: these checks must still run under python -O.
+    f12 = factor(12)
+    verts = enumerate_vertices(f12)
+    with pytest.raises(InconsistencyError):
+        class_partition(f12, verts[1:])  # <2>, the one essential vertex, is missing
+    monkeypatch.setattr(eigraph.ideals, "divisor_count", lambda f: 7)
+    with pytest.raises(InconsistencyError):
+        enumerate_vertices(f12)
 
 
 def test_is_essential_examples():
@@ -111,6 +124,8 @@ def test_class_partition_examples():
     assert part.m == 1 and part.T == 4
     assert [v.d for v in part.classes[0b01]] == [4]
     assert [v.d for v in part.classes[0b10]] == [3, 6]
+    # n = p^a*q: the class {4} merges with X = {2}
+    assert [[v.d for v in b] for b in part.similarity_blocks()] == [[2, 4], [3, 6]]
 
     part = class_partition(factor(2700))
     assert part.m == 11
@@ -120,6 +135,8 @@ def test_class_partition_examples():
     assert part.m == 0
     assert all(part.class_size(mask) == 1 for mask in part.class_masks())
     assert len(part.class_masks()) == 6
+    with pytest.raises(InputError):
+        part.similarity_blocks()
 
 
 def test_class_partition_size_invariants(factored_100k):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from eigraph import (
     InputError,
     build_essential_graph,
-    completeness_check,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
@@ -185,9 +184,9 @@ def test_dim_lower_bound_examples():
 
 
 def test_completeness_check():
-    assert completeness_check(graph_of(32))
-    assert completeness_check(graph_of(6))
-    assert not completeness_check(graph_of(12))
+    assert graph_of(32).is_complete()
+    assert graph_of(6).is_complete()
+    assert not graph_of(12).is_complete()
 
 
 def test_dim_is_t_minus_one_iff_complete(factored_100k):
@@ -195,7 +194,7 @@ def test_dim_is_t_minus_one_iff_complete(factored_100k):
         report = dim_formula(f)
         if not report.is_exact or report.T < 2:
             continue
-        complete = completeness_check(build_essential_graph(f))
+        complete = build_essential_graph(f).is_complete()
         shape = f.k == 1 or (f.k == 2 and f.is_squarefree())
         assert (report.dim_value == report.T - 1) == complete == shape
 
