@@ -4,9 +4,9 @@ The vertex set consists of the nonzero proper ideals of Z_n; two vertices
 are adjacent in the essential ideal graph when their ideal sum is essential,
 and in the annihilating ideal graph when their product is the zero ideal.
 The package computes metric dimension by closed form, by constructive
-resolving sets, and by pruned exact search, and both Zagreb indices by
-definition and by closed forms, cross-checking every formula against
-brute-force oracles.
+resolving sets, and by exact search over distance-similar blocks, and both
+Zagreb indices by definition and by closed forms, cross-checking every
+formula against brute-force oracles.
 """
 
 __version__ = "0.1.0"

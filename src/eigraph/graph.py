@@ -330,15 +330,17 @@ def _first_mismatch(g: IdealGraph, h: IdealGraph, image: list[int]) -> tuple[int
     return None
 
 
-def check_divisor_conjugate_iso(f: FactoredInteger, max_t: int | None = None) -> ConjugateCheck:
+def check_divisor_conjugate_iso(ess: IdealGraph, aig: IdealGraph) -> ConjugateCheck:
     """Evaluate whether d -> n/d carries essential-graph edges onto AIG edges.
 
-    Expected to be an isomorphism exactly for squarefree n with k >= 2; for
-    other n the map is still evaluated and the verdict reported.
+    Takes the built essential graph and AIG of one n.  Expected to be an
+    isomorphism exactly for squarefree n with k >= 2; for other n the map
+    is still evaluated and the verdict reported.
     """
-    ess = build_essential_graph(f, max_t)
-    aig = build_aig(f, max_t)
-    n = f.n
+    kinds = (ess.kind, aig.kind)
+    if kinds != (KIND_ESSENTIAL, KIND_ANNIHILATING) or ess.factored.n != aig.factored.n:
+        raise InputError("need the essential graph and the AIG of one n, in that order")
+    n = ess.factored.n
     image = [aig.index_of(n // v.d) for v in ess.vertices]
     mapping = {v.d: n // v.d for v in ess.vertices}
     pair = _first_mismatch(ess, aig, image)
@@ -357,14 +359,19 @@ class FieldModelCheck:
     failing_pair: tuple[int, int] | None
 
 
-def check_field_product_iso(f: FactoredInteger, max_t: int | None = None) -> FieldModelCheck:
-    """Map each zero-slot set to the product of the remaining primes and compare edges."""
+def check_field_product_iso(aig: IdealGraph) -> FieldModelCheck:
+    """Map each zero-slot set to the product of the remaining primes and compare edges.
+
+    Takes the built AIG of a squarefree n with at least two prime factors.
+    """
+    if aig.kind != KIND_ANNIHILATING:
+        raise InputError("need the annihilating ideal graph")
+    f = aig.factored
     if not f.is_squarefree():
         raise InputError(f"n = {f.n} is not squarefree")
     if f.k < 2:
         raise InputError("need at least two prime factors")
     model = build_field_product_model(f.k)
-    aig = build_aig(f, max_t)
     primes = f.primes
     mapping = {}
     image = []

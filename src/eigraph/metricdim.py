@@ -3,15 +3,21 @@
 Three routes are provided and cross-checked: a closed-form case analysis
 on the factorization shape, explicit resolving sets built from the class
 partition (or from the minimal ideals in the squarefree case), and an
-exact exhaustive search pruned by distance-similar blocks.  Every witness
-the module hands out is re-verified against BFS distances before it is
-reported.
+exact exhaustive search.  The search rests on the twin argument: the
+vertices of a distance-similar block are pairwise twins, a transposition
+of two twins is a graph automorphism, so a resolving set keeps all but at
+most one vertex of each block and whether it resolves depends only on
+which blocks lose a vertex.  The search therefore enumerates choices of
+blocks, not choices of members; the problem stays exponential in the
+number of blocks.  Every witness the module hands out is re-verified
+against BFS distances before it is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
 
 from .arithmetic import FactoredInteger, divisor_count
 from .errors import InconsistencyError, InputError
@@ -159,15 +165,6 @@ def finiteness_bound_check(dim_value: int, t: int) -> bool:
     return t <= 4**dim_value + dim_value
 
 
-def _candidate_counts(block_sizes: list[int]) -> list[int]:
-    # counts[e] = number of ways to drop exactly one vertex from each of e blocks
-    coeffs = [1] + [0] * len(block_sizes)
-    for size in block_sizes:
-        for j in range(len(coeffs) - 2, -1, -1):
-            coeffs[j + 1] += coeffs[j] * size
-    return coeffs
-
-
 def _report_for_witness(g, w_idx, distances, method, exact, lower, degenerate=False):
     n = g.factored.n if g.factored is not None else 0
     check = is_resolving(g, [g.vertices[i] for i in w_idx], distances)
@@ -191,16 +188,21 @@ def dim_bruteforce(
     partition: DistanceSimilarPartition | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> DimReport:
-    """Exact metric dimension by pruned exhaustive search.
+    """Exact metric dimension by exhaustive search over choices of blocks.
 
-    Candidate sets must contain all but at most one vertex of each
-    distance-similar block, so a set of size s is obtained by choosing
-    T - s blocks and dropping one vertex from each.  Sizes are scanned
-    ascending from the block-count lower bound; within the minimal size
-    the lexicographically least witness (by vertex index) is kept, which
-    makes the result independent of enumeration sharding.  If the budget
-    would be exceeded the search stops and reports the proven lower bound
-    as a non-exact value.
+    Two vertices of a distance-similar block are twins, and swapping them
+    is a graph automorphism, so whether a set resolves the graph depends
+    only on which blocks lose a vertex, not on which member is dropped.  A
+    resolving set keeps all but at most one vertex of each block, so every
+    candidate keeps the fixed vertices (all but the largest index of each
+    block) and drops some of the block tops.  Dropping the top is the
+    lexicographically least of the equivalent choices, and with the fixed
+    vertices held constant the candidates sort as their kept tops do.
+    Sizes are scanned ascending from the block-count lower bound, so the
+    first resolving candidate is the lexicographically least minimum
+    witness (by vertex index).  The budget counts choices of blocks,
+    C(blocks, e) for e dropped blocks; if it would be exceeded the search
+    stops and reports the proven lower bound as a non-exact value.
     """
     n = g.factored.n if g.factored is not None else 0
     t = g.order
@@ -209,59 +211,31 @@ def dim_bruteforce(
     if partition is None:
         partition = distance_similar_partition(g)
     distances = all_pairs_distances(g)
-    blocks = [list(b) for b in partition.blocks]
-    counts = _candidate_counts([len(b) for b in blocks])
+    tops = sorted(max(b) for b in partition.blocks)
+    top_set = set(tops)
+    fixed = [i for i in range(t) if i not in top_set]
     lower = dim_lower_bound(partition)
-    all_singletons = all(len(b) == 1 for b in blocks)
-    all_indices = list(range(t))
     spent = 0
     for s in range(lower, t):
-        e = t - s
-        if e > len(blocks):
+        r = s - len(fixed)
+        if r < 0:
             continue
-        if spent + counts[e] > budget:
+        cost = comb(len(tops), r)
+        if spent + cost > budget:
             return DimReport(n, t, s, False, METHOD_BRUTE, lower)
-        spent += counts[e]
-        if all_singletons:
-            # Every subset qualifies; combinations yield witnesses in
-            # lexicographic order, so the first resolving one is the answer.
-            best = None
-            for w_cols in combinations(all_indices, s):
-                w_set = set(w_cols)
-                seen = set()
-                ok = True
-                for v in all_indices:
-                    if v in w_set:
-                        continue
-                    rep = tuple(distances[v][w] for w in w_cols)
-                    if rep in seen:
-                        ok = False
-                        break
-                    seen.add(rep)
-                if ok:
-                    best = tuple(w_cols)
+        spent += cost
+        for kept in combinations(tops, r):
+            w_cols = sorted(fixed + list(kept))
+            out = top_set.difference(kept)
+            seen = set()
+            for v in out:
+                row = distances[v]
+                rep = tuple(row[w] for w in w_cols)
+                if rep in seen:
                     break
-        else:
-            best = None
-            for chosen in combinations(range(len(blocks)), e):
-                for dropped in product(*(blocks[b] for b in chosen)):
-                    out = set(dropped)
-                    w_cols = [i for i in all_indices if i not in out]
-                    seen = set()
-                    ok = True
-                    for v in dropped:
-                        row = distances[v]
-                        rep = tuple(row[w] for w in w_cols)
-                        if rep in seen:
-                            ok = False
-                            break
-                        seen.add(rep)
-                    if ok:
-                        wit = tuple(w_cols)
-                        if best is None or wit < best:
-                            best = wit
-        if best is not None:
-            return _report_for_witness(g, best, distances, METHOD_BRUTE, True, lower)
+                seen.add(rep)
+            else:
+                return _report_for_witness(g, w_cols, distances, METHOD_BRUTE, True, lower)
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
 
 
@@ -333,12 +307,12 @@ def constructive_resolving_set(
     g = graph if graph is not None else build_essential_graph(f, max_t)
     if g.order == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0, degenerate=True)
-    distances = all_pairs_distances(g)
     part = distance_similar_partition(g)
+    if f.is_squarefree() and f.k <= 5:
+        return dim_bruteforce(g, part, budget)
     lower = dim_lower_bound(part)
+    distances = all_pairs_distances(g)
     if f.is_squarefree():
-        if f.k <= 5:
-            return dim_bruteforce(g, part, budget)
         minimal = sorted(f.n // p for p in f.primes)
         w_idx = [g.index_of(d) for d in minimal]
         return _report_for_witness(g, w_idx, distances, METHOD_CONSTRUCTIVE, False, lower)

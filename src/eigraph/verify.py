@@ -315,7 +315,7 @@ def _check_iso(ctx: _VerifyContext):
     f = ctx.f
     results = []
     if f.k >= 2:
-        conj = check_divisor_conjugate_iso(f, ctx.max_t)
+        conj = check_divisor_conjugate_iso(ctx.ess, ctx.aig)
         results.append(
             (
                 conj.isomorphic == f.is_squarefree(),
@@ -323,7 +323,7 @@ def _check_iso(ctx: _VerifyContext):
             )
         )
         if f.is_squarefree() and f.k <= 10:
-            model = check_field_product_iso(f, ctx.max_t)
+            model = check_field_product_iso(ctx.aig)
             results.append((model.edge_preserving, "field-product model embeds in AIG"))
     return results
 

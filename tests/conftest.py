@@ -1,6 +1,11 @@
 import pytest
 
-from eigraph import factor_range
+from eigraph import (
+    build_aig,
+    build_essential_graph,
+    check_divisor_conjugate_iso,
+    factor_range,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +27,8 @@ def composites(factored, lo, hi, squarefree=None):
 def index_blocks(g, blocks):
     """Blocks of ideals as a set of frozensets of vertex indices of g."""
     return {frozenset(g.index_of(v.d) for v in b) for b in blocks}
+
+
+def conjugate_check(f):
+    """Divisor-conjugate check on freshly built essential graph and AIG of f."""
+    return check_divisor_conjugate_iso(build_essential_graph(f), build_aig(f))

@@ -11,9 +11,9 @@ import time
 
 from eigraph import (
     all_pairs_distances,
+    build_aig,
     build_essential_graph,
     build_join_construction,
-    check_divisor_conjugate_iso,
     check_field_product_iso,
     class_partition,
     constructive_resolving_set,
@@ -33,7 +33,7 @@ from eigraph import (
     zagreb_squarefree_closed,
 )
 
-from conftest import composites, index_blocks
+from conftest import composites, conjugate_check, index_blocks
 
 
 def _report(number, ok, elapsed, target, detail=""):
@@ -165,7 +165,7 @@ def test_criterion_6_divisor_conjugate_and_model(factored_100k):
     start = time.time()
     failures = []
     for f in composites(factored_100k, 4, 100_000, squarefree=True):
-        if not check_divisor_conjugate_iso(f).isomorphic:
+        if not conjugate_check(f).isomorphic:
             failures.append(f"n={f.n}: conjugate map not isomorphism")
             break
     # non-squarefree: provably fails for k >= 2 and for p^m with m >= 4
@@ -173,16 +173,16 @@ def test_criterion_6_divisor_conjugate_and_model(factored_100k):
     for f in composites(factored_100k, 4, 10_000, squarefree=False):
         if f.k == 1 and f.exponents[0] < 4:
             continue
-        if check_divisor_conjugate_iso(f).isomorphic:
+        if conjugate_check(f).isomorphic:
             failures.append(f"n={f.n}: conjugate map unexpectedly isomorphism")
             break
-    n12 = check_divisor_conjugate_iso(factor(12))
+    n12 = conjugate_check(factor(12))
     if (n12.essential_edges, n12.aig_edges) != (5, 3):
         failures.append(f"n=12 edges {n12.essential_edges} vs {n12.aig_edges}")
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     for k in range(2, 11):
         n = math.prod(primes[:k])
-        if not check_field_product_iso(factor(n)).edge_preserving:
+        if not check_field_product_iso(build_aig(factor(n))).edge_preserving:
             failures.append(f"k={k}: field-product model not edge-preserving")
     _report(6, not failures, time.time() - start, 60, "; ".join(failures))
 

@@ -208,6 +208,21 @@ def test_verify_iso_category(capsys):
     assert "result = PASS" in out
 
 
+def test_dim_budget_counts_choices_of_blocks(capsys):
+    # n = 3000000 (T = 96, 7 blocks): the lower bound 89 drops a vertex from
+    # every block, one choice of blocks; counting the dropped member of each
+    # block as well would exceed 1000
+    code, out, _ = run_cli(
+        capsys, "dim", "3000000", "--method", "brute", "--budget", "1000", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, DIM_JSON_SCHEMA)
+    assert payload["exact"] is True
+    assert payload["dim"] == 89
+    assert len(payload["witness"]) == 89
+
+
 def test_verify_dim_budget_skip(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "30030", "30030", "--checks", "dim", "--budget", "1000"

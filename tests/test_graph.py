@@ -28,7 +28,7 @@ from eigraph import (
 )
 from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph
 
-from conftest import composites, index_blocks
+from conftest import composites, conjugate_check, index_blocks
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -98,7 +98,7 @@ def test_field_product_model():
     with pytest.raises(InputError):
         build_field_product_model(1)
 
-    check = check_field_product_iso(factor(30))
+    check = check_field_product_iso(build_aig(factor(30)))
     assert check.edge_preserving
     # psi sends the zero-slot set to the product of the remaining primes
     assert check.mapping[0b001] == 15
@@ -107,7 +107,7 @@ def test_field_product_model():
 
 def test_field_product_requires_squarefree():
     with pytest.raises(InputError):
-        check_field_product_iso(factor(12))
+        check_field_product_iso(build_aig(factor(12)))
 
 
 def test_distances_examples():
@@ -242,9 +242,9 @@ def test_field_product_model_matches_disjointness_oracle():
 
 
 def test_divisor_conjugate_examples():
-    assert check_divisor_conjugate_iso(factor(30)).isomorphic
-    assert check_divisor_conjugate_iso(factor(2310)).isomorphic
-    check12 = check_divisor_conjugate_iso(factor(12))
+    assert conjugate_check(factor(30)).isomorphic
+    assert conjugate_check(factor(2310)).isomorphic
+    check12 = conjugate_check(factor(12))
     assert not check12.isomorphic
     assert check12.essential_edges == 5
     assert check12.aig_edges == 3
@@ -252,13 +252,24 @@ def test_divisor_conjugate_examples():
     assert check12.mapping == {2: 6, 3: 4, 4: 3, 6: 2}
 
 
+def test_iso_checks_take_built_graphs():
+    f30 = factor(30)
+    ess, aig = build_essential_graph(f30), build_aig(f30)
+    with pytest.raises(InputError):
+        check_divisor_conjugate_iso(aig, ess)
+    with pytest.raises(InputError):
+        check_divisor_conjugate_iso(ess, build_aig(factor(42)))
+    with pytest.raises(InputError):
+        check_field_product_iso(ess)
+
+
 def test_divisor_conjugate_trivial_prime_powers():
     # p^2 and p^3 give identical one- or two-vertex graphs on both sides,
     # so the conjugate map genuinely is an isomorphism there
     for n in (4, 9, 25, 8, 27):
-        assert check_divisor_conjugate_iso(factor(n)).isomorphic
+        assert conjugate_check(factor(n)).isomorphic
     for n in (16, 32, 81, 64):
-        assert not check_divisor_conjugate_iso(factor(n)).isomorphic
+        assert not conjugate_check(factor(n)).isomorphic
 
 
 def test_essential_vertices_universal(factored_100k):

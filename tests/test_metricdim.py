@@ -71,6 +71,71 @@ def test_dim_bruteforce_examples():
     assert r60.dim_value == 4 and r60.is_exact
 
 
+def _member_product_search(g, budget=10_000_000):
+    # reference: the search over choices of blocks times choices of the
+    # dropped member in each, keeping the lexicographically least witness;
+    # the budget counts every (blocks, members) choice
+    from itertools import combinations, product
+
+    from eigraph import all_pairs_distances
+
+    t = g.order
+    part = distance_similar_partition(g)
+    blocks = [list(b) for b in part.blocks]
+    counts = [1] + [0] * len(blocks)
+    for size in (len(b) for b in blocks):
+        for j in range(len(counts) - 2, -1, -1):
+            counts[j + 1] += counts[j] * size
+    dist = all_pairs_distances(g)
+    spent = 0
+    for s in range(dim_lower_bound(part), t):
+        e = t - s
+        if e > len(blocks):
+            continue
+        if spent + counts[e] > budget:
+            return s, None, False
+        spent += counts[e]
+        best = None
+        for chosen in combinations(range(len(blocks)), e):
+            for dropped in product(*(blocks[b] for b in chosen)):
+                w_cols = tuple(i for i in range(t) if i not in dropped)
+                seen = set()
+                for v in dropped:
+                    rep = tuple(dist[v][w] for w in w_cols)
+                    if rep in seen:
+                        break
+                    seen.add(rep)
+                else:
+                    if best is None or w_cols < best:
+                        best = w_cols
+        if best is not None:
+            return s, best, True
+    raise AssertionError("no resolving set")
+
+
+def test_block_search_agrees_with_member_product_search(factored_100k):
+    # dim, witness and exactness equal the member-product reference on every
+    # composite n <= 1000 (a single vertex has no witness in either)
+    for f in composites(factored_100k, 4, 1000):
+        g = build_essential_graph(f)
+        if g.order < 2:
+            continue
+        want_dim, want_witness, want_exact = _member_product_search(g)
+        got = dim_bruteforce(g)
+        assert got.dim_value == want_dim, f.n
+        assert tuple(g.index_of(d) for d in got.witness) == want_witness, f.n
+        assert got.is_exact == want_exact, f.n
+
+
+def test_budget_counts_choices_of_blocks():
+    # the member-product count for n = 360 reaches 1,080 candidates; only
+    # one choice of blocks per size is scanned
+    report = dim_bruteforce(graph_of(360), budget=100)
+    assert report.is_exact and report.dim_value == 15
+    assert len(report.witness) == 15
+    assert _member_product_search(graph_of(360), budget=100)[2] is False
+
+
 def test_dim_bruteforce_budget_exhaustion():
     g = graph_of(210)  # dim 3, T = 14
     partial = dim_bruteforce(g, budget=3)
