@@ -123,22 +123,28 @@ def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> Ideal
 
 
 def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
-    """Annihilating ideal graph: vertices adjacent iff their product is the zero ideal."""
+    """Annihilating ideal graph: vertices adjacent iff their product is the zero ideal.
+
+    at_least[i][r] is the bitset of vertices whose i-th exponent is at least
+    r; vertex j with exponents r_i is adjacent to the AND over i of
+    at_least[i][m_i - r_i], itself excluded.
+    """
     check_caps(f, max_t)
     verts = enumerate_vertices(f)
-    t = len(verts)
-    full = f.exponents
-    exps = [v.exponents for v in verts]
-    rows = [0] * t
-    for i in range(t):
-        ei = exps[i]
-        ri = rows[i]
-        for j in range(i + 1, t):
-            ej = exps[j]
-            if all(a + b >= m for a, b, m in zip(ei, ej, full)):
-                ri |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = ri
+    at_least = []
+    for i, m in enumerate(f.exponents):
+        sets = [0] * (m + 1)
+        for j, v in enumerate(verts):
+            sets[v.exponents[i]] |= 1 << j
+        for r in range(m - 1, -1, -1):
+            sets[r] |= sets[r + 1]
+        at_least.append(sets)
+    rows = []
+    for j, v in enumerate(verts):
+        row = ~(1 << j)
+        for sets, m, r in zip(at_least, f.exponents, v.exponents):
+            row &= sets[m - r]
+        rows.append(row)
     return _finish(KIND_ANNIHILATING, f, verts, rows)
 
 
@@ -201,38 +207,54 @@ def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> Ide
     return _finish(KIND_ESSENTIAL, f, verts, rows)
 
 
-def all_pairs_distances(g: IdealGraph) -> list[list[int]]:
-    """BFS from every vertex; raises if the graph is disconnected."""
+def bfs_row(g: IdealGraph, s: int) -> list[int]:
+    """Distances from vertex s by bitset BFS; raises if the graph is disconnected."""
     t = g.order
-    full = (1 << t) - 1
-    out = []
-    for s in range(t):
-        dist = [-1] * t
-        dist[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
-        d = 0
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                nxt |= g.adjacency[b.bit_length() - 1]
-            nxt &= ~seen
-            d += 1
-            seen |= nxt
-            frontier = nxt
-            rest = nxt
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                dist[b.bit_length() - 1] = d
-        if seen != full:
-            raise InconsistencyError(
-                f"graph on {t} vertices is disconnected (source index {s})"
-            )
-        out.append(dist)
+    dist = [-1] * t
+    dist[s] = 0
+    seen = 1 << s
+    frontier = 1 << s
+    d = 0
+    while frontier:
+        nxt = 0
+        rest = frontier
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            nxt |= g.adjacency[b.bit_length() - 1]
+        nxt &= ~seen
+        d += 1
+        seen |= nxt
+        frontier = nxt
+        rest = nxt
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            dist[b.bit_length() - 1] = d
+    if seen != (1 << t) - 1:
+        raise InconsistencyError(
+            f"graph on {t} vertices is disconnected (source index {s})"
+        )
+    return dist
+
+
+def all_pairs_distances(g: IdealGraph) -> list[list[int]]:
+    """Distance matrix from one BFS per twin block; raises if the graph is disconnected.
+
+    The members of a distance-similar block are twins, so a member u is as
+    far from every other vertex as the block's first index r is; only the
+    entries at u and r swap.  The first block starts at index 0.
+    """
+    out: list[list[int]] = [[]] * g.order
+    for block in distance_similar_partition(g).blocks:
+        r = block[0]
+        base = bfs_row(g, r)
+        out[r] = base
+        for u in block[1:]:
+            row = base.copy()
+            row[u] = 0
+            row[r] = base[u]
+            out[u] = row
     return out
 
 

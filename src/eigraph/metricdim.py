@@ -9,8 +9,9 @@ of two twins is a graph automorphism, so a resolving set keeps all but at
 most one vertex of each block and whether it resolves depends only on
 which blocks lose a vertex.  The search therefore enumerates choices of
 blocks, not choices of members; the problem stays exponential in the
-number of blocks.  Every witness the module hands out is re-verified
-against BFS distances before it is reported.
+number of blocks.  The same argument gives the distances: one BFS per
+twin block serves all of its members.  Every witness the module hands out
+is re-verified against those distances before it is reported.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arithmetic import FactoredInteger, factor_range
+from .arithmetic import FactoredInteger, factor, factor_range
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
+    bfs_row,
     build_aig,
     build_essential_graph,
     build_join_construction,
@@ -76,6 +77,11 @@ VERIFY_JSON_SCHEMA = {
         "passed": {"type": "boolean"},
     },
 }
+
+
+# A range ending above this is not sieved when it holds a single n: the
+# sieve over [2, end] grows with end, and one factor() call does not.
+SIEVE_LIMIT = 1_000_000
 
 
 class _VerifyContext:
@@ -181,6 +187,8 @@ def _check_distances(ctx: _VerifyContext):
         for i in range(t)
         for j in range(i + 1, t)
     )
+    # The per-block matrix must equal a BFS from every source.
+    ok = ok and dist == [bfs_row(ctx.ess, s) for s in range(t)]
     results.append((ok, "distance matrix symmetric with entries in 1..3"))
     if t >= 2:
         diam = max(max(row) for row in dist)
@@ -428,7 +436,8 @@ def run_verify(
     if start > end:
         raise InputError(f"range start {start} exceeds end {end}")
     summary = VerifySummary(start, end, tuple(checks))
-    for f in factor_range(end):
+    numbers = [factor(end)] if start == end > SIEVE_LIMIT else factor_range(end)
+    for f in numbers:
         n = f.n
         if n < max(4, start) or f.is_prime():
             continue

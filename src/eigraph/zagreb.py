@@ -20,20 +20,23 @@ from .ideals import ClassPartition, class_partition
 
 
 def zagreb_by_definition(g: IdealGraph) -> tuple[int, int]:
-    """M1 = sum of squared degrees; M2 = sum of degree products over edges."""
-    m1 = sum(d * d for d in g.degrees)
-    m2 = 0
+    """M1 = sum of squared degrees; M2 = sum of degree products over edges.
+
+    With B_d the bitset of vertices of degree d, the neighbours of i add
+    sum_d d * |row_i & B_d| to i's degree-weighted neighbourhood sum, and
+    summing deg_i times that over all i counts every edge twice.
+    """
     degs = g.degrees
-    for i, row in enumerate(g.adjacency):
-        di = degs[i]
-        rest = row >> (i + 1)
-        j = i + 1
-        while rest:
-            if rest & 1:
-                m2 += di * degs[j]
-            rest >>= 1
-            j += 1
-    return m1, m2
+    m1 = sum(d * d for d in degs)
+    by_degree: dict[int, int] = {}
+    for i, d in enumerate(degs):
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    groups = list(by_degree.items())
+    twice_m2 = sum(
+        di * sum(d * (row & bits).bit_count() for d, bits in groups)
+        for di, row in zip(degs, g.adjacency)
+    )
+    return m1, twice_m2 // 2
 
 
 def zagreb_prime_power(m: int) -> tuple[int, int]:

@@ -90,6 +90,32 @@ def test_factor_parts_are_prime(n):
         assert sympy.isprime(p)
 
 
+_ROOT_CAP = math.isqrt(2**63 - 1)
+big_primes = st.integers(min_value=1_000_004, max_value=_ROOT_CAP).map(sympy.prevprime)
+
+
+def _assert_roundtrip(n):
+    f = factor(n)
+    assert math.prod(p**m for p, m in f.factors) == n
+    assert all(sympy.isprime(p) for p in f.primes)
+    return f
+
+
+@given(big_primes, st.data())
+@settings(max_examples=25, deadline=None)
+def test_factor_semiprime_near_2_63(p, data):
+    # No factor is below the trial-division limit, so Pollard rho splits n.
+    top = (2**63 - 1) // p
+    q = sympy.prevprime(data.draw(st.integers(min_value=1_000_004, max_value=top)))
+    assert set(_assert_roundtrip(p * q).primes) == {p, q}
+
+
+@given(big_primes)
+@settings(max_examples=25, deadline=None)
+def test_factor_prime_square_near_2_63(p):
+    assert _assert_roundtrip(p * p).factors == ((p, 2),)
+
+
 def test_caps():
     check_caps(factor(2700))
     with pytest.raises(InputError):

@@ -231,6 +231,14 @@ def test_verify_dim_budget_skip(capsys):
     assert "result = PASS" in out
 
 
+def test_verify_single_large_n(capsys):
+    # T = 358; a sieve over [2, n] would not fit in memory
+    n = "1321091265351"
+    code, out, _ = run_cli(capsys, "verify", n, n)
+    assert code == 0
+    assert out.rstrip().endswith("result = PASS")
+
+
 def test_verify_unknown_check(capsys):
     assert run_cli(capsys, "verify", "4", "10", "--checks", "nope")[0] == 1
 

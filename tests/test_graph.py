@@ -10,6 +10,7 @@ from eigraph import (
     InconsistencyError,
     InputError,
     all_pairs_distances,
+    bfs_row,
     build_aig,
     build_essential_graph,
     build_field_product_model,
@@ -90,6 +91,30 @@ def test_aig_matches_divisibility_oracle(factored_100k):
                 assert g.adjacent(i, j) == (g.vertices[i].d * g.vertices[j].d % n == 0)
 
 
+def _aig_rows_by_pairs(f):
+    # The former production builder: test every vertex pair prime by prime.
+    verts = enumerate_vertices(f)
+    t = len(verts)
+    full = f.exponents
+    exps = [v.exponents for v in verts]
+    rows = [0] * t
+    for i in range(t):
+        ei = exps[i]
+        ri = rows[i]
+        for j in range(i + 1, t):
+            ej = exps[j]
+            if all(a + b >= m for a, b, m in zip(ei, ej, full)):
+                ri |= 1 << j
+                rows[j] |= 1 << i
+        rows[i] = ri
+    return tuple(rows)
+
+
+def test_aig_matches_pair_loop_reference(factored_100k):
+    for f in composites(factored_100k, 4, 10_000):
+        assert build_aig(f).adjacency == _aig_rows_by_pairs(f), f.n
+
+
 def test_field_product_model():
     g2 = build_field_product_model(2)
     assert g2.order == 2 and g2.edge_count == 1
@@ -121,6 +146,18 @@ def test_distances_examples():
     assert all(
         dist[i][j] == dist[j][i] for i in range(g30.order) for j in range(g30.order)
     )
+
+
+# One n of each large-t signature: T = 358 and T = 1438.
+LARGE_T = (1321091265351, 203903066266900)
+
+
+def test_distances_match_bfs_from_every_source(factored_100k):
+    fs = list(composites(factored_100k, 4, 3000)) + [factor(n) for n in LARGE_T]
+    for f in fs:
+        for g in (build_essential_graph(f), build_aig(f)):
+            want = [bfs_row(g, s) for s in range(g.order)]
+            assert all_pairs_distances(g) == want, (f.n, g.kind)
 
 
 def test_squarefree_distance_examples():

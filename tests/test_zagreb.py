@@ -5,6 +5,7 @@ import pytest
 from eigraph import (
     InputError,
     build_essential_graph,
+    build_field_product_model,
     class_partition,
     compute_zagreb_report,
     factor,
@@ -32,6 +33,32 @@ def test_definition_examples():
     assert zagreb_by_definition(graph_of(30)) == (30, 36)
     assert zagreb_by_definition(graph_of(210)) == (254, 601)
     assert zagreb_by_definition(graph_of(2700)) == (22862, 300666)
+
+
+def _zagreb_by_edge_walk(g):
+    # The former production sum: walk each row bit by bit, every edge once.
+    m1 = sum(d * d for d in g.degrees)
+    m2 = 0
+    degs = g.degrees
+    for i, row in enumerate(g.adjacency):
+        di = degs[i]
+        rest = row >> (i + 1)
+        j = i + 1
+        while rest:
+            if rest & 1:
+                m2 += di * degs[j]
+            rest >>= 1
+            j += 1
+    return m1, m2
+
+
+def test_definition_matches_edge_walk_reference(factored_100k):
+    for f in composites(factored_100k, 4, 5000):
+        g = build_essential_graph(f)
+        assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), f.n
+    for k in range(2, 11):
+        g = build_field_product_model(k)
+        assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), k
 
 
 def test_prime_power_closed_forms():
