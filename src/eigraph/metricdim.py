@@ -1,17 +1,19 @@
 """Metric dimension of the essential ideal graph.
 
 Three routes are provided and cross-checked: a closed-form case analysis
-on the factorization shape, explicit resolving sets built from the class
-partition (or from the minimal ideals in the squarefree case), and an
-exact exhaustive search.  The search rests on the twin argument: the
-vertices of a distance-similar block are pairwise twins, a transposition
-of two twins is a graph automorphism, so a resolving set keeps all but at
-most one vertex of each block and whether it resolves depends only on
-which blocks lose a vertex.  The search therefore enumerates choices of
-blocks, not choices of members; the problem stays exponential in the
-number of blocks.  The same argument gives the distances: one BFS per
-twin block serves all of its members.  Every witness the module hands out
-is re-verified against those distances before it is reported.
+on the factorization shape, a search-free certificate for every
+composite n (the minimal ideals for squarefree n, one representative
+dropped per class otherwise), and an exact exhaustive search.  The search
+rests on the twin argument: the vertices of a distance-similar block are
+pairwise twins, a transposition of two twins is a graph automorphism, so
+a resolving set keeps all but at most one vertex of each block and
+whether it resolves depends only on which blocks lose a vertex.  The
+search therefore enumerates choices of blocks, not choices of members;
+the problem stays exponential in the number of blocks.  No route builds
+the T x T distance matrix: a witness is checked against BFS rows of the
+vertices outside it only, and the search compares BFS rows of the block
+tops only.  Every witness the module hands out is re-verified before it
+is reported.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from math import comb
 from .arithmetic import FactoredInteger, divisor_count
 from .errors import InconsistencyError, InputError
 from .graph import (
+    KIND_ESSENTIAL,
     DistanceSimilarPartition,
     IdealGraph,
-    all_pairs_distances,
+    bfs_row,
     build_essential_graph,
     distance_similar_partition,
     vertex_key,
@@ -125,12 +128,13 @@ def _witness_indices(g: IdealGraph, witness) -> list[int]:
 def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
     """Check that vertices outside the witness get pairwise distinct distance vectors.
 
-    Representations are keyed by vertex (generator for ideal graphs) and
-    follow the witness order; on failure one colliding pair is reported.
+    Only the rows of vertices outside the witness are read: `distances`
+    needs distances[v] for those v alone, and without it each such row is
+    one BFS.  Representations are keyed by vertex (generator for ideal
+    graphs) and follow the witness order; on failure one colliding pair is
+    reported.
     """
     w_idx = _witness_indices(g, witness)
-    if distances is None:
-        distances = all_pairs_distances(g)
     in_w = set(w_idx)
     reps: dict = {}
     first_with: dict[tuple, object] = {}
@@ -139,7 +143,8 @@ def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
         if v in in_w:
             continue
         key = vertex_key(g.vertices[v])
-        rep = tuple(distances[v][w] for w in w_idx)
+        row = bfs_row(g, v) if distances is None else distances[v]
+        rep = tuple(row[w] for w in w_idx)
         reps[key] = rep
         if collision is None:
             if rep in first_with:
@@ -166,7 +171,7 @@ def finiteness_bound_check(dim_value: int, t: int) -> bool:
     return t <= 4**dim_value + dim_value
 
 
-def _report_for_witness(g, w_idx, distances, method, exact, lower, degenerate=False):
+def _report_for_witness(g, w_idx, distances, method, exact, lower):
     n = g.factored.n if g.factored is not None else 0
     check = is_resolving(g, [g.vertices[i] for i in w_idx], distances)
     if not check.resolves:
@@ -180,7 +185,6 @@ def _report_for_witness(g, w_idx, distances, method, exact, lower, degenerate=Fa
         lower_bound=lower,
         witness=tuple(vertex_key(g.vertices[i]) for i in w_idx),
         representations=check.representations,
-        degenerate=degenerate,
     )
 
 
@@ -211,9 +215,10 @@ def dim_bruteforce(
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None, degenerate=True)
     if partition is None:
         partition = distance_similar_partition(g)
-    distances = all_pairs_distances(g)
     tops = sorted(max(b) for b in partition.blocks)
     top_set = set(tops)
+    # Only the dropped tops are compared, so only their rows are needed.
+    distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
     fixed = [i for i in range(t) if i not in top_set]
     lower = dim_lower_bound(partition)
     spent = 0
@@ -293,34 +298,33 @@ def constructive_resolving_set(
     f: FactoredInteger,
     graph: IdealGraph | None = None,
     max_t: int | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> DimReport:
-    """Resolving set prescribed by the structure of the class partition.
+    """Resolving set prescribed by the shape of n, with no search.
 
-    Squarefree n with k >= 6 uses the k minimal ideals <n/p_i> (upper bound,
-    not exact); smaller squarefree k falls back to the exact search, since
-    the minimal-ideal set is only known to bound the dimension.  All other
-    n drop one representative per class, verified and size-checked against
-    the closed form.
+    Squarefree n uses the minimal ideals <n/p_i>, without the largest one
+    <n/p_1> when k <= 4; every other n drops one representative per class.
+    The witness is re-verified; the report is exact iff the closed form is,
+    and then the witness size must equal it.  `graph`, if given, must be
+    the essential graph of n.
     """
     if f.n < 4 or f.is_prime():
         raise InputError(f"n must be composite and at least 4, got {f.n}")
+    if graph is not None and (graph.kind != KIND_ESSENTIAL or graph.factored.n != f.n):
+        raise InputError(f"need the essential graph of n = {f.n}")
     g = graph if graph is not None else build_essential_graph(f, max_t)
     if g.order == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0, degenerate=True)
-    part = distance_similar_partition(g)
-    if f.is_squarefree() and f.k <= 5:
-        return dim_bruteforce(g, part, budget)
-    lower = dim_lower_bound(part)
-    distances = all_pairs_distances(g)
     if f.is_squarefree():
         minimal = sorted(f.n // p for p in f.primes)
+        if f.k <= 4:
+            minimal.pop()
         w_idx = [g.index_of(d) for d in minimal]
-        return _report_for_witness(g, w_idx, distances, METHOD_CONSTRUCTIVE, False, lower)
-    w_idx = _constructive_indices(g, f)
-    report = _report_for_witness(g, w_idx, distances, METHOD_CONSTRUCTIVE, True, lower)
+    else:
+        w_idx = _constructive_indices(g, f)
     expected = dim_formula(f)
-    if report.dim_value != expected.dim_value:
+    lower = dim_lower_bound(distance_similar_partition(g))
+    report = _report_for_witness(g, w_idx, None, METHOD_CONSTRUCTIVE, expected.is_exact, lower)
+    if expected.is_exact and report.dim_value != expected.dim_value:
         raise InconsistencyError(
             f"constructed witness for n = {f.n} has size {report.dim_value}, "
             f"closed form gives {expected.dim_value}"

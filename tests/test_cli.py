@@ -147,12 +147,29 @@ def test_dim_command_brute(capsys):
 def test_dim_command_formula_and_constructive(capsys):
     code, out, _ = run_cli(capsys, "dim", "30", "--format", "json")
     payload = json.loads(out)
-    assert payload["dim"] == 2 and payload["method"] == "formula"
+    assert payload["dim"] == 2 and payload["method"] == "constructive"
+    assert payload["witness"] == [6, 10]
 
     code, out, _ = run_cli(capsys, "dim", "30030", "--method", "constructive", "--format", "json")
     payload = json.loads(out)
     assert payload["dim"] == 6 and payload["exact"] is False
     assert payload["witness"] == [2310, 2730, 4290, 6006, 10010, 15015]
+
+
+def test_dim_builds_no_distance_matrix(capsys, monkeypatch):
+    # every dim method reads BFS rows, never the T x T matrix
+    import eigraph
+
+    def no_matrix(g):
+        raise AssertionError("dim built the T x T distance matrix")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            if getattr(module, "all_pairs_distances", None) is eigraph.all_pairs_distances:
+                monkeypatch.setattr(module, "all_pairs_distances", no_matrix)
+    for n in ("12", "60", "2310", "2700", "1321091265351"):
+        for method in ("auto", "constructive", "brute"):
+            assert run_cli(capsys, "dim", n, "--method", method)[0] == 0, (n, method)
 
 
 def test_zagreb_command(capsys):

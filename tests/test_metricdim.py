@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigraph import (
+    InconsistencyError,
     InputError,
+    bfs_row,
+    build_aig,
     build_essential_graph,
     constructive_resolving_set,
     dim_bruteforce,
@@ -225,9 +228,61 @@ def test_constructive_examples():
     assert r30030.dim_value == 6 and not r30030.is_exact
     assert r30030.witness == (2310, 2730, 4290, 6006, 10010, 15015)
 
-    # squarefree k <= 5 falls back to exact search
+    # squarefree k <= 4: the minimal ideals without the largest, <n/p_1>
     r30 = constructive_resolving_set(factor(30))
-    assert r30.dim_value == 2 and r30.is_exact and r30.method == "brute-force"
+    assert r30.dim_value == 2 and r30.is_exact and r30.method == "constructive"
+    assert r30.witness == (6, 10)
+
+
+def test_squarefree_certificate(factored_100k):
+    # the minimal ideals <n/p_i>, less <n/p_1> for k <= 4, certify the exact
+    # value for every squarefree n <= 10^4 (k <= 5), with no search
+    for f in composites(factored_100k, 4, 10_000, squarefree=True):
+        report = constructive_resolving_set(f)
+        assert report.is_exact and report.method == "constructive", f.n
+        assert report.dim_value == dim_formula(f).dim_value, f.n
+        minimal = sorted(f.n // p for p in f.primes)
+        assert report.witness == tuple(minimal[:-1] if f.k <= 4 else minimal), f.n
+        g = build_essential_graph(f)
+        rows = [bfs_row(g, s) for s in range(g.order)]
+        assert is_resolving(g, report.witness, rows).resolves, f.n
+    for n in (6, 30, 210, 2310):  # one n per k = 2..5
+        report = constructive_resolving_set(factor(n))
+        assert report.dim_value == dim_bruteforce(graph_of(n)).dim_value, n
+    for n in (30030, 510510, 9699690):  # k = 6, 7, 8: the upper bound k
+        f = factor(n)
+        report = constructive_resolving_set(f)
+        assert not report.is_exact and report.dim_value == f.k
+        assert report.witness == tuple(sorted(n // p for p in f.primes))
+
+
+def test_constructive_rejects_a_foreign_graph():
+    # the AIG of n, or the essential graph of another n, is an input error
+    f = factor(60)
+    with pytest.raises(InputError):
+        constructive_resolving_set(f, graph=build_aig(f))
+    with pytest.raises(InputError):
+        constructive_resolving_set(f, graph=graph_of(2700))
+    report = constructive_resolving_set(f, graph=graph_of(60))
+    assert report == constructive_resolving_set(f)
+
+
+def test_constructive_size_mismatch_is_inconsistent(monkeypatch):
+    # an exact certificate whose size differs from the closed form raises
+    from dataclasses import replace
+
+    import eigraph.metricdim as metricdim
+
+    real = metricdim.dim_formula
+
+    def off_by_one(f):
+        report = real(f)
+        return replace(report, dim_value=report.dim_value + 1)
+
+    monkeypatch.setattr(metricdim, "dim_formula", off_by_one)
+    for n in (30, 60):
+        with pytest.raises(InconsistencyError):
+            constructive_resolving_set(factor(n))
 
 
 def test_constructive_sweep(factored_100k):
