@@ -35,7 +35,6 @@ from .graph import (
     check_field_product_iso,
     diameter,
     distance_similar_partition,
-    squarefree_distance,
     to_dot,
     to_json_dict,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "check_field_product_iso",
     "diameter",
     "distance_similar_partition",
-    "squarefree_distance",
     "to_dot",
     "to_json_dict",
     "ClassPartition",

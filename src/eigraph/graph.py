@@ -9,7 +9,6 @@ BFS frontiers cheap at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -263,26 +262,6 @@ def diameter(g: IdealGraph) -> int:
     if g.order == 1:
         return 0
     return max(max(row) for row in all_pairs_distances(g))
-
-
-def squarefree_distance(a: Ideal, b: Ideal) -> int:
-    """Closed-form distance in the essential ideal graph of squarefree n.
-
-    1 when the generators are coprime, 2 when they share a factor but their
-    lcm stays below n, and 3 when they share a factor and the lcm is n.
-    """
-    if a.modulus.n != b.modulus.n:
-        raise InputError("vertices of different rings")
-    if not a.modulus.is_squarefree():
-        raise InputError(f"n = {a.modulus.n} is not squarefree")
-    if a.d == b.d:
-        return 0
-    g = math.gcd(a.d, b.d)
-    if g == 1:
-        return 1
-    if a.d * b.d // g != a.modulus.n:
-        return 2
-    return 3
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,20 @@ class ClassPartition:
             blocks[0] += blocks.pop(heavy)
         return blocks
 
+    def mask_distance(self, a: int, b: int) -> int:
+        """Distance in the essential ideal graph between two distinct vertices with masks a and b.
+
+        Disjoint masks are adjacent.  Otherwise an essential vertex (m >= 1)
+        or the class of the complement of a | b is a common neighbour; with
+        neither (m = 0 and a | b full) the path runs through the complements
+        of a and of b, which are disjoint, so the distance is 3.
+        """
+        if not a & b:
+            return 1
+        if self.m or a | b != (1 << self.modulus.k) - 1:
+            return 2
+        return 3
+
 
 def class_partition(f: FactoredInteger, vertices: list[Ideal] | None = None) -> ClassPartition:
     """Partition the vertex set by full-exponent index mask."""

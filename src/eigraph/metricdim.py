@@ -9,11 +9,13 @@ pairwise twins, a transposition of two twins is a graph automorphism, so
 a resolving set keeps all but at most one vertex of each block and
 whether it resolves depends only on which blocks lose a vertex.  The
 search therefore enumerates choices of blocks, not choices of members;
-the problem stays exponential in the number of blocks.  No route builds
-the T x T distance matrix: a witness is checked against BFS rows of the
-vertices outside it only, and the search compares BFS rows of the block
-tops only.  Every witness the module hands out is re-verified before it
-is reported.
+the problem stays exponential in the number of blocks.  The certificate
+builds no graph: the distance between two vertices depends only on their
+full-exponent masks (ClassPartition.mask_distance), so its witness is
+checked on the class partition.  The search builds no T x T distance
+matrix; it compares BFS rows of the block tops only.  Every witness the
+module hands out is re-verified before it is reported, and is_resolving
+on BFS rows stays the oracle for both.
 """
 
 from __future__ import annotations
@@ -22,18 +24,21 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .arithmetic import FactoredInteger, divisor_count
+from .arithmetic import FactoredInteger, check_caps, divisor_count
 from .errors import InconsistencyError, InputError
 from .graph import (
-    KIND_ESSENTIAL,
     DistanceSimilarPartition,
     IdealGraph,
     bfs_row,
-    build_essential_graph,
     distance_similar_partition,
     vertex_key,
 )
-from .ideals import canonical_representative, class_partition
+from .ideals import (
+    ClassPartition,
+    canonical_representative,
+    class_partition,
+    enumerate_vertices,
+)
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -171,23 +176,6 @@ def finiteness_bound_check(dim_value: int, t: int) -> bool:
     return t <= 4**dim_value + dim_value
 
 
-def _report_for_witness(g, w_idx, distances, method, exact, lower):
-    n = g.factored.n if g.factored is not None else 0
-    check = is_resolving(g, [g.vertices[i] for i in w_idx], distances)
-    if not check.resolves:
-        raise InconsistencyError(f"constructed witness for n = {n} does not resolve")
-    return DimReport(
-        n=n,
-        T=g.order,
-        dim_value=len(w_idx),
-        is_exact=exact,
-        method=method,
-        lower_bound=lower,
-        witness=tuple(vertex_key(g.vertices[i]) for i in w_idx),
-        representations=check.representations,
-    )
-
-
 def dim_bruteforce(
     g: IdealGraph,
     partition: DistanceSimilarPartition | None = None,
@@ -241,7 +229,13 @@ def dim_bruteforce(
                     break
                 seen.add(rep)
             else:
-                return _report_for_witness(g, w_cols, distances, METHOD_BRUTE, True, lower)
+                witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
+                check = is_resolving(g, witness, distances)
+                if not check.resolves:
+                    raise InconsistencyError(f"constructed witness for n = {n} does not resolve")
+                return DimReport(
+                    n, t, s, True, METHOD_BRUTE, lower, witness, check.representations
+                )
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
 
 
@@ -276,57 +270,67 @@ def dim_formula(f: FactoredInteger) -> DimReport:
     return DimReport(f.n, t, t - (2**k - 2), True, METHOD_FORMULA, lower)
 
 
-def _constructive_indices(g: IdealGraph, f: FactoredInteger) -> list[int]:
-    # One vertex is dropped from every block, namely the representative with
-    # exponent m_i on the block's mask and m_i - 1 elsewhere; when exactly one
-    # exponent exceeds 1 the dropped singleton <p^m> is appended back at the end.
-    part = class_partition(f, list(g.vertices))
+def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
+    # Squarefree n: the minimal ideals <n/p_i>, less the largest <n/p_1> for
+    # k <= 4.  Otherwise one vertex is dropped from every class, namely the
+    # representative with exponent m_i on the class mask and m_i - 1 elsewhere;
+    # when exactly one exponent exceeds 1 the dropped singleton <p^m> is
+    # appended back at the end.
+    if f.is_squarefree():
+        minimal = sorted(f.n // p for p in f.primes)
+        return minimal[:-1] if f.k <= 4 else minimal
     witness: list[int] = []
-    rep = canonical_representative(f, 0)
-    witness.extend(g.index_of(v.d) for v in part.essential_class if v.d != rep.d)
-    for mask in part.class_masks():
+    for mask, block in zip([0] + part.class_masks(), part.blocks_in_order()):
         rep = canonical_representative(f, mask)
-        witness.extend(g.index_of(v.d) for v in part.classes[mask] if v.d != rep.d)
+        witness.extend(v.d for v in block if v.d != rep.d)
     heavy = [i for i, m in enumerate(f.exponents) if m > 1]
     if f.k >= 2 and len(heavy) == 1:
-        extra = canonical_representative(f, 1 << heavy[0])
-        witness.append(g.index_of(extra.d))
+        witness.append(canonical_representative(f, 1 << heavy[0]).d)
     return witness
 
 
-def constructive_resolving_set(
-    f: FactoredInteger,
-    graph: IdealGraph | None = None,
-    max_t: int | None = None,
-) -> DimReport:
-    """Resolving set prescribed by the shape of n, with no search.
+def constructive_resolving_set(f: FactoredInteger, max_t: int | None = None) -> DimReport:
+    """Resolving set prescribed by the shape of n, with no search and no graph.
 
-    Squarefree n uses the minimal ideals <n/p_i>, without the largest one
-    <n/p_1> when k <= 4; every other n drops one representative per class.
-    The witness is re-verified; the report is exact iff the closed form is,
-    and then the witness size must equal it.  `graph`, if given, must be
-    the essential graph of n.
+    The witness comes from the class partition (see _witness_rule).  It is
+    checked on the quotient: a vertex's distance to a witness depends only
+    on the two masks (ClassPartition.mask_distance), so each representation
+    is read off the masks, and two equal ones raise InconsistencyError.  The
+    report is exact iff the closed form is, and then the witness size must
+    equal it.
     """
     if f.n < 4 or f.is_prime():
         raise InputError(f"n must be composite and at least 4, got {f.n}")
-    if graph is not None and (graph.kind != KIND_ESSENTIAL or graph.factored.n != f.n):
-        raise InputError(f"need the essential graph of n = {f.n}")
-    g = graph if graph is not None else build_essential_graph(f, max_t)
-    if g.order == 1:
+    check_caps(f, max_t)
+    verts = enumerate_vertices(f)
+    t = len(verts)
+    if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0, degenerate=True)
-    if f.is_squarefree():
-        minimal = sorted(f.n // p for p in f.primes)
-        if f.k <= 4:
-            minimal.pop()
-        w_idx = [g.index_of(d) for d in minimal]
-    else:
-        w_idx = _constructive_indices(g, f)
+    part = class_partition(f, verts)
+    witness = _witness_rule(f, part)
+    in_w = set(witness)
+    mask_of = {v.d: v.xi_mask for v in verts}
+    w_masks = [mask_of[d] for d in witness]
+    distinct = set(w_masks)
+    codes: dict[int, tuple[int, ...]] = {}
+    reps = {}
+    for v in verts:
+        if v.d in in_w:
+            continue
+        a = v.xi_mask
+        if a not in codes:
+            law = {b: part.mask_distance(a, b) for b in distinct}
+            codes[a] = tuple(map(law.__getitem__, w_masks))
+        reps[v.d] = codes[a]
+    if len(set(reps.values())) != len(reps):
+        raise InconsistencyError(f"constructed witness for n = {f.n} does not resolve")
+    lower = 1 if f.is_squarefree() else max(t - len(part.similarity_blocks()), 1)
     expected = dim_formula(f)
-    lower = dim_lower_bound(distance_similar_partition(g))
-    report = _report_for_witness(g, w_idx, None, METHOD_CONSTRUCTIVE, expected.is_exact, lower)
-    if expected.is_exact and report.dim_value != expected.dim_value:
+    if expected.is_exact and len(witness) != expected.dim_value:
         raise InconsistencyError(
-            f"constructed witness for n = {f.n} has size {report.dim_value}, "
+            f"constructed witness for n = {f.n} has size {len(witness)}, "
             f"closed form gives {expected.dim_value}"
         )
-    return report
+    return DimReport(
+        f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, tuple(witness), reps
+    )

@@ -26,7 +26,6 @@ from eigraph import (
     finiteness_bound_check,
     is_resolving,
     level_partition,
-    squarefree_distance,
     zagreb_by_definition,
     zagreb_general_closed,
     zagreb_prime_power,
@@ -117,7 +116,7 @@ def test_criterion_4_metric_dimension_exact_cases():
     f = factor(2700)
     g = build_essential_graph(f)
     lower = dim_lower_bound(distance_similar_partition(g))
-    witness_report = constructive_resolving_set(f, graph=g)
+    witness_report = constructive_resolving_set(f)
     if not (lower == witness_report.dim_value == 27 == dim_formula(f).dim_value):
         failures.append(
             f"n=2700: lower={lower} witness={witness_report.dim_value}"
@@ -155,7 +154,7 @@ def test_criterion_5_constructive_witnesses(factored_100k):
     check = is_resolving(g, minimal)
     if not check.resolves:
         failures.append("n=30030: minimal ideals do not resolve")
-    cons = constructive_resolving_set(f, graph=g)
+    cons = constructive_resolving_set(f)
     if cons.dim_value != 6 or cons.is_exact:
         failures.append(f"n=30030: dim bound {cons.dim_value} exact={cons.is_exact}")
     _report(5, not failures, time.time() - start, 120, "; ".join(failures))
@@ -252,11 +251,12 @@ def test_criterion_8_distances(factored_100k):
         dist = all_pairs_distances(g)
         t = g.order
         verts = g.vertices
+        law = class_partition(f, list(verts)).mask_distance
         for i in range(t):
             row = dist[i]
             vi = verts[i]
             for j in range(i + 1, t):
-                if squarefree_distance(vi, verts[j]) != row[j]:
+                if law(vi.xi_mask, verts[j].xi_mask) != row[j]:
                     failures.append(f"n={f.n}: closed form disagrees with BFS")
                     break
             if failures:

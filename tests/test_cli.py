@@ -172,6 +172,25 @@ def test_dim_builds_no_distance_matrix(capsys, monkeypatch):
             assert run_cli(capsys, "dim", n, "--method", method)[0] == 0, (n, method)
 
 
+def test_dim_certificate_builds_no_graph(capsys, monkeypatch):
+    # auto and constructive certify on the class partition: no graph, no BFS
+    import eigraph
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the dim certificate built a graph or ran a BFS")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr in ("build_essential_graph", "bfs_row"):
+                if getattr(module, attr, None) is getattr(eigraph, attr):
+                    monkeypatch.setattr(module, attr, no_graph)
+    for n in ("12", "60", "2310", "2700", "1321091265351"):
+        for method in ("auto", "constructive"):
+            for fmt in ("text", "json"):
+                argv = ("dim", n, "--method", method, "--format", fmt)
+                assert run_cli(capsys, *argv)[0] == 0, argv
+
+
 def test_zagreb_command(capsys):
     code, out, _ = run_cli(capsys, "zagreb", "2700", "--format", "json")
     assert code == 0

@@ -22,7 +22,6 @@ from eigraph import (
     distance_similar_partition,
     enumerate_vertices,
     factor,
-    squarefree_distance,
     sum_is_essential_or_unit,
     to_dot,
     to_json_dict,
@@ -160,27 +159,39 @@ def test_distances_match_bfs_from_every_source(factored_100k):
             assert all_pairs_distances(g) == want, (f.n, g.kind)
 
 
+def _law(n):
+    """Distance by ClassPartition.mask_distance between two generators of n."""
+    f = factor(n)
+    verts = enumerate_vertices(f)
+    part = class_partition(f, verts)
+    masks = {v.d: v.xi_mask for v in verts}
+    return lambda a, b: part.mask_distance(masks[a], masks[b])
+
+
 def test_squarefree_distance_examples():
-    f30 = factor(30)
-    verts = {v.d: v for v in enumerate_vertices(f30)}
-    assert squarefree_distance(verts[2], verts[15]) == 1
-    assert squarefree_distance(verts[2], verts[6]) == 2
-    f210 = factor(210)
-    verts210 = {v.d: v for v in enumerate_vertices(f210)}
-    assert squarefree_distance(verts210[6], verts210[35]) == 1
-    assert squarefree_distance(verts210[30], verts210[42]) == 3
-    with pytest.raises(InputError):
-        v12 = enumerate_vertices(factor(12))
-        squarefree_distance(v12[0], v12[1])
+    # the mask law at m = 0 is the old squarefree closed form; n = 12 has m = 1
+    d30 = _law(30)
+    assert d30(2, 15) == 1
+    assert d30(2, 6) == 2
+    d210 = _law(210)
+    assert d210(6, 35) == 1
+    assert d210(30, 42) == 3
+    d12 = _law(12)
+    assert d12(3, 6) == 2
+    assert d12(4, 3) == 1
 
 
 def test_squarefree_distance_matches_bfs(factored_100k):
-    for f in composites(factored_100k, 4, 3000, squarefree=True):
+    # the mask law equals BFS on every pair of every composite n <= 10^4
+    for f in composites(factored_100k, 4, 10_000):
         g = build_essential_graph(f)
-        dist = all_pairs_distances(g)
+        law = class_partition(f, list(g.vertices)).mask_distance
+        masks = [v.xi_mask for v in g.vertices]
         for i in range(g.order):
-            for j in range(i + 1, g.order):
-                assert squarefree_distance(g.vertices[i], g.vertices[j]) == dist[i][j]
+            row = bfs_row(g, i)
+            for j in range(g.order):
+                if j != i:
+                    assert law(masks[i], masks[j]) == row[j], (f.n, i, j)
 
 
 def test_diameter_examples():

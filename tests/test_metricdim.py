@@ -6,8 +6,8 @@ from eigraph import (
     InconsistencyError,
     InputError,
     bfs_row,
-    build_aig,
     build_essential_graph,
+    class_partition,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
@@ -245,7 +245,9 @@ def test_squarefree_certificate(factored_100k):
         assert report.witness == tuple(minimal[:-1] if f.k <= 4 else minimal), f.n
         g = build_essential_graph(f)
         rows = [bfs_row(g, s) for s in range(g.order)]
-        assert is_resolving(g, report.witness, rows).resolves, f.n
+        check = is_resolving(g, report.witness, rows)
+        assert check.resolves and check.representations == report.representations, f.n
+        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g)), f.n
     for n in (6, 30, 210, 2310):  # one n per k = 2..5
         report = constructive_resolving_set(factor(n))
         assert report.dim_value == dim_bruteforce(graph_of(n)).dim_value, n
@@ -254,17 +256,6 @@ def test_squarefree_certificate(factored_100k):
         report = constructive_resolving_set(f)
         assert not report.is_exact and report.dim_value == f.k
         assert report.witness == tuple(sorted(n // p for p in f.primes))
-
-
-def test_constructive_rejects_a_foreign_graph():
-    # the AIG of n, or the essential graph of another n, is an input error
-    f = factor(60)
-    with pytest.raises(InputError):
-        constructive_resolving_set(f, graph=build_aig(f))
-    with pytest.raises(InputError):
-        constructive_resolving_set(f, graph=graph_of(2700))
-    report = constructive_resolving_set(f, graph=graph_of(60))
-    assert report == constructive_resolving_set(f)
 
 
 def test_constructive_size_mismatch_is_inconsistent(monkeypatch):
@@ -286,14 +277,36 @@ def test_constructive_size_mismatch_is_inconsistent(monkeypatch):
 
 
 def test_constructive_sweep(factored_100k):
-    for f in composites(factored_100k, 4, 600, squarefree=False):
+    # the mask-law certificate against the BFS oracle: every non-squarefree
+    # composite n <= 10^4 and one n of each large-t signature (T = 358, 1438)
+    fs = list(composites(factored_100k, 4, 10_000, squarefree=False))
+    for f in fs + [factor(1321091265351), factor(203903066266900)]:
         report = constructive_resolving_set(f)
         expected = dim_formula(f)
         assert report.dim_value == expected.dim_value
         if report.degenerate:
             assert report.dim_value == 0 and report.witness is None
-        else:
-            assert is_resolving(build_essential_graph(f), report.witness).resolves
+            continue
+        g = build_essential_graph(f)
+        check = is_resolving(g, report.witness)
+        assert check.resolves, f.n
+        assert check.representations == report.representations, f.n
+        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g)), f.n
+
+
+def test_constructive_catches_a_bad_witness(monkeypatch):
+    # a witness rule that drops its last vertex fails the mask-law check,
+    # and BFS agrees that the shortened witness does not resolve
+    import eigraph.metricdim as metricdim
+
+    real = metricdim._witness_rule
+    monkeypatch.setattr(metricdim, "_witness_rule", lambda f, part: real(f, part)[:-1])
+    for n in (12, 60, 360, 2700):
+        f = factor(n)
+        with pytest.raises(InconsistencyError, match="does not resolve"):
+            constructive_resolving_set(f)
+        short = real(f, class_partition(f))[:-1]
+        assert not is_resolving(build_essential_graph(f), short).resolves, n
 
 
 def test_dim_lower_bound_examples():
