@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -37,11 +38,13 @@ class FactoredInteger:
         """Number of distinct prime factors."""
         return len(self.factors)
 
-    @property
+    # cached_property stores into the instance __dict__, so it works on a
+    # frozen dataclass and costs nothing until first read.
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.factors)
 

@@ -76,13 +76,12 @@ class IdealGraph:
     def edges(self):
         """Yield edges as index pairs (i, j) with i < j."""
         for i, row in enumerate(self.adjacency):
-            rest = row >> (i + 1)
-            j = i + 1
-            while rest:
-                if rest & 1:
-                    yield (i, j)
-                rest >>= 1
-                j += 1
+            # bits above the diagonal, lowest first: bits[j] is column i + 1 + j
+            bits = bin(row >> (i + 1))[:1:-1]
+            j = bits.find("1")
+            while j >= 0:
+                yield (i, i + 1 + j)
+                j = bits.find("1", j + 1)
 
     def is_complete(self) -> bool:
         t = self.order
@@ -342,9 +341,20 @@ def check_divisor_conjugate_iso(ess: IdealGraph, aig: IdealGraph) -> ConjugateCh
     if kinds != (KIND_ESSENTIAL, KIND_ANNIHILATING) or ess.factored.n != aig.factored.n:
         raise InputError("need the essential graph and the AIG of one n, in that order")
     n = ess.factored.n
-    image = [aig.index_of(n // v.d) for v in ess.vertices]
     mapping = {v.d: n // v.d for v in ess.vertices}
-    pair = _first_mismatch(ess, aig, image)
+    # Vertices ascend by d, so d -> n/d sends index i to T - 1 - i, and the
+    # map is an isomorphism iff each essential row equals the bit-reversed
+    # AIG row of the conjugate.  The pair loop only names a failing pair.
+    width = f"0{ess.order}b"
+    reversal = list(mapping.values()) == [v.d for v in reversed(aig.vertices)] and all(
+        row == int(format(conj, width)[::-1], 2)
+        for row, conj in zip(ess.adjacency, reversed(aig.adjacency))
+    )
+    if reversal:
+        pair = None
+    else:
+        image = [aig.index_of(n // v.d) for v in ess.vertices]
+        pair = _first_mismatch(ess, aig, image)
     failing = None if pair is None else tuple(ess.vertices[i].d for i in pair)
     return ConjugateCheck(
         failing is None, mapping, ess.edge_count, aig.edge_count, failing

@@ -87,9 +87,13 @@ def enumerate_vertices(f: FactoredInteger) -> list[Ideal]:
     """All nonzero proper ideals of Z_n, sorted ascending by generator."""
     if f.n < 4 or f.is_prime():
         raise InputError(f"n must be composite and at least 4, got {f.n}")
-    # product() yields the unit ideal first and the zero ideal last
-    vectors = list(product(*(range(m + 1) for m in f.exponents)))[1:-1]
-    verts = sorted((ideal_from_exponents(f, exps) for exps in vectors), key=lambda v: v.d)
+    # product() only yields exponents in range, so nothing is validated per
+    # vertex: prime i contributes r, p_i^r and its full bit, d is a product
+    # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.
+    exps = product(*(range(m + 1) for m in f.exponents))
+    ds = map(math.prod, product(*([p**r for r in range(m + 1)] for p, m in f.factors)))
+    masks = map(sum, product(*([0] * m + [1 << i] for i, m in enumerate(f.exponents))))
+    verts = [Ideal(f, e, d, mask) for d, e, mask in sorted(zip(ds, exps, masks))[1:-1]]
     if len(verts) != divisor_count(f) - 2:
         raise InconsistencyError(
             f"{len(verts)} vertices for n = {f.n}, expected {divisor_count(f) - 2}"

@@ -1,13 +1,25 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigraph import (
+    all_pairs_distances,
+    build_aig,
+    build_essential_graph,
+    constructive_resolving_set,
+    factor,
+    to_json_dict,
+)
 from eigraph.cli import (
     CLASSES_JSON_SCHEMA,
     DISTANCES_JSON_SCHEMA,
     VERIFY_JSON_SCHEMA,
+    _json_text,
     main,
     run_verify,
 )
@@ -327,3 +339,59 @@ def test_version_flag():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("eigraph ")
+
+
+big_ints = st.integers(min_value=-(2**70), max_value=2**70)
+json_text = st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀')) | st.text()
+json_scalars = st.one_of(big_ints, st.booleans(), st.floats(), json_text, st.none())
+int_rows = st.lists(st.lists(big_ints, max_size=4), max_size=4)  # ragged, may hold []
+json_payloads = st.recursive(
+    json_scalars
+    | st.lists(big_ints)
+    | st.lists(big_ints | st.booleans())
+    | int_rows
+    | st.lists(st.lists(big_ints, min_size=1, max_size=3), max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_text | big_ints, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_payloads)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_equals_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_on_real_payloads():
+    for n in (12, 360, 2310, 1321091265351, 203903066266900):
+        f = factor(n)
+        ess = build_essential_graph(f)
+        distances = {
+            "n": n,
+            "kind": ess.kind,
+            "vertices": [v.d for v in ess.vertices],
+            "distances": all_pairs_distances(ess),
+        }
+        for payload in (
+            to_json_dict(ess),
+            to_json_dict(build_aig(f)),
+            distances,
+            constructive_resolving_set(f).to_json_dict(),
+        ):
+            assert _json_text(payload) == json.dumps(payload, indent=2), n
+
+
+def test_dot_output_pinned(capsys):
+    # SHA-256 of stdout as printed when the edge walk visited every bit
+    for argv, digest in (
+        (("graph", "360"), "d773a84805432da51cbd029626606915f39885545b82274c11b9263b603a69bc"),
+        (
+            ("aig", "203903066266900"),
+            "1994a510192615a0114b0918698457b585005dce8fb7cfc0659925b7e8770fe9",
+        ),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--format", "dot")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

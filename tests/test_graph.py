@@ -26,7 +26,7 @@ from eigraph import (
     to_dot,
     to_json_dict,
 )
-from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph
+from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph, _first_mismatch
 
 from conftest import composites, conjugate_check, index_blocks
 
@@ -112,6 +112,19 @@ def _aig_rows_by_pairs(f):
 def test_aig_matches_pair_loop_reference(factored_100k):
     for f in composites(factored_100k, 4, 10_000):
         assert build_aig(f).adjacency == _aig_rows_by_pairs(f), f.n
+
+
+def _edges_by_pairs(g: IdealGraph):
+    return [(i, j) for i in range(g.order) for j in range(i + 1, g.order) if g.adjacent(i, j)]
+
+
+def test_edge_walk_matches_pair_definition(factored_100k):
+    for f in composites(factored_100k, 4, 3000):
+        for g in (build_essential_graph(f), build_aig(f)):
+            assert list(g.edges()) == _edges_by_pairs(g), (g.kind, f.n)
+    for k in range(2, 11):
+        g = build_field_product_model(k)
+        assert list(g.edges()) == _edges_by_pairs(g), k
 
 
 def test_field_product_model():
@@ -298,6 +311,17 @@ def test_divisor_conjugate_examples():
     assert check12.aig_edges == 3
     assert check12.failing_pair is not None
     assert check12.mapping == {2: 6, 3: 4, 4: 3, 6: 2}
+
+
+def test_conjugate_reversal_matches_pair_loop(factored_100k):
+    # the row-reversal verdict against the pair loop over the image of d -> n/d
+    for f in composites(factored_100k, 4, 3000):
+        ess, aig = build_essential_graph(f), build_aig(f)
+        image = [aig.index_of(f.n // v.d) for v in ess.vertices]
+        pair = _first_mismatch(ess, aig, image)
+        want = None if pair is None else tuple(ess.vertices[i].d for i in pair)
+        check = check_divisor_conjugate_iso(ess, aig)
+        assert (check.isomorphic, check.failing_pair) == (pair is None, want), f.n
 
 
 def test_iso_checks_take_built_graphs():

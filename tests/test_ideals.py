@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,16 @@ def test_enumerate_vertices_examples():
     assert [v.d for v in enumerate_vertices(factor(12))] == [2, 3, 4, 6]
     assert len(enumerate_vertices(factor(2700))) == 34
     assert [v.d for v in enumerate_vertices(factor(8))] == [2, 4]
+
+
+def test_enumerate_vertices_matches_validated_constructor(factored_100k):
+    fs = list(composites(factored_100k, 4, 10_000))
+    for f in fs + [factor(1321091265351), factor(203903066266900)]:
+        vectors = list(product(*(range(m + 1) for m in f.exponents)))[1:-1]
+        want = sorted((ideal_from_exponents(f, e) for e in vectors), key=lambda v: v.d)
+        assert [(v.d, v.exponents, v.xi_mask) for v in enumerate_vertices(f)] == [
+            (v.d, v.exponents, v.xi_mask) for v in want
+        ], f.n
 
 
 def test_enumerate_rejects_bad_n():
