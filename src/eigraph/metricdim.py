@@ -3,17 +3,21 @@
 Three routes are provided and cross-checked: a closed-form case analysis
 on the factorization shape, a search-free certificate for every
 composite n (the minimal ideals for squarefree n, one representative
-dropped per class otherwise), and an exact exhaustive search.  The search
-rests on the twin argument: the vertices of a distance-similar block are
-pairwise twins, a transposition of two twins is a graph automorphism, so
-a resolving set keeps all but at most one vertex of each block and
-whether it resolves depends only on which blocks lose a vertex.  The
-search therefore enumerates choices of blocks, not choices of members;
-the problem stays exponential in the number of blocks.  The certificate
-builds no graph: the distance between two vertices depends only on their
-full-exponent masks (ClassPartition.mask_distance), so its witness is
-checked on the class partition.  The search builds no T x T distance
-matrix; it compares BFS rows of the block tops only.  Every witness the
+dropped per class otherwise), and an exact search.  The search rests on
+the twin argument: the vertices of a distance-similar block are pairwise
+twins, a transposition of two twins is a graph automorphism, so a
+resolving set keeps all but at most one vertex of each block and whether
+it resolves depends only on which blocks lose a vertex.  The search
+therefore walks choices of blocks, not choices of members, depth first in
+lexicographic order.  Each kept block top splits the classes of tops not
+yet told apart by its distance layers (bitsets), and a branch is cut when
+its classes need more picks than are left: with distances at most D, one
+more pick splits a class into at most D parts.  The problem stays
+exponential in the number of blocks.  The certificate builds no graph:
+the distance between two vertices depends only on their full-exponent
+masks (ClassPartition.mask_distance), so its witness is checked on the
+class partition.  The search builds no T x T distance matrix; it reads
+BFS rows of the block tops only.  Every witness the
 module hands out is re-verified before it is reported, and is_resolving
 on BFS rows stays the oracle for both.
 """
@@ -21,7 +25,7 @@ on BFS rows stays the oracle for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 from math import comb
 
 from .arithmetic import FactoredInteger, check_caps, divisor_count
@@ -172,8 +176,12 @@ def dim_lower_bound(partition: DistanceSimilarPartition) -> int:
 
 
 def finiteness_bound_check(dim_value: int, t: int) -> bool:
-    """Diameter-3 counting bound: at most 4^dim + dim vertices."""
-    return t <= 4**dim_value + dim_value
+    """Diameter-3 counting bound: at most 3^dim + dim vertices.
+
+    A vertex outside a resolving set of size dim sees every witness at a
+    distance in {1, 2, 3}, and no two such vertices share a vector.
+    """
+    return t <= 3**dim_value + dim_value
 
 
 def dim_bruteforce(
@@ -181,21 +189,35 @@ def dim_bruteforce(
     partition: DistanceSimilarPartition | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> DimReport:
-    """Exact metric dimension by exhaustive search over choices of blocks.
+    """Exact metric dimension by a pruned depth-first search over choices of blocks.
 
     Two vertices of a distance-similar block are twins, and swapping them
     is a graph automorphism, so whether a set resolves the graph depends
     only on which blocks lose a vertex, not on which member is dropped.  A
     resolving set keeps all but at most one vertex of each block, so every
     candidate keeps the fixed vertices (all but the largest index of each
-    block) and drops some of the block tops.  Dropping the top is the
+    block) and a choice of the block tops.  Dropping the top is the
     lexicographically least of the equivalent choices, and with the fixed
     vertices held constant the candidates sort as their kept tops do.
+
+    For r kept tops the search walks the choices of r tops depth first, in
+    ascending position, which is the order of combinations(tops, r).  It
+    carries the classes of tops not yet told apart as bitsets over top
+    positions: at the root, the tops grouped by their distances to the fixed
+    vertices; keeping a top splits every class by that top's distance
+    layers and removes the top.  A choice resolves iff no class keeps two
+    members.  With D the largest distance in the tops' BFS rows and `left`
+    picks to go, a class of c tops keeps at most D^left unpicked members,
+    so a node whose classes need more than `left` picks in all, the sum of
+    max(0, c - D^left), is abandoned; the prune only drops subtrees with no
+    resolving leaf.
+
     Sizes are scanned ascending from the block-count lower bound, so the
-    first resolving candidate is the lexicographically least minimum
-    witness (by vertex index).  The budget counts choices of blocks,
-    C(blocks, e) for e dropped blocks; if it would be exceeded the search
-    stops and reports the proven lower bound as a non-exact value.
+    first resolving choice is the lexicographically least minimum witness
+    (by vertex index).  The budget counts choices of blocks, C(blocks, e)
+    for e dropped blocks, charged before a size is scanned however much the
+    prune skips; if it would be exceeded the search stops and reports the
+    proven lower bound as a non-exact value.
     """
     n = g.factored.n if g.factored is not None else 0
     t = g.order
@@ -208,6 +230,35 @@ def dim_bruteforce(
     # Only the dropped tops are compared, so only their rows are needed.
     distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
     fixed = [i for i in range(t) if i not in top_set]
+    groups: dict[tuple, int] = {}
+    for pos, v in enumerate(tops):
+        key = tuple(map(distances[v].__getitem__, fixed))
+        groups[key] = groups.get(key, 0) | 1 << pos
+    roots = [c for c in groups.values() if c & (c - 1)]
+    reach = max(max(distances[v]) for v in tops)
+
+    @cache
+    def layers(pos: int) -> list[int]:
+        # Bitsets of the tops at each distance 1..reach from the top at pos.
+        row = distances[tops[pos]]
+        bits = [0] * (reach + 1)
+        for j, v in enumerate(tops):
+            bits[row[v]] |= 1 << j
+        return bits[1:]
+
+    def scan(classes: list[int], first: int, left: int) -> list[int] | None:
+        cap = reach**left
+        if sum(max(c.bit_count() - cap, 0) for c in classes) > left:
+            return None
+        if left == 0:
+            return []
+        for pos in range(first, len(tops) - left + 1):
+            parts = [c & bits for c in classes for bits in layers(pos)]
+            found = scan([c for c in parts if c & (c - 1)], pos + 1, left - 1)
+            if found is not None:
+                return [pos] + found
+        return None
+
     lower = dim_lower_bound(partition)
     spent = 0
     for s in range(lower, t):
@@ -218,24 +269,14 @@ def dim_bruteforce(
         if spent + cost > budget:
             return DimReport(n, t, s, False, METHOD_BRUTE, lower)
         spent += cost
-        for kept in combinations(tops, r):
-            w_cols = sorted(fixed + list(kept))
-            out = top_set.difference(kept)
-            seen = set()
-            for v in out:
-                row = distances[v]
-                rep = tuple(row[w] for w in w_cols)
-                if rep in seen:
-                    break
-                seen.add(rep)
-            else:
-                witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
-                check = is_resolving(g, witness, distances)
-                if not check.resolves:
-                    raise InconsistencyError(f"constructed witness for n = {n} does not resolve")
-                return DimReport(
-                    n, t, s, True, METHOD_BRUTE, lower, witness, check.representations
-                )
+        kept = scan(roots, 0, r)
+        if kept is not None:
+            w_cols = sorted(fixed + [tops[pos] for pos in kept])
+            witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
+            check = is_resolving(g, witness, distances)
+            if not check.resolves:
+                raise InconsistencyError(f"constructed witness for n = {n} does not resolve")
+            return DimReport(n, t, s, True, METHOD_BRUTE, lower, witness, check.representations)
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
 
 

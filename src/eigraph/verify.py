@@ -354,7 +354,7 @@ def _check_bounds(ctx: _VerifyContext):
         results.append(
             (
                 finiteness_bound_check(formula.dim_value, formula.T),
-                "vertex count within 4^dim + dim",
+                "vertex count within 3^dim + dim",
             )
         )
     return results

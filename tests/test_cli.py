@@ -20,6 +20,7 @@ from eigraph.cli import (
     DISTANCES_JSON_SCHEMA,
     VERIFY_JSON_SCHEMA,
     _json_text,
+    build_parser,
     main,
     run_verify,
 )
@@ -331,6 +332,27 @@ def test_console_script_entry():
     assert "factors = 2^2 * 3 * 5" in proc.stdout
 
 
+def test_parser_shared_across_main_calls(capsys):
+    # one parser serves every main() call in a process; a usage error in
+    # between leaves it as it was, so each call prints what a separate
+    # process prints
+    argvs = [
+        ["dim", "60", "--method", "brute"],
+        ["dim", "60", "--method", "bogus"],
+        ["dim", "60", "--method", "brute"],
+        ["factor", "2700", "--format", "json"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    separate = [
+        subprocess.run([sys.executable, "-m", "eigraph.cli", *argv], capture_output=True, text=True)
+        for argv in argvs
+    ]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in separate]
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0]
+    assert in_process[0] == in_process[2]
+    assert build_parser() is build_parser()
+
+
 def test_version_flag():
     proc = subprocess.run(
         [sys.executable, "-m", "eigraph.cli", "--version"],
@@ -395,3 +417,30 @@ def test_dot_output_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv, "--format", "dot")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_k6_search_output_pinned(capsys):
+    # squarefree k = 6 at the default budget: every size up to 5 is searched
+    # and fails, and size 6 would exceed the budget, so the search reports
+    # the bound 6 without a witness, as the unpruned block-choice scan did
+    text = "n = 30030\nT = 62\ndim = 6\nexact = false\nmethod = brute-force\nlower_bound = 1\n"
+    payload = {
+        "n": 30030,
+        "T": 62,
+        "dim": 6,
+        "exact": False,
+        "method": "brute-force",
+        "lower_bound": 1,
+        "witness": None,
+        "representations": None,
+    }
+    assert run_cli(capsys, "dim", "30030", "--method", "brute") == (0, text, "")
+    code, out, _ = run_cli(capsys, "dim", "30030", "--method", "brute", "--format", "json")
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+    counts = dict(
+        adjacency=4, distances=4, partition=1, join=1, dim=2, zagreb=4, iso=2, bounds=1
+    )
+    lines = ["verify 30030..30030 checks=" + ",".join(counts)]
+    lines += [f"{name}: run={run} passed={run} failed=0" for name, run in counts.items()]
+    lines.append("result = PASS\n")
+    assert run_cli(capsys, "verify", "30030", "30030") == (0, "\n".join(lines), "")

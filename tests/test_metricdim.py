@@ -7,6 +7,7 @@ from eigraph import (
     InputError,
     bfs_row,
     build_essential_graph,
+    build_field_product_model,
     class_partition,
     constructive_resolving_set,
     dim_bruteforce,
@@ -17,6 +18,7 @@ from eigraph import (
     finiteness_bound_check,
     is_resolving,
 )
+from eigraph.graph import vertex_key
 from eigraph.metricdim import DIM_JSON_SCHEMA
 
 import jsonschema
@@ -128,6 +130,62 @@ def test_block_search_agrees_with_member_product_search(factored_100k):
         assert got.dim_value == want_dim, f.n
         assert tuple(g.index_of(d) for d in got.witness) == want_witness, f.n
         assert got.is_exact == want_exact, f.n
+
+
+def _block_choice_scan(g, budget=10_000_000):
+    # reference: every combinations(tops, r) choice tested one by one, with a
+    # distance tuple per outside top; same budget rule and witness order as
+    # the pruned depth-first search
+    from itertools import combinations
+    from math import comb
+
+    from eigraph.metricdim import METHOD_BRUTE, DimReport
+
+    n = g.factored.n if g.factored is not None else 0
+    t = g.order
+    if t == 1:
+        return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None, degenerate=True)
+    partition = distance_similar_partition(g)
+    tops = sorted(max(b) for b in partition.blocks)
+    top_set = set(tops)
+    distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
+    fixed = [i for i in range(t) if i not in top_set]
+    lower = dim_lower_bound(partition)
+    spent = 0
+    for s in range(lower, t):
+        r = s - len(fixed)
+        if r < 0:
+            continue
+        cost = comb(len(tops), r)
+        if spent + cost > budget:
+            return DimReport(n, t, s, False, METHOD_BRUTE, lower)
+        spent += cost
+        for kept in combinations(tops, r):
+            w_cols = sorted(fixed + list(kept))
+            seen = set()
+            for v in top_set.difference(kept):
+                rep = tuple(distances[v][w] for w in w_cols)
+                if rep in seen:
+                    break
+                seen.add(rep)
+            else:
+                witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
+                check = is_resolving(g, witness, distances)
+                return DimReport(
+                    n, t, s, True, METHOD_BRUTE, lower, witness, check.representations
+                )
+    raise AssertionError("no resolving set")
+
+
+def test_pruned_search_equals_block_choice_scan(factored_100k):
+    # the depth-first scan with refinement and prune returns the reference's
+    # report field for field, representations included, at every budget
+    graphs = [build_essential_graph(f) for f in composites(factored_100k, 4, 3000)]
+    graphs += [build_field_product_model(k) for k in range(2, 6)]
+    for g in graphs:
+        for budget in (10_000_000, 0, 1, 3, 100):
+            want = _block_choice_scan(g, budget)
+            assert dim_bruteforce(g, budget=budget) == want, (g.vertices[-1], budget)
 
 
 def test_budget_counts_choices_of_blocks():
@@ -337,6 +395,15 @@ def test_finiteness_bound_examples():
     assert finiteness_bound_check(5, 30)
     assert finiteness_bound_check(2, 4)
     assert not finiteness_bound_check(1, 6)
+    assert not finiteness_bound_check(1, 5)  # within 4^1 + 1, not within 3^1 + 1
+
+
+def test_finiteness_bound_holds_for_every_exact_value(factored_100k):
+    # T <= 3^dim + dim for every composite n <= 10^4 with an exact closed form
+    for f in composites(factored_100k, 4, 10_000):
+        report = dim_formula(f)
+        if report.is_exact and report.T >= 2:
+            assert finiteness_bound_check(report.dim_value, report.T), f.n
 
 
 def test_reports_respect_lower_bound(factored_100k):
