@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 from itertools import chain, repeat
 
 from . import __version__
@@ -361,13 +360,7 @@ def _add_common(parser, formats, default_format="text"):
     )
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The eigraph argument parser, built on the first call and then shared.
-
-    Parsing reads the parser and leaves it unchanged, so one instance serves
-    every main() call in a process.
-    """
     parser = _Parser(prog="eigraph", description=__doc__)
     parser.add_argument("--version", action="version", version=f"eigraph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,7 +20,6 @@ from eigraph.cli import (
     DISTANCES_JSON_SCHEMA,
     VERIFY_JSON_SCHEMA,
     _json_text,
-    build_parser,
     main,
     run_verify,
 )
@@ -330,27 +329,6 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "factors = 2^2 * 3 * 5" in proc.stdout
-
-
-def test_parser_shared_across_main_calls(capsys):
-    # one parser serves every main() call in a process; a usage error in
-    # between leaves it as it was, so each call prints what a separate
-    # process prints
-    argvs = [
-        ["dim", "60", "--method", "brute"],
-        ["dim", "60", "--method", "bogus"],
-        ["dim", "60", "--method", "brute"],
-        ["factor", "2700", "--format", "json"],
-    ]
-    in_process = [run_cli(capsys, *argv) for argv in argvs]
-    separate = [
-        subprocess.run([sys.executable, "-m", "eigraph.cli", *argv], capture_output=True, text=True)
-        for argv in argvs
-    ]
-    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in separate]
-    assert [code for code, _, _ in in_process] == [0, 1, 0, 0]
-    assert in_process[0] == in_process[2]
-    assert build_parser() is build_parser()
 
 
 def test_version_flag():
