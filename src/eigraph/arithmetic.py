@@ -174,26 +174,44 @@ def check_caps(f: FactoredInteger, max_t: int | None = None) -> None:
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
-    """spf[i] = smallest prime factor of i, for 0 <= i <= limit."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    """spf[i] = smallest prime factor of composite i, for 0 <= i <= limit.
+
+    Primes, 0 and 1 read 0. The table starts as 2 at every even cell; then
+    each odd prime p <= isqrt(limit) fills its odd multiples from p*p with
+    one slice assignment, largest p first, so the smallest odd prime factor
+    is written last and wins.
+    """
+    if limit < 2:
+        return [0] * (limit + 1)
+    root = math.isqrt(limit)
+    composite = bytearray(root + 1)
+    for i in range(2, math.isqrt(root) + 1):
+        if not composite[i]:
+            composite[i * i :: i] = b"\x01" * len(range(i * i, root + 1, i))
+    spf = [2, 0] * (limit // 2 + 2)
+    spf[0] = spf[2] = 0
+    del spf[limit + 1 :]
+    for p in range(root - 1 + root % 2, 2, -2):
+        if not composite[p]:
+            spf[p * p :: 2 * p] = [p] * len(range(p * p, limit + 1, 2 * p))
     return spf
 
 
-def factor_range(limit: int):
-    """Yield FactoredInteger for every n in [2, limit] via an SPF sieve."""
-    if limit < 2:
+def factor_range(limit: int, start: int = 2):
+    """Yield FactoredInteger for every n in [max(start, 2), limit], ascending.
+
+    The smallest-prime-factor table spans [0, limit]; only the n in the
+    window are factored.
+    """
+    start = max(start, 2)
+    if limit < start:
         return
     spf = smallest_prime_factor_sieve(limit)
-    for n in range(2, limit + 1):
+    for n in range(start, limit + 1):
         rem = n
         factors = []
         while rem > 1:
-            p = spf[rem]
+            p = spf[rem] or rem
             m = 0
             while rem % p == 0:
                 rem //= p

@@ -305,7 +305,7 @@ def cmd_zagreb(args) -> int:
     if end == args.n:
         reports.append(compute_zagreb_report(_composite(args.n), max_t=args.max_t))
     else:
-        for f in factor_range(end):
+        for f in factor_range(end, args.n):
             if f.n < max(4, args.n) or f.is_prime():
                 continue
             reports.append(compute_zagreb_report(f, max_t=args.max_t))

@@ -5,8 +5,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigraph import InputError, divisor_count, factor, factor_range
-from eigraph.arithmetic import check_caps, resolve_max_vertices
+from eigraph import FactoredInteger, InputError, divisor_count, factor, factor_range
+from eigraph.arithmetic import check_caps, resolve_max_vertices, smallest_prime_factor_sieve
 
 
 def test_factor_examples():
@@ -79,6 +79,70 @@ def test_divisor_count_against_tau_sieve():
 def test_factor_range_agrees_with_factor():
     for f in factor_range(5000):
         assert f == factor(f.n)
+
+
+def _spf_oracle(limit):
+    """The per-multiple SPF loop: spf[i] = i for primes, 0 and 1."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def _factor_range_oracle(limit):
+    spf = _spf_oracle(limit)
+    for n in range(2, limit + 1):
+        rem = n
+        factors = []
+        while rem > 1:
+            p = spf[rem]
+            m = 0
+            while rem % p == 0:
+                rem //= p
+                m += 1
+            factors.append((p, m))
+        yield FactoredInteger(n, tuple(factors))
+
+
+def test_spf_sieve_matches_the_per_multiple_loop(factored_100k):
+    limit = 10**5
+    oracle = _spf_oracle(limit)
+    spf = smallest_prime_factor_sieve(limit)
+    assert len(spf) == limit + 1 and spf[0] == spf[1] == 0
+    assert all((spf[i] or i) == oracle[i] for i in range(2, limit + 1))
+    assert all(spf[p] == 0 for p in sympy.primerange(2, limit + 1))
+    for small in range(0, 300):
+        table = smallest_prime_factor_sieve(small)
+        assert [table[i] or i for i in range(2, small + 1)] == _spf_oracle(small)[2:]
+    assert factored_100k == list(_factor_range_oracle(limit))
+
+
+def _check_window(end, start):
+    expected = [factor(n) for n in range(max(start, 2), end + 1)]
+    assert list(factor_range(end, start)) == expected, (end, start)
+    if start <= 2:
+        assert list(factor_range(end)) == expected, end
+
+
+def test_factor_range_window_edges():
+    windows = [(50, 2), (50, 1), (50, 0), (50, -7), (2, 2), (2, -1)]
+    windows += [(97, 97), (100, 100), (50, 51), (10, 100), (2, 3)]
+    windows += [(1, 0), (1, 2), (0, -3), (-5, -10), (-1, 5)]
+    for p in (2, 3, 7, 31, 97, 313):
+        sq = p * p
+        windows += [(sq, p), (sq + 1, sq - 1), (sq, sq), (sq - 1, sq - 1), (sq + 1, sq + 1)]
+        windows += [(sq + p, sq), (sq + p, sq + 1), (sq - 1, sq - p), (p + 1, p), (p, p)]
+    for end, start in windows:
+        _check_window(end, start)
+
+
+@given(st.integers(min_value=-5, max_value=10**5), st.integers(min_value=-3, max_value=400))
+@settings(max_examples=40, deadline=None)
+def test_factor_range_window_agrees_with_factor(end, width):
+    _check_window(end, end - width)
 
 
 @given(st.integers(min_value=2, max_value=2**50))

@@ -11,10 +11,12 @@ from eigraph import (
     all_pairs_distances,
     build_aig,
     build_essential_graph,
+    compute_zagreb_report,
     constructive_resolving_set,
     factor,
     to_json_dict,
 )
+from eigraph import cli
 from eigraph.cli import (
     CLASSES_JSON_SCHEMA,
     DISTANCES_JSON_SCHEMA,
@@ -231,6 +233,26 @@ def test_zagreb_csv_sweep(capsys):
     assert by_n[30].split(",")[3:8] == ["30", "36", "30", "36", "63"]
 
 
+def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
+    original = cli.factor_range
+    yielded = []
+
+    def counting(*args, **kwargs):
+        for f in original(*args, **kwargs):
+            yielded.append(f.n)
+            yield f
+
+    monkeypatch.setattr(cli, "factor_range", counting)
+    code, out, _ = run_cli(capsys, "zagreb", "200000", "200049", "--format", "csv")
+    assert code == 0
+    assert yielded == list(range(200000, 200050))
+    # The bytes printed when the sweep factored every n in [2, 200049].
+    digest = "4dd5366d69cb9754b57207410b2481f200a05737cbac56259dac33fd63c8ca2d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    composite = [f for f in map(factor, range(200000, 200050)) if not f.is_prime()]
+    assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "4", "120", "--format", "json")
     assert code == 0
@@ -292,7 +314,6 @@ def test_verify_unknown_check(capsys):
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):
-    import eigraph.cli as cli
     from eigraph import InconsistencyError
 
     def boom(*args, **kwargs):
