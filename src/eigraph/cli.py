@@ -306,7 +306,7 @@ def cmd_zagreb(args) -> int:
         reports.append(compute_zagreb_report(_composite(args.n), max_t=args.max_t))
     else:
         for f in factor_range(end, args.n):
-            if f.n < max(4, args.n) or f.is_prime():
+            if f.is_prime():
                 continue
             reports.append(compute_zagreb_report(f, max_t=args.max_t))
     if args.format == "csv":

@@ -268,44 +268,26 @@ class DistanceSimilarPartition:
     """Blocks of mutually distance-similar vertices (by index)."""
 
     blocks: tuple[tuple[int, ...], ...]
-    singleton_count: int
 
 
 def distance_similar_partition(g: IdealGraph) -> DistanceSimilarPartition:
-    """Group vertices that share open (non-adjacent) or closed (adjacent) neighborhoods."""
-    t = g.order
-    parent = list(range(t))
+    """Group vertices that share open (non-adjacent) or closed (adjacent) neighborhoods.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
+    Twinhood is an equivalence whose classes are cliques or independent sets
+    (Hernando, Mora, Pelayo, Seara and Wood, Electron. J. Combin. 17 (2010)
+    R30), so no vertex has both an open and a closed twin and the groups of
+    equal rows and of equal closed rows never need merging.
+    """
+    open_groups: dict[int, list[int]] = {}
+    closed_groups: dict[int, list[int]] = {}
     for i, row in enumerate(g.adjacency):
-        if row in open_groups:
-            union(open_groups[row], i)
-        else:
-            open_groups[row] = i
-        closed = row | (1 << i)
-        if closed in closed_groups:
-            union(closed_groups[closed], i)
-        else:
-            closed_groups[closed] = i
-
-    by_root: dict[int, list[int]] = {}
-    for i in range(t):
-        by_root.setdefault(find(i), []).append(i)
-    blocks = tuple(tuple(sorted(b)) for b in sorted(by_root.values(), key=lambda b: b[0]))
-    singles = sum(1 for b in blocks if len(b) == 1)
-    return DistanceSimilarPartition(blocks, singles)
+        open_groups.setdefault(row, []).append(i)
+        closed_groups.setdefault(row | (1 << i), []).append(i)
+    blocks = [b for b in open_groups.values() if len(b) > 1]
+    for b in closed_groups.values():
+        if len(b) > 1 or len(open_groups[g.adjacency[b[0]]]) == 1:
+            blocks.append(b)
+    return DistanceSimilarPartition(tuple(map(tuple, sorted(blocks))))
 
 
 @dataclass(frozen=True)

@@ -431,16 +431,19 @@ def run_verify(
     max_t: int | None = None,
 ) -> VerifySummary:
     """Run the selected check categories over every composite n in [start, end]."""
+    checks = tuple(checks)
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise InputError(f"unknown checks {unknown}; valid: {', '.join(CHECK_CATEGORIES)}")
+    if not checks or len(set(checks)) < len(checks):
+        raise InputError(f"checks {list(checks)} must name at least one category, each once")
     if start > end:
         raise InputError(f"range start {start} exceeds end {end}")
-    summary = VerifySummary(start, end, tuple(checks))
+    summary = VerifySummary(start, end, checks)
     numbers = [factor(end)] if start == end > SIEVE_LIMIT else factor_range(end)
     for f in numbers:
         n = f.n
-        if n < max(4, start) or f.is_prime():
+        if n < start or f.is_prime():
             continue
         ctx = _VerifyContext(f, max_t, budget)
         for name in checks:

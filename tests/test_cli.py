@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigraph import (
+    InputError,
     all_pairs_distances,
     build_aig,
     build_essential_graph,
@@ -311,6 +313,16 @@ def test_verify_single_large_n(capsys):
 
 def test_verify_unknown_check(capsys):
     assert run_cli(capsys, "verify", "4", "10", "--checks", "nope")[0] == 1
+
+
+def test_verify_rejects_empty_or_repeated_checks(capsys):
+    for checks in ("", " , ", "dim,dim", "dim, join ,dim"):
+        code, out, err = run_cli(capsys, "verify", "4", "30", "--checks", checks)
+        assert (code, out) == (1, ""), checks
+        assert "error" in err, checks
+    for checks in ((), ("dim", "dim"), ["join", "zagreb", "join"]):
+        with pytest.raises(InputError):
+            run_verify(4, 30, checks=checks)
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):

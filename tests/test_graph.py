@@ -215,8 +215,9 @@ def test_diameter_examples():
 
 
 def _distance_similar_oracle(g: IdealGraph):
-    # direct from the definition: d(u, x) = d(v, x) for every other vertex x
-    dist = all_pairs_distances(g)
+    # direct from the definition: d(u, x) = d(v, x) for every other vertex x,
+    # on BFS rows from every source (all_pairs_distances reuses the blocks)
+    dist = [bfs_row(g, s) for s in range(g.order)]
     t = g.order
     parent = list(range(t))
 
@@ -250,7 +251,7 @@ def test_distance_similar_partition_n12_oracle_value():
     assert _distance_similar_oracle(g) == {
         tuple(sorted(b)) for b in distance_similar_partition(g).blocks
     }
-    assert distance_similar_partition(g).singleton_count == 0
+    assert all(len(b) > 1 for b in distance_similar_partition(g).blocks)
 
 
 def test_distance_similar_partition_examples():
@@ -262,13 +263,51 @@ def test_distance_similar_partition_examples():
     g30 = build_essential_graph(factor(30))
     part30 = distance_similar_partition(g30)
     assert len(part30.blocks) == 6
-    assert part30.singleton_count == 6
+    assert all(len(b) == 1 for b in part30.blocks)
 
 
 def test_distance_similar_partition_matches_oracle(factored_100k):
-    for f in composites(factored_100k, 4, 400):
-        g = build_essential_graph(f)
-        assert _distance_similar_oracle(g) == set(distance_similar_partition(g).blocks)
+    graphs = [
+        build(f)
+        for f in composites(factored_100k, 4, 400)
+        for build in (build_essential_graph, build_aig)
+    ]
+    graphs += [build_field_product_model(k) for k in range(2, 7)]
+    for g in graphs:
+        want = _distance_similar_oracle(g)
+        assert want == set(distance_similar_partition(g).blocks), (g.kind, g.order)
+
+
+def _assert_twin_blocks(g: IdealGraph):
+    """The blocks are the classes of u ~ v iff N(u) - {v} == N(v) - {u}."""
+    rows = g.adjacency
+    blocks = distance_similar_partition(g).blocks
+
+    def twins(i, j):
+        return not (rows[i] ^ rows[j]) & ~(1 << i | 1 << j)
+
+    assert sorted(i for b in blocks for i in b) == list(range(g.order))
+    assert all(list(b) == sorted(b) for b in blocks)
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    for b in blocks:
+        assert all(twins(i, j) for i in b for j in b if i < j)
+        if len(b) > 1:
+            inside = [rows[i] >> j & 1 for i in b for j in b if i < j]
+            assert len(set(inside)) == 1
+    tops = [b[0] for b in blocks]
+    for a, i in enumerate(tops):
+        assert not any(twins(i, j) for j in tops[a + 1 :])
+
+
+def test_distance_similar_blocks_are_twin_classes(factored_100k):
+    for f in composites(factored_100k, 4, 10_000):
+        _assert_twin_blocks(build_essential_graph(f))
+        _assert_twin_blocks(build_aig(f))
+    for k in range(2, 11):
+        _assert_twin_blocks(build_field_product_model(k))
+    for n in (1321091265351, 203903066266900):
+        _assert_twin_blocks(build_essential_graph(factor(n)))
+        _assert_twin_blocks(build_aig(factor(n)))
 
 
 def test_distance_similar_blocks_vs_classes(factored_100k):
