@@ -23,7 +23,6 @@ from .graph import (
     ConjugateCheck,
     DistanceSimilarPartition,
     FieldModelCheck,
-    FieldProductVertex,
     IdealGraph,
     all_pairs_distances,
     bfs_row,
@@ -87,7 +86,6 @@ __all__ = [
     "ConjugateCheck",
     "DistanceSimilarPartition",
     "FieldModelCheck",
-    "FieldProductVertex",
     "IdealGraph",
     "all_pairs_distances",
     "bfs_row",

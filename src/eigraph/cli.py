@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from itertools import chain, repeat
 
 from . import __version__
@@ -91,15 +92,10 @@ def _mask_label(mask: int) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.write("\n")
 
 
 def _json_text(payload) -> str:
@@ -349,8 +345,8 @@ def _budget(text: str) -> int:
     return value
 
 
-def _add_common(parser, formats, default_format="text"):
-    parser.add_argument("--format", choices=formats, default=default_format)
+def _add_common(parser, formats):
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
     parser.add_argument(
         "--max-t",

@@ -25,21 +25,9 @@ KIND_ANNIHILATING = "annihilating"
 KIND_FIELD_PRODUCT = "field-product-model"
 
 
-@dataclass(frozen=True)
-class FieldProductVertex:
-    """A nonzero proper ideal of a product of k fields: the set of zero slots."""
-
-    k: int
-    theta_mask: int
-
-
 def vertex_key(v):
     """Stable lookup key: the generator for ideals, the zero-slot mask for model vertices."""
-    if isinstance(v, Ideal):
-        return v.d
-    if isinstance(v, FieldProductVertex):
-        return v.theta_mask
-    return int(v)
+    return v.d if isinstance(v, Ideal) else int(v)
 
 
 @dataclass(frozen=True)
@@ -55,6 +43,11 @@ class IdealGraph:
     @cached_property
     def _index(self) -> dict:
         return {vertex_key(v): i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def distance_similar(self) -> DistanceSimilarPartition:
+        """This graph's distance-similar partition, computed on first use."""
+        return distance_similar_partition(self)
 
     @property
     def order(self) -> int:
@@ -147,61 +140,45 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
 
 
 def build_field_product_model(k: int) -> IdealGraph:
-    """Essential ideal graph of a product of k fields: 2^k - 2 subset vertices."""
+    """Essential ideal graph of a product of k fields.
+
+    Its 2^k - 2 vertices are the nonzero proper ideals, each given as the
+    int mask of its zero slots.
+    """
     if k < 2:
         raise InputError(f"the field-product model needs k >= 2, got {k}")
     if k > 20:
         raise InputError(f"k = {k} exceeds the cap of 20 distinct factors")
     masks = list(range(1, (1 << k) - 1))
-    verts = [FieldProductVertex(k, m) for m in masks]
-    rows = _disjoint_mask_rows(masks, k)
-    return _finish(KIND_FIELD_PRODUCT, None, verts, rows)
+    return _finish(KIND_FIELD_PRODUCT, None, masks, _disjoint_mask_rows(masks, k))
 
 
 def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     """Rebuild the essential ideal graph as a join of class blocks.
 
-    A complete graph on the essential class is joined to everything, each
-    class is an empty graph on its members, and two classes are fully
-    joined exactly when their index masks are disjoint.  Must agree with
-    build_essential_graph edge for edge; with no essential vertices the
-    complete part is empty and the construction degenerates to the plain
-    generalized join.
+    The essential class X is a complete graph joined to every vertex; each
+    class is an empty graph on its members, joined to X and to every class
+    whose index mask is disjoint from its own.  Must agree with
+    build_essential_graph edge for edge; with no essential vertices X is
+    empty and the construction is the plain generalized join.
     """
     check_caps(f, max_t)
     verts = enumerate_vertices(f)
-    t = len(verts)
     part = class_partition(f, verts)
-    index_of = {v.d: i for i, v in enumerate(verts)}
-    full_bits = (1 << t) - 1
-
-    x_bits = 0
-    for v in part.essential_class:
-        x_bits |= 1 << index_of[v.d]
+    bit_of = {v.d: 1 << i for i, v in enumerate(verts)}
     class_bits = {}
-    for mask, members in part.classes.items():
-        bits = 0
+    for mask, members in [(0, part.essential_class), *part.classes.items()]:
+        class_bits[mask] = 0
         for v in members:
-            bits |= 1 << index_of[v.d]
-        class_bits[mask] = bits
-
-    rows = [0] * t
-    bit = x_bits
-    while bit:
-        b = bit & -bit
-        bit ^= b
-        rows[b.bit_length() - 1] = full_bits ^ b
-    cmasks = list(class_bits)
-    for a_i, a in enumerate(cmasks):
-        join = x_bits
-        for b in cmasks:
-            if a != b and not a & b:
-                join |= class_bits[b]
-        members = class_bits[a]
-        while members:
-            b = members & -members
-            members ^= b
-            rows[b.bit_length() - 1] |= join
+            class_bits[mask] |= bit_of[v.d]
+    x_bits = class_bits.pop(0)
+    joined = {0: (1 << len(verts)) - 1}
+    for a in class_bits:
+        joined[a] = x_bits
+        for b, b_bits in class_bits.items():
+            if not a & b:
+                joined[a] |= b_bits
+    rows = [joined[v.xi_mask] & ~bit_of[v.d] for v in verts]
     return _finish(KIND_ESSENTIAL, f, verts, rows)
 
 
@@ -244,7 +221,7 @@ def all_pairs_distances(g: IdealGraph) -> list[list[int]]:
     entries at u and r swap.  The first block starts at index 0.
     """
     out: list[list[int]] = [[]] * g.order
-    for block in distance_similar_partition(g).blocks:
+    for block in g.distance_similar.blocks:
         r = block[0]
         base = bfs_row(g, r)
         out[r] = base
@@ -257,10 +234,12 @@ def all_pairs_distances(g: IdealGraph) -> list[list[int]]:
 
 
 def diameter(g: IdealGraph) -> int:
-    """Largest pairwise distance; 0 for a single-vertex graph."""
-    if g.order == 1:
-        return 0
-    return max(max(row) for row in all_pairs_distances(g))
+    """Largest pairwise distance, from one BFS per twin block; raises if disconnected.
+
+    A twin's row is its block's first row with two entries swapped, so both
+    rows have the same maximum.
+    """
+    return max(max(bfs_row(g, block[0])) for block in g.distance_similar.blocks)
 
 
 @dataclass(frozen=True)
@@ -368,17 +347,17 @@ def check_field_product_iso(aig: IdealGraph) -> FieldModelCheck:
     primes = f.primes
     mapping = {}
     image = []
-    for v in model.vertices:
+    for mask in model.vertices:
         d = 1
         for i, p in enumerate(primes):
-            if not v.theta_mask >> i & 1:
+            if not mask >> i & 1:
                 d *= p
-        mapping[v.theta_mask] = d
+        mapping[mask] = d
         image.append(aig.index_of(d))
     if len(set(image)) != aig.order:
         return FieldModelCheck(False, mapping, None)
     pair = _first_mismatch(model, aig, image)
-    failing = None if pair is None else tuple(model.vertices[i].theta_mask for i in pair)
+    failing = None if pair is None else tuple(model.vertices[i] for i in pair)
     return FieldModelCheck(failing is None, mapping, failing)
 
 

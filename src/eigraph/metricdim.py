@@ -30,13 +30,7 @@ from math import comb
 
 from .arithmetic import FactoredInteger, check_caps, divisor_count
 from .errors import InconsistencyError, InputError
-from .graph import (
-    DistanceSimilarPartition,
-    IdealGraph,
-    bfs_row,
-    distance_similar_partition,
-    vertex_key,
-)
+from .graph import DistanceSimilarPartition, IdealGraph, bfs_row, vertex_key
 from .ideals import (
     ClassPartition,
     canonical_representative,
@@ -184,11 +178,7 @@ def finiteness_bound_check(dim_value: int, t: int) -> bool:
     return t <= 3**dim_value + dim_value
 
 
-def dim_bruteforce(
-    g: IdealGraph,
-    partition: DistanceSimilarPartition | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> DimReport:
+def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> DimReport:
     """Exact metric dimension by a pruned depth-first search over choices of blocks.
 
     Two vertices of a distance-similar block are twins, and swapping them
@@ -223,8 +213,7 @@ def dim_bruteforce(
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None, degenerate=True)
-    if partition is None:
-        partition = distance_similar_partition(g)
+    partition = g.distance_similar
     tops = sorted(max(b) for b in partition.blocks)
     top_set = set(tops)
     # Only the dropped tops are compared, so only their rows are needed.

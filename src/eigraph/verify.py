@@ -1,10 +1,10 @@
 """Verification sweep: closed forms cross-checked against oracles over a range of n.
 
 Each check category is a function of a per-n context that builds the
-shared artifacts (essential graph, AIG, class partition, distances,
-distance-similar partition) on first use.  A category returns
-(passed, detail) pairs; run_verify tallies them per category and keeps
-every failure.
+shared artifacts (essential graph, AIG, class partition, distances) on
+first use; the essential graph keeps its own distance-similar partition.
+A category returns (passed, detail) pairs; run_verify tallies them per
+category and keeps every failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .graph import (
     build_join_construction,
     check_divisor_conjugate_iso,
     check_field_product_iso,
-    distance_similar_partition,
 )
 from .ideals import (
     class_partition,
@@ -107,10 +106,6 @@ class _VerifyContext:
     @cached_property
     def distances(self):
         return all_pairs_distances(self.ess)
-
-    @cached_property
-    def ds_partition(self):
-        return distance_similar_partition(self.ess)
 
     def indices(self, members) -> frozenset[int]:
         """Essential-graph vertex indices of the given ideals."""
@@ -217,7 +212,7 @@ def _check_partition(ctx: _VerifyContext):
     results.append((ok, "class partition sizes"))
     if part.m >= 1 and part.T >= 2:
         expected_blocks = {ctx.indices(b) for b in part.similarity_blocks()}
-        actual = {frozenset(b) for b in ctx.ds_partition.blocks}
+        actual = {frozenset(b) for b in ctx.ess.distance_similar.blocks}
         results.append(
             (actual == expected_blocks, "distance-similar blocks match the class structure")
         )
@@ -256,7 +251,7 @@ def _check_dim(ctx: _VerifyContext):
     if t == 1:
         results.append((formula.dim_value == 0, "single-vertex dim is 0"))
         return results
-    lower = dim_lower_bound(ctx.ds_partition)
+    lower = dim_lower_bound(ctx.ess.distance_similar)
     results.append(
         (formula.lower_bound <= lower, "partition bound dominates class-count bound")
     )
@@ -285,7 +280,7 @@ def _check_dim(ctx: _VerifyContext):
             results.append((ok, "constructive witness resolves with expected size"))
         except InconsistencyError as exc:
             results.append((False, f"constructive witness failed: {exc}"))
-    brute = dim_bruteforce(ctx.ess, ctx.ds_partition, ctx.budget)
+    brute = dim_bruteforce(ctx.ess, budget=ctx.budget)
     if brute.is_exact:
         if formula.is_exact:
             results.append(
@@ -430,7 +425,11 @@ def run_verify(
     budget: int = DEFAULT_SEARCH_BUDGET,
     max_t: int | None = None,
 ) -> VerifySummary:
-    """Run the selected check categories over every composite n in [start, end]."""
+    """Run the selected check categories over every composite n in [start, end].
+
+    A range holding no composite n has nothing to check and is an input
+    error, not a pass.
+    """
     checks = tuple(checks)
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
@@ -448,4 +447,6 @@ def run_verify(
         ctx = _VerifyContext(f, max_t, budget)
         for name in checks:
             summary.record(n, name, CHECKS[name](ctx))
+    if not summary.categories:
+        raise InputError(f"no composite n in [{start}, {end}]")
     return summary

@@ -63,20 +63,20 @@ def zagreb_squarefree_closed(k: int) -> tuple[int, int, int]:
     """
     if k < 2:
         raise InputError(f"need at least two primes, got k = {k}")
-    m1 = sum(comb(k, i) * (2 ** (k - i) - 1) ** 2 for i in range(1, k))
+    m1 = sum(comb(k, i) * squarefree_level_degree(k, i) ** 2 for i in range(1, k))
     m2_once = squarefree_within_level_sum(k)
     for t in range(1, k):
         for s in range(t + 1, k - t + 1):
             m2_once += (
                 comb(k, t)
                 * comb(k - t, s)
-                * (2 ** (k - t) - 1)
-                * (2 ** (k - s) - 1)
+                * squarefree_level_degree(k, t)
+                * squarefree_level_degree(k, s)
             )
     m2_published = 0
     for t in range(1, k // 2 + 1):
-        inner = sum(comb(k - t, s) * (2 ** (k - s) - 1) for s in range(t, k - t + 1))
-        m2_published += comb(k, t) * (2 ** (k - t) - 1) * inner
+        inner = sum(comb(k - t, s) * squarefree_level_degree(k, s) for s in range(t, k - t + 1))
+        m2_published += comb(k, t) * squarefree_level_degree(k, t) * inner
     return m1, m2_once, m2_published
 
 
@@ -84,7 +84,7 @@ def squarefree_within_level_sum(k: int) -> int:
     """Degree products over same-level edges; the published M2 counts these twice."""
     total = 0
     for t in range(1, k // 2 + 1):
-        total += comb(k, t) * comb(k - t, t) * (2 ** (k - t) - 1) ** 2 // 2
+        total += comb(k, t) * comb(k - t, t) * squarefree_level_degree(k, t) ** 2 // 2
     return total
 
 

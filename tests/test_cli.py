@@ -325,6 +325,41 @@ def test_verify_rejects_empty_or_repeated_checks(capsys):
             run_verify(4, 30, checks=checks)
 
 
+def test_verify_rejects_a_range_with_no_composite(capsys):
+    # 1000003 is a prime above the sieve limit, so it takes the single-n path.
+    for start, end in ((2, 3), (7, 7), (-5, -1), (1000003, 1000003)):
+        code, out, err = run_cli(capsys, "verify", str(start), str(end))
+        assert (code, out) == (1, ""), (start, end)
+        assert "no composite n" in err, (start, end)
+        with pytest.raises(InputError):
+            run_verify(start, end)
+    # A composite n with nothing to check still passes.
+    code, out, _ = run_cli(capsys, "verify", "4", "4", "--checks", "bounds")
+    assert code == 0
+    assert out.splitlines()[1:] == ["bounds: run=0 passed=0 failed=0", "result = PASS"]
+
+
+def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
+    import eigraph.graph
+
+    original = eigraph.graph.distance_similar_partition
+    calls = []
+
+    def counting(g):
+        calls.append(g.factored.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert run_verify(4, 100).passed
+    composite = [n for n in range(4, 101) if not factor(n).is_prime()]
+    assert len(composite) == 74
+    assert calls == composite
+
+
 def test_inconsistency_exit_2(capsys, monkeypatch):
     from eigraph import InconsistencyError
 

@@ -26,6 +26,7 @@ from eigraph import (
     to_dot,
     to_json_dict,
 )
+from eigraph import graph as graph_module
 from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph, _first_mismatch
 
 from conftest import composites, conjugate_check, index_blocks
@@ -214,6 +215,38 @@ def test_diameter_examples():
     assert diameter(build_essential_graph(factor(4))) == 0
 
 
+def test_diameter_is_the_distance_matrix_maximum(factored_100k, monkeypatch):
+    graphs = [build_field_product_model(k) for k in range(2, 9)]
+    for f in composites(factored_100k, 4, 3000):
+        graphs += [build_essential_graph(f), build_aig(f)]
+    want = [max(max(bfs_row(g, s)) for s in range(g.order)) for g in graphs]
+
+    def forbidden(g):
+        raise AssertionError("diameter built the distance matrix")
+
+    monkeypatch.setattr(graph_module, "all_pairs_distances", forbidden)
+    assert [diameter(g) for g in graphs] == want
+
+
+def test_distance_similar_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return distance_similar_partition(g)
+
+    monkeypatch.setattr(graph_module, "distance_similar_partition", counting)
+    f = factor(2700)
+    for g in (build_essential_graph(f), build_aig(f), build_field_product_model(5)):
+        calls.clear()
+        first = g.distance_similar
+        all_pairs_distances(g)
+        diameter(g)
+        assert g.distance_similar is first
+        assert len(calls) == 1 and calls[0] is g, g.kind
+        assert first == distance_similar_partition(g), g.kind
+
+
 def _distance_similar_oracle(g: IdealGraph):
     # direct from the definition: d(u, x) = d(v, x) for every other vertex x,
     # on BFS rows from every source (all_pairs_distances reuses the blocks)
@@ -331,8 +364,8 @@ def test_join_construction_equals_direct(factored_100k):
 def test_field_product_model_matches_disjointness_oracle():
     for k in range(2, 13):
         g = build_field_product_model(k)
-        masks = [v.theta_mask for v in g.vertices]
-        assert masks == list(range(1, (1 << k) - 1))
+        masks = g.vertices
+        assert masks == tuple(range(1, (1 << k) - 1))
         for i, a in enumerate(masks):
             want = 0
             for j, b in enumerate(masks):
@@ -421,6 +454,8 @@ def test_disconnected_is_structural_error():
     broken = IdealGraph(g.kind, g.factored, g.vertices, (0,) * g.order, (0,) * g.order)
     with pytest.raises(InconsistencyError):
         all_pairs_distances(broken)
+    with pytest.raises(InconsistencyError):
+        diameter(broken)
 
 
 def test_dot_export():
