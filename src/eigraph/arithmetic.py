@@ -146,6 +146,12 @@ def divisor_count(f: FactoredInteger) -> int:
     return out
 
 
+def require_composite(f: FactoredInteger) -> None:
+    """Reject n below 4 or prime: Z_n then has no nonzero proper ideal to graph."""
+    if f.n < 4 or f.is_prime():
+        raise InputError(f"n must be composite and at least 4, got {f.n}")
+
+
 def resolve_max_vertices(max_t: int | None = None) -> int:
     """Effective vertex cap: explicit value, else EIG_MAX_T, else the default."""
     if max_t is None:

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from itertools import chain, repeat
 
 from . import __version__
-from .arithmetic import FactoredInteger, divisor_count, factor, factor_range
+from .arithmetic import FactoredInteger, divisor_count, factor, factor_range, require_composite
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -140,8 +140,7 @@ def _json_text(payload) -> str:
 
 def _composite(n: int) -> FactoredInteger:
     f = factor(n)
-    if n < 4 or f.is_prime():
-        raise InputError(f"n must be composite and at least 4, got {n}")
+    require_composite(f)
     return f
 
 
@@ -171,17 +170,16 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _graph_command(args, kind: str) -> int:
+def cmd_graph(args) -> int:
     f = _composite(args.n)
-    build = build_essential_graph if kind == "essential" else build_aig
-    g = build(f, args.max_t)
+    g = args.build(f, args.max_t)
     if args.format == "dot":
         _emit(to_dot(g), args.output)
         return EXIT_OK
     if args.format == "json":
         _emit(_json_text(to_json_dict(g)), args.output)
         return EXIT_OK
-    part = class_partition(f, list(g.vertices))
+    part = g.classes
     sizes = " ".join(
         f"{_mask_label(mask)}:{part.class_size(mask)}" for mask in part.class_masks()
     )
@@ -197,14 +195,6 @@ def _graph_command(args, kind: str) -> int:
     ]
     _emit("\n".join(lines), args.output)
     return EXIT_OK
-
-
-def cmd_graph(args) -> int:
-    return _graph_command(args, "essential")
-
-
-def cmd_aig(args) -> int:
-    return _graph_command(args, "annihilating")
 
 
 def cmd_classes(args) -> int:
@@ -366,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_factor)
 
-    for name, fn, help_text in (
-        ("graph", cmd_graph, "build the essential ideal graph"),
-        ("aig", cmd_aig, "build the annihilating ideal graph"),
+    for name, build, help_text in (
+        ("graph", build_essential_graph, "build the essential ideal graph"),
+        ("aig", build_aig, "build the annihilating ideal graph"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("n", type=int)
         _add_common(p, ("text", "json", "dot"))
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_graph, build=build)
 
     p = sub.add_parser("classes", help="vertex classes by full-exponent index set")
     p.add_argument("n", type=int)

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arithmetic import FactoredInteger, check_caps
+from .arithmetic import MAX_DISTINCT_PRIMES, FactoredInteger, check_caps, resolve_max_vertices
 from .errors import InconsistencyError, InputError
-from .ideals import (
-    Ideal,
-    class_partition,
-    enumerate_vertices,
-)
+from .ideals import ClassPartition, Ideal, class_partition, enumerate_vertices
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
@@ -48,6 +44,13 @@ class IdealGraph:
     def distance_similar(self) -> DistanceSimilarPartition:
         """This graph's distance-similar partition, computed on first use."""
         return distance_similar_partition(self)
+
+    @cached_property
+    def classes(self) -> ClassPartition:
+        """This ideal graph's class partition by full-exponent mask, computed on first use."""
+        if self.factored is None:
+            raise InputError("the class partition is defined for ideal graphs only")
+        return class_partition(self.factored, list(self.vertices))
 
     @property
     def order(self) -> int:
@@ -143,13 +146,17 @@ def build_field_product_model(k: int) -> IdealGraph:
     """Essential ideal graph of a product of k fields.
 
     Its 2^k - 2 vertices are the nonzero proper ideals, each given as the
-    int mask of its zero slots.
+    int mask of its zero slots.  Like every builder it refuses more
+    vertices than the cap (the default or EIG_MAX_T).
     """
     if k < 2:
         raise InputError(f"the field-product model needs k >= 2, got {k}")
-    if k > 20:
-        raise InputError(f"k = {k} exceeds the cap of 20 distinct factors")
-    masks = list(range(1, (1 << k) - 1))
+    if k > MAX_DISTINCT_PRIMES:
+        raise InputError(f"k = {k} exceeds the cap of {MAX_DISTINCT_PRIMES} distinct factors")
+    t, cap = (1 << k) - 2, resolve_max_vertices()
+    if t > cap:
+        raise InputError(f"k = {k} yields T = {t} vertices, cap is {cap}")
+    masks = list(range(1, t + 1))
     return _finish(KIND_FIELD_PRODUCT, None, masks, _disjoint_mask_rows(masks, k))
 
 

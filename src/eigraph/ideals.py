@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .arithmetic import FactoredInteger, divisor_count, factor
+from .arithmetic import FactoredInteger, divisor_count, factor, require_composite
 from .errors import InconsistencyError, InputError
 
 
@@ -85,8 +85,7 @@ def ideal_from_divisor(f: FactoredInteger, d: int) -> Ideal:
 
 def enumerate_vertices(f: FactoredInteger) -> list[Ideal]:
     """All nonzero proper ideals of Z_n, sorted ascending by generator."""
-    if f.n < 4 or f.is_prime():
-        raise InputError(f"n must be composite and at least 4, got {f.n}")
+    require_composite(f)
     # product() only yields exponents in range, so nothing is validated per
     # vertex: prime i contributes r, p_i^r and its full bit, d is a product
     # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.

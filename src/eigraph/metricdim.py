@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .arithmetic import FactoredInteger, check_caps, divisor_count
+from .arithmetic import FactoredInteger, check_caps, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
 from .graph import DistanceSimilarPartition, IdealGraph, bfs_row, vertex_key
 from .ideals import (
@@ -52,7 +52,7 @@ class DimReport:
     is_exact is False only when the value is a bound: the squarefree k >= 6
     upper bound, or a search that ran out of budget (then dim_value is the
     proven lower bound and no witness is attached).  A single-vertex graph
-    gets dim 0 with the degenerate flag set.
+    gets dim 0 and reads as degenerate.
     """
 
     n: int
@@ -63,7 +63,10 @@ class DimReport:
     lower_bound: int
     witness: tuple[int, ...] | None = None
     representations: dict | None = None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.T == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,7 +215,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     n = g.factored.n if g.factored is not None else 0
     t = g.order
     if t == 1:
-        return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None, degenerate=True)
+        return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
     partition = g.distance_similar
     tops = sorted(max(b) for b in partition.blocks)
     top_set = set(tops)
@@ -252,8 +255,6 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     spent = 0
     for s in range(lower, t):
         r = s - len(fixed)
-        if r < 0:
-            continue
         cost = comb(len(tops), r)
         if spent + cost > budget:
             return DimReport(n, t, s, False, METHOD_BRUTE, lower)
@@ -277,12 +278,11 @@ def dim_formula(f: FactoredInteger) -> DimReport:
     upper bound k for k >= 6; otherwise the value is T - (2^k - 1) when at
     least two exponents exceed 1 and T - (2^k - 2) when exactly one does.
     """
-    if f.n < 4 or f.is_prime():
-        raise InputError(f"n must be composite and at least 4, got {f.n}")
+    require_composite(f)
     t = divisor_count(f) - 2
     k = f.k
     if t == 1:
-        return DimReport(f.n, 1, 0, True, METHOD_FORMULA, 0, degenerate=True)
+        return DimReport(f.n, 1, 0, True, METHOD_FORMULA, 0)
     if k == 1:
         return DimReport(f.n, t, t - 1, True, METHOD_FORMULA, t - 1)
     if f.is_squarefree():
@@ -329,13 +329,12 @@ def constructive_resolving_set(f: FactoredInteger, max_t: int | None = None) -> 
     report is exact iff the closed form is, and then the witness size must
     equal it.
     """
-    if f.n < 4 or f.is_prime():
-        raise InputError(f"n must be composite and at least 4, got {f.n}")
+    require_composite(f)
     check_caps(f, max_t)
     verts = enumerate_vertices(f)
     t = len(verts)
     if t == 1:
-        return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0, degenerate=True)
+        return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
     part = class_partition(f, verts)
     witness = _witness_rule(f, part)
     in_w = set(witness)

@@ -1,8 +1,8 @@
 """Verification sweep: closed forms cross-checked against oracles over a range of n.
 
 Each check category is a function of a per-n context that builds the
-shared artifacts (essential graph, AIG, class partition, distances) on
-first use; the essential graph keeps its own distance-similar partition.
+shared artifacts (essential graph, AIG, distances) on first use; the
+essential graph keeps its own class and distance-similar partitions.
 A category returns (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
@@ -25,7 +25,6 @@ from .graph import (
     check_field_product_iso,
 )
 from .ideals import (
-    class_partition,
     gcd_lemma_check,
     intersects_every_ideal,
     is_essential,
@@ -78,8 +77,9 @@ VERIFY_JSON_SCHEMA = {
 }
 
 
-# A range ending above this is not sieved when it holds a single n: the
-# sieve over [2, end] grows with end, and one factor() call does not.
+# A range ending above this is factored one n at a time: the sieve over
+# [2, end] grows with end, while one factor() call costs microseconds
+# beside the milliseconds of checks on each n.
 SIEVE_LIMIT = 1_000_000
 
 
@@ -98,10 +98,6 @@ class _VerifyContext:
     @cached_property
     def aig(self):
         return build_aig(self.f, self.max_t)
-
-    @cached_property
-    def part(self):
-        return class_partition(self.f, list(self.ess.vertices))
 
     @cached_property
     def distances(self):
@@ -137,7 +133,7 @@ def _check_adjacency(ctx: _VerifyContext):
     )
     results.append((ok, "annihilating adjacency vs integer divisibility"))
 
-    part = ctx.part
+    part = ctx.ess.classes
     if part.m >= 1:
         ok = all(
             ess.degrees[ess.index_of(v.d)] == t - 1 for v in part.essential_class
@@ -189,7 +185,7 @@ def _check_distances(ctx: _VerifyContext):
         )
     if ctx.f.is_squarefree():
         masks = [v.xi_mask for v in ctx.ess.vertices]
-        law = ctx.part.mask_distance
+        law = ctx.ess.classes.mask_distance
         ok = all(
             law(masks[i], masks[j]) == dist[i][j]
             for i in range(t)
@@ -201,7 +197,7 @@ def _check_distances(ctx: _VerifyContext):
 
 def _check_partition(ctx: _VerifyContext):
     f = ctx.f
-    part = ctx.part
+    part = ctx.ess.classes
     results = []
     expected_m = math.prod(f.exponents) - 1
     ok = part.m == expected_m
@@ -439,7 +435,9 @@ def run_verify(
     if start > end:
         raise InputError(f"range start {start} exceeds end {end}")
     summary = VerifySummary(start, end, checks)
-    numbers = [factor(end)] if start == end > SIEVE_LIMIT else factor_range(end)
+    numbers = (
+        map(factor, range(max(start, 2), end + 1)) if end > SIEVE_LIMIT else factor_range(end)
+    )
     for f in numbers:
         n = f.n
         if n < start or f.is_prime():

@@ -16,7 +16,7 @@ from math import comb
 from .arithmetic import FactoredInteger, divisor_count
 from .errors import InputError
 from .graph import IdealGraph, build_essential_graph
-from .ideals import ClassPartition, class_partition
+from .ideals import ClassPartition
 
 
 def zagreb_by_definition(g: IdealGraph) -> tuple[int, int]:
@@ -204,32 +204,14 @@ class ZagrebReport:
         }
 
     def csv_row(self) -> str:
-        flags = [
-            f"m1_agree={'true' if self.m1_agrees else 'false'}",
-            f"m2_agree={'true' if self.m2_agrees else 'false'}",
-        ]
-        if self.m2_paper_convention is None:
-            flags.append("paper_differs=na")
-        else:
-            flags.append(
-                f"paper_differs={'true' if self.paper_convention_differs else 'false'}"
-            )
-        published = "" if self.m2_paper_convention is None else str(self.m2_paper_convention)
-        return ",".join(
-            [
-                str(self.n),
-                str(self.k),
-                str(self.T),
-                str(self.m1_definition),
-                str(self.m2_definition),
-                str(self.m1_closed),
-                str(self.m2_closed),
-                published,
-                ";".join(flags),
-            ]
-        )
+        """The eight values of to_json_dict() (None as ""), then its three flags."""
+        values = list(self.to_json_dict().values())
+        cells = ["" if v is None else str(v) for v in values[:8]]
+        flags = zip(("m1_agree", "m2_agree", "paper_differs"), values[8:])
+        return ",".join(cells + [";".join(f"{name}={_CSV_FLAG[v]}" for name, v in flags)])
 
 
+_CSV_FLAG = {True: "true", False: "false", None: "na"}
 ZAGREB_CSV_HEADER = "n,k,T,M1_def,M2_def,M1_closed,M2_closed,M2_paper_convention,flags"
 
 ZAGREB_JSON_SCHEMA = {
@@ -277,7 +259,7 @@ def compute_zagreb_report(
     elif f.is_squarefree():
         m1_closed, m2_closed, published = zagreb_squarefree_closed(f.k)
     else:
-        m1_closed, m2_closed = zagreb_general_closed(class_partition(f, list(g.vertices)))
+        m1_closed, m2_closed = zagreb_general_closed(g.classes)
     return ZagrebReport(
         n=f.n,
         k=f.k,

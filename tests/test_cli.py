@@ -233,6 +233,10 @@ def test_zagreb_csv_sweep(capsys):
     assert lines[1].startswith("4,1,1,0,0,0,0,")
     by_n = {int(line.split(",")[0]): line for line in lines[1:]}
     assert by_n[30].split(",")[3:8] == ["30", "36", "30", "36", "63"]
+    # The bytes printed when each CSV cell and flag was written out by hand.
+    code, out, _ = run_cli(capsys, "zagreb", "4", "3000", "--format", "csv")
+    digest = "702580cec2e31741979ec8d7089abe6e0381d0818dd7a17ef35f038473eef70c"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
@@ -311,6 +315,45 @@ def test_verify_single_large_n(capsys):
     assert out.rstrip().endswith("result = PASS")
 
 
+def test_verify_above_the_sieve_limit_factors_each_n(capsys, monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved a range ending above the limit")
+
+    monkeypatch.setattr("eigraph.verify.factor_range", no_sieve)
+    # The bytes printed when both ranges were sieved over [2, END].
+    for start, end, digest in (
+        ("3000000", "3000010", "fab0b9ede597a8e5ff771b5dfca40a2fec10a690018c16033cc9d6c31d78c4ec"),
+        ("999990", "1000010", "782d4cb5574642c0ac317200df6b2170191119512fb1f3067333ce4301b6e650"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", start, end)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graph"], ["aig"], ["classes"], ["distances"], ["zagreb"]]
+    + [["dim", "--method", m] for m in ("auto", "formula", "brute", "constructive")],
+)
+def test_non_composite_n_is_refused(capsys, argv):
+    for n, message in (
+        ("7", "n must be composite and at least 4, got 7"),
+        ("1", "n must satisfy 2 <= n < 2**63, got 1"),
+    ):
+        code, out, err = run_cli(capsys, argv[0], n, *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), (argv, n)
+
+
+def test_composite_rule_is_stated_once():
+    import pathlib
+
+    import eigraph
+
+    text = "".join(
+        path.read_text() for path in sorted(pathlib.Path(eigraph.__file__).parent.glob("*.py"))
+    )
+    assert text.count("n must be composite and at least 4") == 1
+
+
 def test_verify_unknown_check(capsys):
     assert run_cli(capsys, "verify", "4", "10", "--checks", "nope")[0] == 1
 
@@ -358,6 +401,27 @@ def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
     composite = [n for n in range(4, 101) if not factor(n).is_prime()]
     assert len(composite) == 74
     assert calls == composite
+
+
+def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
+    import eigraph.ideals
+
+    original = eigraph.ideals.class_partition
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert run_verify(4, 100).passed
+    # Per n: the essential graph's own (verify and zagreb share it), the join
+    # reference's and, where verify runs it, the certificate's; 212 before sharing.
+    assert len(calls) == 183
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):

@@ -143,6 +143,41 @@ def test_field_product_model():
     assert check.mapping[0b110] == 2
 
 
+def test_field_product_model_obeys_the_vertex_cap(monkeypatch):
+    def no_rows(masks, k):
+        raise AssertionError("rows built for a model over the cap")
+
+    monkeypatch.setattr(graph_module, "_disjoint_mask_rows", no_rows)
+    monkeypatch.delenv("EIG_MAX_T", raising=False)
+    with pytest.raises(InputError, match="T = 32766 vertices, cap is 20000"):
+        build_field_product_model(15)
+    with pytest.raises(AssertionError):  # k = 14, T = 16382, passes the cap
+        build_field_product_model(14)
+    monkeypatch.setenv("EIG_MAX_T", "5")
+    with pytest.raises(InputError, match="T = 6 vertices, cap is 5"):
+        build_field_product_model(3)
+
+
+def test_graph_keeps_its_class_partition(monkeypatch):
+    calls = []
+    original = graph_module.class_partition
+
+    def counting(f, vertices=None):
+        calls.append(f.n)
+        return original(f, vertices)
+
+    monkeypatch.setattr(graph_module, "class_partition", counting)
+    for n in (12, 30, 360, 2700):
+        f = factor(n)
+        for g in (build_essential_graph(f), build_aig(f)):
+            part = g.classes
+            assert g.classes is part
+            assert part == original(f, list(g.vertices))
+    assert calls == [12, 12, 30, 30, 360, 360, 2700, 2700]
+    with pytest.raises(InputError):
+        build_field_product_model(3).classes
+
+
 def test_field_product_requires_squarefree():
     with pytest.raises(InputError):
         check_field_product_iso(build_aig(factor(12)))

@@ -144,7 +144,7 @@ def _block_choice_scan(g, budget=10_000_000):
     n = g.factored.n if g.factored is not None else 0
     t = g.order
     if t == 1:
-        return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None, degenerate=True)
+        return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None)
     partition = distance_similar_partition(g)
     tops = sorted(max(b) for b in partition.blocks)
     top_set = set(tops)
@@ -218,6 +218,18 @@ def test_dim_formula_cases():
     assert report.dim_value == 6 and not report.is_exact
     degenerate = dim_formula(factor(4))
     assert degenerate.dim_value == 0 and degenerate.degenerate
+
+
+def test_degenerate_iff_single_vertex():
+    for n, t in ((4, 1), (8, 2), (12, 4)):
+        f = factor(n)
+        for report in (
+            dim_formula(f),
+            constructive_resolving_set(f),
+            dim_bruteforce(build_essential_graph(f)),
+        ):
+            assert report.T == t, (n, report.method)
+            assert report.degenerate == (t == 1), (n, report.method)
 
 
 def test_dim_formula_matches_bruteforce(factored_100k):
