@@ -26,7 +26,7 @@ from .graph import (
     to_dot,
     to_json_dict,
 )
-from .ideals import class_partition, mask_indices
+from .ideals import class_partition, enumerate_vertices, mask_indices
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
     DimReport,
@@ -199,7 +199,7 @@ def cmd_graph(args) -> int:
 
 def cmd_classes(args) -> int:
     f = _composite(args.n)
-    part = class_partition(f)
+    part = class_partition(f, enumerate_vertices(f, args.max_t))
     if args.format == "json":
         payload = {
             "n": f.n,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arithmetic import MAX_DISTINCT_PRIMES, FactoredInteger, check_caps, resolve_max_vertices
+from .arithmetic import MAX_DISTINCT_PRIMES, FactoredInteger, resolve_max_vertices
 from .errors import InconsistencyError, InputError
 from .ideals import ClassPartition, Ideal, class_partition, enumerate_vertices
 
@@ -110,8 +110,7 @@ def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
 
 def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     """Essential ideal graph: vertices adjacent iff their full-exponent masks are disjoint."""
-    check_caps(f, max_t)
-    verts = enumerate_vertices(f)
+    verts = enumerate_vertices(f, max_t)
     rows = _disjoint_mask_rows([v.xi_mask for v in verts], f.k)
     return _finish(KIND_ESSENTIAL, f, verts, rows)
 
@@ -123,8 +122,7 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     r; vertex j with exponents r_i is adjacent to the AND over i of
     at_least[i][m_i - r_i], itself excluded.
     """
-    check_caps(f, max_t)
-    verts = enumerate_vertices(f)
+    verts = enumerate_vertices(f, max_t)
     at_least = []
     for i, m in enumerate(f.exponents):
         sets = [0] * (m + 1)
@@ -169,8 +167,7 @@ def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> Ide
     build_essential_graph edge for edge; with no essential vertices X is
     empty and the construction is the plain generalized join.
     """
-    check_caps(f, max_t)
-    verts = enumerate_vertices(f)
+    verts = enumerate_vertices(f, max_t)
     part = class_partition(f, verts)
     bit_of = {v.d: 1 << i for i, v in enumerate(verts)}
     class_bits = {}
@@ -287,14 +284,16 @@ class ConjugateCheck:
     failing_pair: tuple[int, int] | None
 
 
-def _first_mismatch(g: IdealGraph, h: IdealGraph, image: list[int]) -> tuple[int, int] | None:
-    """First index pair i < j of g whose adjacency differs from h's at (image[i], image[j])."""
-    t = g.order
-    for i in range(t):
-        row = g.adjacency[i]
-        for j in range(i + 1, t):
-            if bool(row >> j & 1) != h.adjacent(image[i], image[j]):
-                return i, j
+def _first_row_mismatch(rows, want) -> tuple[int, int] | None:
+    """First (i, j) with j the lowest bit where rows[i] and want[i] differ.
+
+    On symmetric rows with empty diagonals this is the first pair i < j of a
+    pair-by-pair comparison, since a difference below i shows in an earlier row.
+    """
+    for i, (row, other) in enumerate(zip(rows, want)):
+        if row != other:
+            diff = row ^ other
+            return i, (diff & -diff).bit_length() - 1
     return None
 
 
@@ -310,23 +309,14 @@ def check_divisor_conjugate_iso(ess: IdealGraph, aig: IdealGraph) -> ConjugateCh
         raise InputError("need the essential graph and the AIG of one n, in that order")
     n = ess.factored.n
     mapping = {v.d: n // v.d for v in ess.vertices}
-    # Vertices ascend by d, so d -> n/d sends index i to T - 1 - i, and the
-    # map is an isomorphism iff each essential row equals the bit-reversed
-    # AIG row of the conjugate.  The pair loop only names a failing pair.
+    # Both builders list the divisors ascending, so d -> n/d sends index i to
+    # T - 1 - i and the image of an essential row is the bit-reversed AIG row
+    # of its conjugate.  The rows are reversed lazily, up to the first mismatch.
     width = f"0{ess.order}b"
-    reversal = list(mapping.values()) == [v.d for v in reversed(aig.vertices)] and all(
-        row == int(format(conj, width)[::-1], 2)
-        for row, conj in zip(ess.adjacency, reversed(aig.adjacency))
-    )
-    if reversal:
-        pair = None
-    else:
-        image = [aig.index_of(n // v.d) for v in ess.vertices]
-        pair = _first_mismatch(ess, aig, image)
+    reversed_rows = (int(format(row, width)[::-1], 2) for row in reversed(aig.adjacency))
+    pair = _first_row_mismatch(ess.adjacency, reversed_rows)
     failing = None if pair is None else tuple(ess.vertices[i].d for i in pair)
-    return ConjugateCheck(
-        failing is None, mapping, ess.edge_count, aig.edge_count, failing
-    )
+    return ConjugateCheck(failing is None, mapping, ess.edge_count, aig.edge_count, failing)
 
 
 @dataclass(frozen=True)
@@ -350,21 +340,13 @@ def check_field_product_iso(aig: IdealGraph) -> FieldModelCheck:
         raise InputError(f"n = {f.n} is not squarefree")
     if f.k < 2:
         raise InputError("need at least two prime factors")
-    model = build_field_product_model(f.k)
-    primes = f.primes
-    mapping = {}
-    image = []
-    for mask in model.vertices:
-        d = 1
-        for i, p in enumerate(primes):
-            if not mask >> i & 1:
-                d *= p
-        mapping[mask] = d
-        image.append(aig.index_of(d))
-    if len(set(image)) != aig.order:
-        return FieldModelCheck(False, mapping, None)
-    pair = _first_mismatch(model, aig, image)
-    failing = None if pair is None else tuple(model.vertices[i] for i in pair)
+    # psi sends zero slots S to the product of the primes outside S, so the
+    # AIG vertex d is the image of the primes not dividing d: ~xi_mask.
+    full = (1 << f.k) - 1
+    masks = [full ^ v.xi_mask for v in aig.vertices]
+    mapping = dict(sorted(zip(masks, (v.d for v in aig.vertices))))
+    pair = _first_row_mismatch(_disjoint_mask_rows(masks, f.k), aig.adjacency)
+    failing = None if pair is None else tuple(masks[i] for i in pair)
     return FieldModelCheck(failing is None, mapping, failing)
 
 

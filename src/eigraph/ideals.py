@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .arithmetic import FactoredInteger, divisor_count, factor, require_composite
+from .arithmetic import FactoredInteger, check_caps, divisor_count, factor, require_composite
 from .errors import InconsistencyError, InputError
 
 
@@ -83,9 +83,10 @@ def ideal_from_divisor(f: FactoredInteger, d: int) -> Ideal:
     return ideal_from_exponents(f, exps)
 
 
-def enumerate_vertices(f: FactoredInteger) -> list[Ideal]:
-    """All nonzero proper ideals of Z_n, sorted ascending by generator."""
+def enumerate_vertices(f: FactoredInteger, max_t: int | None = None) -> list[Ideal]:
+    """All nonzero proper ideals of Z_n, ascending by generator; refuses T over the cap."""
     require_composite(f)
+    check_caps(f, max_t)
     # product() only yields exponents in range, so nothing is validated per
     # vertex: prime i contributes r, p_i^r and its full bit, d is a product
     # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .arithmetic import FactoredInteger, check_caps, divisor_count, require_composite
+from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
 from .graph import DistanceSimilarPartition, IdealGraph, bfs_row, vertex_key
 from .ideals import (
@@ -329,9 +329,7 @@ def constructive_resolving_set(f: FactoredInteger, max_t: int | None = None) -> 
     report is exact iff the closed form is, and then the witness size must
     equal it.
     """
-    require_composite(f)
-    check_caps(f, max_t)
-    verts = enumerate_vertices(f)
+    verts = enumerate_vertices(f, max_t)
     t = len(verts)
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigraph.ideals
 from eigraph import (
     InputError,
     all_pairs_distances,
     build_aig,
     build_essential_graph,
+    build_join_construction,
+    class_partition,
     compute_zagreb_report,
     constructive_resolving_set,
     factor,
@@ -92,6 +95,71 @@ def test_invalid_inputs_exit_1(capsys):
     assert run_cli(capsys, "graph", "2700", "--max-t", "10")[0] == 1
     assert run_cli(capsys, "dim", "2310", "--method", "brute", "--budget", "-1")[0] == 1
     assert run_cli(capsys, "verify", "4", "10", "--budget", "-1")[0] == 1
+
+
+# Every entry point that lists vertices: library calls taking (f, max_t), and
+# CLI argv with n inserted after the command.  class_partition(f) takes no
+# max_t, so only EIG_MAX_T reaches it.
+_LISTING_LIBRARY = {
+    "build_essential_graph": build_essential_graph,
+    "build_aig": build_aig,
+    "build_join_construction": build_join_construction,
+    "constructive_resolving_set": constructive_resolving_set,
+    "class_partition": lambda f, max_t: class_partition(f),
+}
+_LISTING_CLI = [
+    "classes",
+    "graph",
+    "aig",
+    "distances",
+    "zagreb",
+    "dim",
+    "dim --method constructive",
+    "dim --method brute",
+]
+_CAP_CASES = [
+    (entry, via)
+    for entry in [*_LISTING_LIBRARY, *_LISTING_CLI]
+    for via in ("max_t", "env")
+    if (entry, via) != ("class_partition", "max_t")
+]
+
+
+@pytest.mark.parametrize("entry, via", _CAP_CASES)
+def test_vertex_cap_is_checked_before_any_vertex_is_listed(monkeypatch, capsys, entry, via):
+    def no_listing(*args):
+        raise AssertionError("vertices listed before the cap was checked")
+
+    monkeypatch.setattr(eigraph.ideals, "product", no_listing)
+    monkeypatch.delenv("EIG_MAX_T", raising=False)
+    if via == "env":
+        monkeypatch.setenv("EIG_MAX_T", "10")
+    message = "n = 2700 yields T = 34 vertices, cap is 10"
+    if entry in _LISTING_LIBRARY:
+        with pytest.raises(InputError, match=message):
+            _LISTING_LIBRARY[entry](factor(2700), 10 if via == "max_t" else None)
+        return
+    command, *options = entry.split()
+    argv = [command, "2700", *options] + (["--max-t", "10"] if via == "max_t" else [])
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_commands_listing_no_vertex_ignore_the_cap(monkeypatch, capsys):
+    def no_listing(*args):
+        raise AssertionError("vertices listed")
+
+    monkeypatch.setattr(eigraph.ideals, "product", no_listing)
+    code, out, _ = run_cli(capsys, "dim", "2700", "--method", "formula", "--max-t", "5")
+    assert code == 0 and "T = 34" in out
+    code, out, _ = run_cli(capsys, "factor", "2700", "--max-t", "5")
+    assert code == 0 and "divisor_count = 36" in out
+
+
+def test_verify_iso_obeys_only_the_callers_cap(monkeypatch, capsys):
+    monkeypatch.setenv("EIG_MAX_T", "5")
+    code, out, err = run_cli(capsys, "verify", "30", "30", "--max-t", "100", "--checks", "iso")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
 
 
 def test_io_failure_exit_3(capsys):

@@ -27,7 +27,7 @@ from eigraph import (
     to_json_dict,
 )
 from eigraph import graph as graph_module
-from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph, _first_mismatch
+from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
 from conftest import composites, conjugate_check, index_blocks
 
@@ -420,6 +420,16 @@ def test_divisor_conjugate_examples():
     assert check12.mapping == {2: 6, 3: 4, 4: 3, 6: 2}
 
 
+def _first_mismatch(g: IdealGraph, h: IdealGraph, image: list[int]):
+    # Pair loop oracle: the first i < j of g whose adjacency differs from h's
+    # at (image[i], image[j]).
+    for i in range(g.order):
+        for j in range(i + 1, g.order):
+            if g.adjacent(i, j) != h.adjacent(image[i], image[j]):
+                return i, j
+    return None
+
+
 def test_conjugate_reversal_matches_pair_loop(factored_100k):
     # the row-reversal verdict against the pair loop over the image of d -> n/d
     for f in composites(factored_100k, 4, 3000):
@@ -429,6 +439,68 @@ def test_conjugate_reversal_matches_pair_loop(factored_100k):
         want = None if pair is None else tuple(ess.vertices[i].d for i in pair)
         check = check_divisor_conjugate_iso(ess, aig)
         assert (check.isomorphic, check.failing_pair) == (pair is None, want), f.n
+
+
+@pytest.mark.parametrize("n", [30, 210, 2310, 12, 360])
+def test_iso_checks_name_a_flipped_edge_as_the_pair_loop_does(n):
+    f = factor(n)
+    ess, aig = build_essential_graph(f), build_aig(f)
+    t, full = aig.order, (1 << f.k) - 1
+    conj_image = [aig.index_of(n // v.d) for v in ess.vertices]
+    model = build_field_product_model(f.k) if f.is_squarefree() else None
+    masks = [full ^ v.xi_mask for v in aig.vertices]
+    for a in range(t):
+        for b in range(a + 1, t):
+            rows = list(aig.adjacency)
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            degrees = tuple(bin(r).count("1") for r in rows)
+            broken = IdealGraph(KIND_ANNIHILATING, f, aig.vertices, tuple(rows), degrees)
+            pair = _first_mismatch(ess, broken, conj_image)
+            want = None if pair is None else tuple(ess.vertices[i].d for i in pair)
+            check = check_divisor_conjugate_iso(ess, broken)
+            assert (check.isomorphic, check.failing_pair) == (pair is None, want), (n, a, b)
+            if model is None:
+                continue
+            # the model check walks the AIG's index order
+            pair = _first_mismatch(broken, model, [model.index_of(m) for m in masks])
+            assert pair is not None, (n, a, b)
+            fp = check_field_product_iso(broken)
+            assert not fp.edge_preserving
+            assert fp.failing_pair == (masks[pair[0]], masks[pair[1]]), (n, a, b)
+
+
+def test_conjugate_check_reverses_rows_up_to_the_first_mismatch(monkeypatch):
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(graph_module, "format", counting_format, raising=False)
+    for n in (12, 360, 2700, 2310):
+        f = factor(n)
+        ess, aig = build_essential_graph(f), build_aig(f)
+        calls.clear()
+        check = check_divisor_conjugate_iso(ess, aig)
+        rows = ess.order if check.isomorphic else ess.index_of(check.failing_pair[0]) + 1
+        assert len(calls) == rows, n
+        assert check.isomorphic == f.is_squarefree()
+
+
+@pytest.mark.parametrize("n", [30, 2310, 6469693230])
+def test_field_product_check_builds_no_model(monkeypatch, n):
+    def no_model(k):
+        raise AssertionError("field-product model built")
+
+    monkeypatch.setattr(graph_module, "build_field_product_model", no_model)
+    monkeypatch.setenv("EIG_MAX_T", "5")  # the AIG passes its own cap below
+    f = factor(n)
+    check = check_field_product_iso(build_aig(f, max_t=2000))
+    masks = range(1, (1 << f.k) - 1)
+    want = {m: math.prod(p for i, p in enumerate(f.primes) if not m >> i & 1) for m in masks}
+    assert check.edge_preserving and check.failing_pair is None
+    assert list(check.mapping.items()) == list(want.items())
 
 
 def test_iso_checks_take_built_graphs():
