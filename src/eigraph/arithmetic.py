@@ -26,12 +26,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between integers coprime to 30, from 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FactoredInteger:
     """An integer n with its prime factorization, primes strictly ascending."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+        # The generated frozen __init__ pays one object.__setattr__ per field.
+        # Writing the instance __dict__, the route cached_property takes, skips
+        # those calls and leaves eq, hash, repr and immutability unchanged.
+        state = self.__dict__
+        state["n"] = n
+        state["factors"] = factors
 
     @property
     def k(self) -> int:
@@ -207,20 +215,32 @@ def factor_range(limit: int, start: int = 2):
     """Yield FactoredInteger for every n in [max(start, 2), limit], ascending.
 
     The smallest-prime-factor table spans [0, limit]; only the n in the
-    window are factored.
+    window are factored.  Each n walks the chain rem -> rem // spf[rem],
+    one floor division per prime factor counted with multiplicity, and a
+    prime n (spf[n] == 0) is yielded without any.
     """
+    if limit >= MAX_N:
+        raise InputError(f"n must satisfy 2 <= n < 2**63, got {limit}")
     start = max(start, 2)
     if limit < start:
         return
     spf = smallest_prime_factor_sieve(limit)
     for n in range(start, limit + 1):
-        rem = n
+        p = spf[n]
+        if not p:
+            yield FactoredInteger(n, ((n, 1),))
+            continue
         factors = []
+        m = 1
+        rem = n // p
         while rem > 1:
-            p = spf[rem] or rem
-            m = 0
-            while rem % p == 0:
-                rem //= p
+            q = spf[rem] or rem
+            if q == p:
                 m += 1
-            factors.append((p, m))
+            else:
+                factors.append((p, m))
+                p = q
+                m = 1
+            rem //= q
+        factors.append((p, m))
         yield FactoredInteger(n, tuple(factors))

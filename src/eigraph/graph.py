@@ -85,7 +85,7 @@ class IdealGraph:
 
 
 def _finish(kind, factored, vertices, rows) -> IdealGraph:
-    degrees = tuple(bin(r).count("1") for r in rows)
+    degrees = tuple(r.bit_count() for r in rows)
     return IdealGraph(kind, factored, tuple(vertices), tuple(rows), degrees)
 
 

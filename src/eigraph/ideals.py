@@ -166,7 +166,7 @@ def sum_is_essential_or_unit(a: Ideal, b: Ideal) -> bool:
 
 def class_mask_order(k: int) -> list[int]:
     """Canonical order of the nonempty proper index subsets: by size, then value."""
-    return sorted(range(1, (1 << k) - 1), key=lambda m: (bin(m).count("1"), m))
+    return sorted(range(1, (1 << k) - 1), key=lambda m: (m.bit_count(), m))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 import sympy
@@ -79,6 +81,69 @@ def test_divisor_count_against_tau_sieve():
 def test_factor_range_agrees_with_factor():
     for f in factor_range(5000):
         assert f == factor(f.n)
+
+
+def test_constructor_paths_agree():
+    for f in factor_range(2710, 2690):
+        by_hand = FactoredInteger(f.n, f.factors)
+        by_keyword = FactoredInteger(factors=f.factors, n=f.n)
+        for other in (factor(f.n), by_hand, by_keyword, pickle.loads(pickle.dumps(f))):
+            assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
+    assert repr(factor(12)) == "FactoredInteger(n=12, factors=((2, 2), (3, 1)))"
+    assert [field.name for field in dataclasses.fields(FactoredInteger)] == ["n", "factors"]
+    assert factor(12) != factor(18)
+
+
+def test_factored_integer_is_frozen():
+    f = next(factor_range(2700, 2700))
+    for name, value in (("n", 5), ("factors", ((5, 1),)), ("k", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del f.n
+    assert f == factor(2700)
+
+
+def test_yielded_object_reads_like_a_factored_one():
+    f = next(factor_range(2700, 2700))
+    assert (f.primes, f.exponents, f.k) == ((2, 3, 5), (2, 3, 2), 3)
+    # cached_property values live in __dict__ beside the fields; eq, hash,
+    # repr and pickling still see only n and factors.
+    assert f == factor(2700) and hash(f) == hash(factor(2700))
+    assert repr(f) == "FactoredInteger(n=2700, factors=((2, 2), (3, 3), (5, 2)))"
+    assert pickle.loads(pickle.dumps(f)).primes == (2, 3, 5)
+    moved = dataclasses.replace(f, n=5400, factors=((2, 3), (3, 3), (5, 2)))
+    assert moved == factor(5400) and moved.primes == (2, 3, 5)
+    assert dataclasses.replace(f) == f
+
+
+def test_factor_range_walks_repeated_primes(factored_100k):
+    limit = 10**5
+    primes = list(sympy.primerange(2, limit // 2 + 1))
+    wanted = {b**m for b in (2, 3) for m in range(1, 17) if b**m <= limit}
+    for p in primes:
+        for q in primes:
+            if p * p * q > limit:
+                break
+            if q != p:
+                wanted.add(p * p * q)  # with p and q swapped, also every p * q * q
+    assert len(wanted) > 5000
+    for n in sorted(wanted):
+        assert factored_100k[n - 2] == factor(n), n
+    assert factored_100k[2**16 - 2].factors == ((2, 16),)
+    assert factored_100k[3**10 - 2].factors == ((3, 10),)
+    assert factored_100k[7 * 7 * 13 - 2].factors == ((7, 2), (13, 1))
+    assert factored_100k[7 * 13 * 13 - 2].factors == ((7, 1), (13, 2))
+
+
+def test_factor_range_rejects_a_limit_at_2_63_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", no_sieve)
+    for limit, start in ((2**63, 2**63 - 8), (2**63, 2), (2**64, 2**63)):
+        with pytest.raises(InputError, match=rf"^n must satisfy 2 <= n < 2\*\*63, got {limit}$"):
+            next(factor_range(limit, start))
 
 
 def _spf_oracle(limit):

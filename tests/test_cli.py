@@ -327,6 +327,19 @@ def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
     assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
 
 
+def test_zagreb_sweep_rejects_an_end_at_2_63_before_sieving(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built up to {limit}")
+
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", no_sieve)
+    top = str(2**63)
+    single = run_cli(capsys, "zagreb", top)
+    assert single == (1, "", f"error: n must satisfy 2 <= n < 2**63, got {top}\n")
+    for start in (str(2**63 - 8), "4", "1"):
+        for fmt in ("text", "csv", "json"):
+            assert run_cli(capsys, "zagreb", start, top, "--format", fmt) == single
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "4", "120", "--format", "json")
     assert code == 0
