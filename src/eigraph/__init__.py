@@ -16,6 +16,7 @@ from .arithmetic import (
     divisor_count,
     factor,
     factor_range,
+    factor_window,
     is_prime,
 )
 from .errors import InconsistencyError, InputError
@@ -46,8 +47,6 @@ from .ideals import (
     gcd_lemma_check,
     ideal_from_divisor,
     ideal_from_exponents,
-    ideal_intersection,
-    ideal_product,
     ideal_sum,
     is_essential,
     sum_is_essential_or_unit,
@@ -80,6 +79,7 @@ __all__ = [
     "divisor_count",
     "factor",
     "factor_range",
+    "factor_window",
     "is_prime",
     "InconsistencyError",
     "InputError",
@@ -107,8 +107,6 @@ __all__ = [
     "gcd_lemma_check",
     "ideal_from_divisor",
     "ideal_from_exponents",
-    "ideal_intersection",
-    "ideal_product",
     "ideal_sum",
     "is_essential",
     "sum_is_essential_or_unit",

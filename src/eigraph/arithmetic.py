@@ -120,10 +120,15 @@ def _factor_hard(m: int, counts: dict[int, int]) -> None:
         stack.append(x // d)
 
 
+def _n_out_of_range(n: int) -> InputError:
+    """The error for an n outside [2, MAX_N), stated here only."""
+    return InputError(f"n must satisfy 2 <= n < 2**63, got {n}")
+
+
 def factor(n: int) -> FactoredInteger:
     """Factor n into (prime, exponent) pairs; deterministic for a given n."""
     if n < 2 or n >= MAX_N:
-        raise InputError(f"n must satisfy 2 <= n < 2**63, got {n}")
+        raise _n_out_of_range(n)
     counts: dict[int, int] = {}
     rem = n
     for p in (2, 3, 5):
@@ -211,21 +216,17 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
     return spf
 
 
-def factor_range(limit: int, start: int = 2):
-    """Yield FactoredInteger for every n in [max(start, 2), limit], ascending.
+def factor_range(limit: int):
+    """Yield FactoredInteger for every n in [2, limit], ascending.
 
-    The smallest-prime-factor table spans [0, limit]; only the n in the
-    window are factored.  Each n walks the chain rem -> rem // spf[rem],
-    one floor division per prime factor counted with multiplicity, and a
-    prime n (spf[n] == 0) is yielded without any.
+    Each n walks the chain rem -> rem // spf[rem] over a smallest-prime-factor
+    table spanning [0, limit], one floor division per prime factor counted
+    with multiplicity, and a prime n (spf[n] == 0) is yielded without any.
     """
     if limit >= MAX_N:
-        raise InputError(f"n must satisfy 2 <= n < 2**63, got {limit}")
-    start = max(start, 2)
-    if limit < start:
-        return
+        raise _n_out_of_range(limit)
     spf = smallest_prime_factor_sieve(limit)
-    for n in range(start, limit + 1):
+    for n in range(2, limit + 1):
         p = spf[n]
         if not p:
             yield FactoredInteger(n, ((n, 1),))
@@ -244,3 +245,14 @@ def factor_range(limit: int, start: int = 2):
             rem //= q
         factors.append((p, m))
         yield FactoredInteger(n, tuple(factors))
+
+
+def factor_window(start: int, end: int):
+    """factor(n) for every n in [max(start, 2), end], ascending, built lazily.
+
+    Each n is factored on its own, so memory does not grow with end; an end
+    at or above 2**63 is refused before any n is factored.
+    """
+    if end >= MAX_N:
+        raise _n_out_of_range(end)
+    return map(factor, range(max(start, 2), end + 1))

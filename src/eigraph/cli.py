@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from itertools import chain, repeat
 
 from . import __version__
-from .arithmetic import FactoredInteger, divisor_count, factor, factor_range, require_composite
+from .arithmetic import divisor_count, factor, factor_window
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -138,12 +138,6 @@ def _json_text(payload) -> str:
     return emit(payload, "")
 
 
-def _composite(n: int) -> FactoredInteger:
-    f = factor(n)
-    require_composite(f)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    f = _composite(args.n)
+    f = factor(args.n)
     g = args.build(f, args.max_t)
     if args.format == "dot":
         _emit(to_dot(g), args.output)
@@ -198,7 +192,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    f = _composite(args.n)
+    f = factor(args.n)
     part = class_partition(f, enumerate_vertices(f, args.max_t))
     if args.format == "json":
         payload = {
@@ -233,7 +227,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    f = _composite(args.n)
+    f = factor(args.n)
     g = build_essential_graph(f, args.max_t)
     dist = all_pairs_distances(g)
     if args.format == "json":
@@ -268,7 +262,7 @@ def _dim_report_text(report: DimReport) -> str:
 
 
 def cmd_dim(args) -> int:
-    f = _composite(args.n)
+    f = factor(args.n)
     if args.method == "formula":
         report = dim_formula(f)
     elif args.method == "brute":
@@ -289,9 +283,9 @@ def cmd_zagreb(args) -> int:
         raise InputError(f"range end {end} is below start {args.n}")
     reports = []
     if end == args.n:
-        reports.append(compute_zagreb_report(_composite(args.n), max_t=args.max_t))
+        reports.append(compute_zagreb_report(factor(args.n), max_t=args.max_t))
     else:
-        for f in factor_range(end, args.n):
+        for f in factor_window(args.n, end):
             if f.is_prime():
                 continue
             reports.append(compute_zagreb_report(f, max_t=args.max_t))

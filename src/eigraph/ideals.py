@@ -136,28 +136,6 @@ def ideal_sum(a: Ideal, b: Ideal) -> tuple[int, ...]:
     return tuple(min(r, s) for r, s in zip(a.exponents, b.exponents))
 
 
-def ideal_intersection(a: Ideal, b: Ideal) -> tuple[int, ...]:
-    """Exponent vector of <d_a> intersect <d_b> = <lcm(d_a, d_b)>; may be the zero ideal."""
-    _require_same_modulus(a, b)
-    return tuple(max(r, s) for r, s in zip(a.exponents, b.exponents))
-
-
-def ideal_product(a: Ideal, b: Ideal) -> tuple[int, ...]:
-    """Exponent vector of <d_a><d_b> = <gcd(d_a * d_b, n)>; may be the zero ideal."""
-    _require_same_modulus(a, b)
-    return tuple(
-        min(r + s, m) for r, s, m in zip(a.exponents, b.exponents, a.modulus.exponents)
-    )
-
-
-def is_unit_vector(exponents) -> bool:
-    return all(r == 0 for r in exponents)
-
-
-def is_zero_vector(f: FactoredInteger, exponents) -> bool:
-    return tuple(exponents) == f.exponents
-
-
 def sum_is_essential_or_unit(a: Ideal, b: Ideal) -> bool:
     """Adjacency oracle: the ideal sum is essential (the unit ideal counts)."""
     vec = ideal_sum(a, b)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arithmetic import FactoredInteger, factor, factor_range
+from .arithmetic import FactoredInteger, factor_range, factor_window
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -77,9 +77,9 @@ VERIFY_JSON_SCHEMA = {
 }
 
 
-# A range ending above this is factored one n at a time: the sieve over
-# [2, end] grows with end, while one factor() call costs microseconds
-# beside the milliseconds of checks on each n.
+# A range ending above this is factored one n at a time (factor_window);
+# below it, factor_range walks [2, end] over a table of end + 1 cells, whose
+# single call perfbench/test_perfbench.py pins for `verify 90 90`.
 SIEVE_LIMIT = 1_000_000
 
 
@@ -435,9 +435,7 @@ def run_verify(
     if start > end:
         raise InputError(f"range start {start} exceeds end {end}")
     summary = VerifySummary(start, end, checks)
-    numbers = (
-        map(factor, range(max(start, 2), end + 1)) if end > SIEVE_LIMIT else factor_range(end)
-    )
+    numbers = factor_window(start, end) if end > SIEVE_LIMIT else factor_range(end)
     for f in numbers:
         n = f.n
         if n < start or f.is_prime():

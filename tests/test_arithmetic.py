@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigraph import FactoredInteger, InputError, divisor_count, factor, factor_range
+from eigraph import FactoredInteger, InputError, divisor_count, factor, factor_range, factor_window
 from eigraph.arithmetic import check_caps, resolve_max_vertices, smallest_prime_factor_sieve
 
 
@@ -83,8 +83,13 @@ def test_factor_range_agrees_with_factor():
         assert f == factor(f.n)
 
 
+def _walked(n):
+    """The object factor_range's SPF walk yields for n <= 2710."""
+    return list(factor_range(2710))[n - 2]
+
+
 def test_constructor_paths_agree():
-    for f in factor_range(2710, 2690):
+    for f in list(factor_range(2710))[2690 - 2 :]:
         by_hand = FactoredInteger(f.n, f.factors)
         by_keyword = FactoredInteger(factors=f.factors, n=f.n)
         for other in (factor(f.n), by_hand, by_keyword, pickle.loads(pickle.dumps(f))):
@@ -95,7 +100,7 @@ def test_constructor_paths_agree():
 
 
 def test_factored_integer_is_frozen():
-    f = next(factor_range(2700, 2700))
+    f = _walked(2700)
     for name, value in (("n", 5), ("factors", ((5, 1),)), ("k", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(f, name, value)
@@ -105,7 +110,7 @@ def test_factored_integer_is_frozen():
 
 
 def test_yielded_object_reads_like_a_factored_one():
-    f = next(factor_range(2700, 2700))
+    f = _walked(2700)
     assert (f.primes, f.exponents, f.k) == ((2, 3, 5), (2, 3, 2), 3)
     # cached_property values live in __dict__ beside the fields; eq, hash,
     # repr and pickling still see only n and factors.
@@ -141,9 +146,19 @@ def test_factor_range_rejects_a_limit_at_2_63_before_sieving(monkeypatch):
         raise AssertionError(f"sieve built up to {limit}")
 
     monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", no_sieve)
-    for limit, start in ((2**63, 2**63 - 8), (2**63, 2), (2**64, 2**63)):
+    for limit in (2**63, 2**64):
         with pytest.raises(InputError, match=rf"^n must satisfy 2 <= n < 2\*\*63, got {limit}$"):
-            next(factor_range(limit, start))
+            next(factor_range(limit))
+
+
+def test_factor_window_rejects_an_end_at_2_63_before_factoring(monkeypatch):
+    def no_factor(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr("eigraph.arithmetic.factor", no_factor)
+    for start, end in ((2**63 - 8, 2**63), (2, 2**63), (-5, 2**63), (2**63, 2**64)):
+        with pytest.raises(InputError, match=rf"^n must satisfy 2 <= n < 2\*\*63, got {end}$"):
+            factor_window(start, end)
 
 
 def _spf_oracle(limit):
@@ -187,7 +202,7 @@ def test_spf_sieve_matches_the_per_multiple_loop(factored_100k):
 
 def _check_window(end, start):
     expected = [factor(n) for n in range(max(start, 2), end + 1)]
-    assert list(factor_range(end, start)) == expected, (end, start)
+    assert list(factor_window(start, end)) == expected, (end, start)
     if start <= 2:
         assert list(factor_range(end)) == expected, end
 

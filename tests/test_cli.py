@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigraph.arithmetic
 import eigraph.ideals
 from eigraph import (
     InputError,
@@ -293,7 +294,12 @@ def test_zagreb_command(capsys):
     assert (payload["M1_closed"], payload["M2_closed"]) == (36, 54)
 
 
-def test_zagreb_csv_sweep(capsys):
+def _no_sieve(limit):
+    raise AssertionError(f"sieve built up to {limit}")
+
+
+def test_zagreb_csv_sweep(capsys, monkeypatch):
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
     code, out, _ = run_cli(capsys, "zagreb", "4", "40", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -301,25 +307,29 @@ def test_zagreb_csv_sweep(capsys):
     assert lines[1].startswith("4,1,1,0,0,0,0,")
     by_n = {int(line.split(",")[0]): line for line in lines[1:]}
     assert by_n[30].split(",")[3:8] == ["30", "36", "30", "36", "63"]
-    # The bytes printed when each CSV cell and flag was written out by hand.
-    code, out, _ = run_cli(capsys, "zagreb", "4", "3000", "--format", "csv")
-    digest = "702580cec2e31741979ec8d7089abe6e0381d0818dd7a17ef35f038473eef70c"
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    # The bytes printed when each CSV cell and flag was written out by hand,
+    # and (3000000..3000010) when the sweep read a table built up to END.
+    for start, end, digest in (
+        ("4", "3000", "702580cec2e31741979ec8d7089abe6e0381d0818dd7a17ef35f038473eef70c"),
+        ("3000000", "3000010", "f08ab95ce209cda567ddbaaa46486bae33fde4400f111b5895b2f504b9a6493e"),
+    ):
+        code, out, _ = run_cli(capsys, "zagreb", start, end, "--format", "csv")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), start
 
 
 def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
-    original = cli.factor_range
-    yielded = []
+    original = eigraph.arithmetic.factor
+    factored = []
 
-    def counting(*args, **kwargs):
-        for f in original(*args, **kwargs):
-            yielded.append(f.n)
-            yield f
+    def counting(n):
+        factored.append(n)
+        return original(n)
 
-    monkeypatch.setattr(cli, "factor_range", counting)
+    monkeypatch.setattr("eigraph.arithmetic.factor", counting)
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
     code, out, _ = run_cli(capsys, "zagreb", "200000", "200049", "--format", "csv")
     assert code == 0
-    assert yielded == list(range(200000, 200050))
+    assert factored == list(range(200000, 200050))
     # The bytes printed when the sweep factored every n in [2, 200049].
     digest = "4dd5366d69cb9754b57207410b2481f200a05737cbac56259dac33fd63c8ca2d"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -327,14 +337,17 @@ def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
     assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
 
 
-def test_zagreb_sweep_rejects_an_end_at_2_63_before_sieving(capsys, monkeypatch):
-    def no_sieve(limit):
-        raise AssertionError(f"sieve built up to {limit}")
+def _no_factor(n):
+    raise AssertionError(f"factored {n}")
 
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", no_sieve)
+
+def test_zagreb_sweep_rejects_an_end_at_2_63_before_sieving(capsys, monkeypatch):
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
     top = str(2**63)
     single = run_cli(capsys, "zagreb", top)
     assert single == (1, "", f"error: n must satisfy 2 <= n < 2**63, got {top}\n")
+    # A sweep must refuse END before factoring any n of [N, END].
+    monkeypatch.setattr("eigraph.arithmetic.factor", _no_factor)
     for start in (str(2**63 - 8), "4", "1"):
         for fmt in ("text", "csv", "json"):
             assert run_cli(capsys, "zagreb", start, top, "--format", fmt) == single
@@ -410,6 +423,14 @@ def test_verify_above_the_sieve_limit_factors_each_n(capsys, monkeypatch):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), start
 
 
+def test_verify_rejects_an_end_at_2_63_before_factoring(capsys, monkeypatch):
+    monkeypatch.setattr("eigraph.arithmetic.factor", _no_factor)
+    top = str(2**63)
+    for start in (str(2**63 - 8), "4"):
+        code, out, err = run_cli(capsys, "verify", start, top, "--checks", "bounds")
+        assert (code, out, err) == (1, "", f"error: n must satisfy 2 <= n < 2**63, got {top}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["graph"], ["aig"], ["classes"], ["distances"], ["zagreb"]]
@@ -433,6 +454,17 @@ def test_composite_rule_is_stated_once():
         path.read_text() for path in sorted(pathlib.Path(eigraph.__file__).parent.glob("*.py"))
     )
     assert text.count("n must be composite and at least 4") == 1
+
+
+def test_range_rule_is_stated_once():
+    import pathlib
+
+    import eigraph
+
+    text = "".join(
+        path.read_text() for path in sorted(pathlib.Path(eigraph.__file__).parent.glob("*.py"))
+    )
+    assert text.count("n must satisfy 2 <= n < 2**63") == 1
 
 
 def test_verify_unknown_check(capsys):
