@@ -62,10 +62,8 @@ from .metricdim import (
     is_resolving,
 )
 from .zagreb import (
-    LevelPartition,
     ZagrebReport,
     compute_zagreb_report,
-    level_partition,
     zagreb_by_definition,
     zagreb_general_closed,
     zagreb_prime_power,
@@ -118,10 +116,8 @@ __all__ = [
     "dim_lower_bound",
     "finiteness_bound_check",
     "is_resolving",
-    "LevelPartition",
     "ZagrebReport",
     "compute_zagreb_report",
-    "level_partition",
     "zagreb_by_definition",
     "zagreb_general_closed",
     "zagreb_prime_power",

@@ -165,6 +165,11 @@ def require_composite(f: FactoredInteger) -> None:
         raise InputError(f"n must be composite and at least 4, got {f.n}")
 
 
+def no_composite_in(start: int, end: int) -> InputError:
+    """The error for a range that holds no composite n, so nothing to graph; stated here only."""
+    return InputError(f"no composite n in [{start}, {end}]")
+
+
 def resolve_max_vertices(max_t: int | None = None) -> int:
     """Effective vertex cap: explicit value, else EIG_MAX_T, else the default."""
     if max_t is None:

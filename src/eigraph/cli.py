@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from itertools import chain, repeat
 
 from . import __version__
-from .arithmetic import divisor_count, factor, factor_window
+from .arithmetic import divisor_count, factor, factor_window, no_composite_in
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -289,6 +289,8 @@ def cmd_zagreb(args) -> int:
             if f.is_prime():
                 continue
             reports.append(compute_zagreb_report(f, max_t=args.max_t))
+        if not reports:
+            raise no_composite_in(args.n, end)
     if args.format == "csv":
         lines = [ZAGREB_CSV_HEADER] + [r.csv_row() for r in reports]
         _emit("\n".join(lines), args.output)
@@ -301,7 +303,8 @@ def cmd_zagreb(args) -> int:
             d = r.to_json_dict()
             blocks.append("\n".join(f"{key} = {value}" for key, value in d.items()))
         _emit("\n\n".join(blocks), args.output)
-    return EXIT_OK
+    agree = all(r.m1_agrees and r.m2_agrees for r in reports)
+    return EXIT_OK if agree else EXIT_INCONSISTENT
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .arithmetic import MAX_DISTINCT_PRIMES, FactoredInteger, resolve_max_vertices
 from .errors import InconsistencyError, InputError
-from .ideals import ClassPartition, Ideal, class_partition, enumerate_vertices
+from .ideals import ClassPartition, Ideal, class_partition, enumerate_vertices, subset_sums
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
@@ -92,19 +92,15 @@ def _finish(kind, factored, vertices, rows) -> IdealGraph:
 def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
     """Bitset rows of the graph on `masks` in which i ~ j iff the masks are disjoint.
 
-    A subset OR-transform over the 2^k masks gives down[s], the vertices
-    whose mask is a subset of s; row i is down[full ^ masks[i]] without i.
+    subset_sums over the 2^k masks gives down[s], the vertices whose mask
+    is a subset of s; row i is down[full ^ masks[i]] without i.
     """
-    size = 1 << k
-    down = [0] * size
+    full = (1 << k) - 1
+    by_mask = [0] * (full + 1)
     for i, mask in enumerate(masks):
-        down[mask] |= 1 << i
-    for b in range(k):
-        bit = 1 << b
-        for s in range(size):
-            if s & bit:
-                down[s] |= down[s ^ bit]
-    full = size - 1
+        by_mask[mask] |= 1 << i
+    # The vertex sets of distinct masks are disjoint, so their sum is their union.
+    down = subset_sums(by_mask, k)
     return [down[full ^ mask] & ~(1 << i) for i, mask in enumerate(masks)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .arithmetic import FactoredInteger, check_caps, divisor_count, factor, require_composite
@@ -21,6 +22,22 @@ from .errors import InconsistencyError, InputError
 def mask_indices(mask: int) -> tuple[int, ...]:
     """The 1-based prime indices set in an index mask, ascending."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def subset_sums(values: list[int], k: int) -> list[int]:
+    """out[s] = sum of values[b] over every subset b of s, for the 2^k masks s.
+
+    The fast zeta transform (Bjorklund, Husfeldt, Kaski and Koivisto, STOC
+    2007) in O(2^k * k) additions.  A sum over the masks disjoint from a,
+    such as a class degree, is out[full ^ a].
+    """
+    out = list(values)
+    for b in range(k):
+        bit = 1 << b
+        for s in range(1 << k):
+            if s & bit:
+                out[s] += out[s ^ bit]
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,13 +185,17 @@ class ClassPartition:
     def class_size(self, mask: int) -> int:
         return len(self.classes[mask])
 
+    @cached_property
+    def _degree_table(self) -> list[int]:
+        # subset_sums of the class sizes, with the essential class X at mask 0
+        full = (1 << self.modulus.k) - 1
+        sizes = [self.m] + [len(self.classes[s]) for s in range(1, full)] + [0]
+        return subset_sums(sizes, self.modulus.k)
+
     def class_degree(self, mask: int) -> int:
         """Degree of any vertex in the class: m plus the disjoint class sizes."""
-        return self.m + sum(
-            len(members)
-            for other, members in self.classes.items()
-            if other != mask and not other & mask
-        )
+        full = (1 << self.modulus.k) - 1
+        return self._degree_table[full ^ mask]
 
     def blocks_in_order(self) -> list[tuple[Ideal, ...]]:
         """The essential class followed by the classes in canonical order."""
@@ -265,6 +286,9 @@ def gcd_lemma_check(n: int, d1: int, d2: int) -> bool:
             raise InputError(f"{d} is not a nontrivial proper divisor of {n}")
     if d1 == d2:
         raise InputError("divisors must be distinct")
-    coprime = math.gcd(d1, d2) == 1
-    divides = (n // d1) * (n // d2) % n == 0
-    return coprime == divides
+    return gcd_lemma_holds(n, d1, d2)
+
+
+def gcd_lemma_holds(n: int, d1: int, d2: int) -> bool:
+    """The biconditional of gcd_lemma_check, for inputs the caller has validated."""
+    return (math.gcd(d1, d2) == 1) == ((n // d1) * (n // d2) % n == 0)

@@ -10,10 +10,11 @@ category and keeps every failure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arithmetic import FactoredInteger, factor_range, factor_window
+from .arithmetic import FactoredInteger, factor_range, factor_window, no_composite_in
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -25,7 +26,7 @@ from .graph import (
     check_field_product_iso,
 )
 from .ideals import (
-    gcd_lemma_check,
+    gcd_lemma_holds,
     intersects_every_ideal,
     is_essential,
     sum_is_essential_or_unit,
@@ -39,7 +40,7 @@ from .metricdim import (
     finiteness_bound_check,
     is_resolving,
 )
-from .zagreb import compute_zagreb_report, level_partition, squarefree_within_level_sum
+from .zagreb import compute_zagreb_report, squarefree_level_degree, squarefree_within_level_sum
 
 VERIFY_JSON_SCHEMA = {
     "type": "object",
@@ -151,12 +152,12 @@ def _check_adjacency(ctx: _VerifyContext):
                 break
         results.append((ok, "class degree law"))
     if f.is_squarefree() and f.k >= 2:
-        lp = level_partition(ess)
-        ok = all(
-            ess.degrees[idx] == lp.expected_degree(i + 1)
-            and len(level) == lp.expected_size(i + 1)
-            for i, level in enumerate(lp.levels)
-            for idx in level
+        # Level i holds the vertices whose generator has i primes: popcount(xi_mask) = i.
+        k = f.k
+        levels = Counter(v.xi_mask.bit_count() for v in verts)
+        ok = levels == Counter({i: math.comb(k, i) for i in range(1, k)}) and all(
+            ess.degrees[j] == squarefree_level_degree(k, v.xi_mask.bit_count())
+            for j, v in enumerate(verts)
         )
         results.append((ok, "squarefree level degree law"))
     return results
@@ -332,10 +333,11 @@ def _check_bounds(ctx: _VerifyContext):
     f = ctx.f
     results = []
     if f.is_squarefree():
+        # The vertices are the distinct nontrivial proper divisors: valid pairs.
         n = f.n
-        divisors = sorted(v.d for v in ctx.ess.vertices)
+        divisors = [v.d for v in ctx.ess.vertices]
         ok = all(
-            gcd_lemma_check(n, d1, d2)
+            gcd_lemma_holds(n, d1, d2)
             for i, d1 in enumerate(divisors)
             for d2 in divisors[i + 1 :]
         )
@@ -444,5 +446,5 @@ def run_verify(
         for name in checks:
             summary.record(n, name, CHECKS[name](ctx))
     if not summary.categories:
-        raise InputError(f"no composite n in [{start}, {end}]")
+        raise no_composite_in(start, end)
     return summary

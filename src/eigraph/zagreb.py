@@ -16,7 +16,7 @@ from math import comb
 from .arithmetic import FactoredInteger, divisor_count
 from .errors import InputError
 from .graph import IdealGraph, build_essential_graph
-from .ideals import ClassPartition
+from .ideals import ClassPartition, subset_sums
 
 
 def zagreb_by_definition(g: IdealGraph) -> tuple[int, int]:
@@ -94,27 +94,23 @@ def zagreb_general_closed(partition: ClassPartition) -> tuple[int, int]:
     Every essential vertex has degree T - 1 and every class vertex has the
     class degree m + sum of disjoint class sizes; M2 adds the essential
     clique, the essential-to-class edges, and half the ordered sum over
-    disjoint class pairs.
+    disjoint class pairs.  With w[a] = size * degree of class a, that sum
+    is the sum over a of w[a] times the subset sum of w over full ^ a.
     """
     if partition.m == 0:
         raise InputError("no essential vertices; use the squarefree closed form")
     m = partition.m
     t = partition.T
-    masks = partition.class_masks()
-    sizes = {mask: partition.class_size(mask) for mask in masks}
-    degs = {mask: partition.class_degree(mask) for mask in masks}
-    m1 = m * (t - 1) ** 2 + sum(sizes[a] * degs[a] ** 2 for a in masks)
-    cross = sum(
-        sizes[a] * sizes[b] * degs[a] * degs[b]
-        for a in masks
-        for b in masks
-        if a != b and not a & b
-    )
-    m2 = (
-        comb(m, 2) * (t - 1) ** 2
-        + m * (t - 1) * sum(sizes[a] * degs[a] for a in masks)
-        + cross // 2
-    )
+    full = (1 << partition.modulus.k) - 1
+    w = [0] * (full + 1)
+    m1 = m * (t - 1) ** 2
+    for a in partition.class_masks():
+        degree = partition.class_degree(a)
+        w[a] = partition.class_size(a) * degree
+        m1 += w[a] * degree
+    disjoint_w = subset_sums(w, partition.modulus.k)
+    cross = sum(wa * disjoint_w[full ^ a] for a, wa in enumerate(w))
+    m2 = comb(m, 2) * (t - 1) ** 2 + m * (t - 1) * sum(w) + cross // 2
     return m1, m2
 
 
@@ -132,33 +128,6 @@ def zagreb_two_prime(f: FactoredInteger) -> tuple[int, int]:
         + m1_exp * m2_exp * (m + m1_exp) * (m + m2_exp)
     )
     return first, second
-
-
-@dataclass(frozen=True)
-class LevelPartition:
-    """Squarefree vertices grouped by the number of primes in the generator."""
-
-    k: int
-    levels: tuple[tuple[int, ...], ...]  # vertex indices for levels 1 .. k-1
-
-    def expected_size(self, i: int) -> int:
-        return comb(self.k, i)
-
-    def expected_degree(self, i: int) -> int:
-        return squarefree_level_degree(self.k, i)
-
-
-def level_partition(g: IdealGraph) -> LevelPartition:
-    """Group the vertices of a squarefree essential ideal graph by prime count."""
-    f = g.factored
-    if f is None or not f.is_squarefree():
-        raise InputError("level partition is defined for squarefree ideal graphs")
-    k = f.k
-    levels: list[list[int]] = [[] for _ in range(k - 1)]
-    for idx, v in enumerate(g.vertices):
-        count = sum(1 for r in v.exponents if r)
-        levels[count - 1].append(idx)
-    return LevelPartition(k, tuple(tuple(lv) for lv in levels))
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ from eigraph import (
     factor,
     finiteness_bound_check,
     is_resolving,
-    level_partition,
     zagreb_by_definition,
     zagreb_general_closed,
     zagreb_prime_power,
     zagreb_squarefree_closed,
 )
+from eigraph.zagreb import squarefree_level_degree
 
 from conftest import composites, conjugate_check, index_blocks
 
@@ -302,12 +302,12 @@ def test_criterion_9_property_suite(factored_100k):
         if failures:
             break
         g = build_essential_graph(f)
-        lp = level_partition(g)
-        for i, level in enumerate(lp.levels, start=1):
-            want = lp.expected_degree(i)
-            if any(g.degrees[idx] != want for idx in level):
-                failures.append(f"level degree law fails at n={n}")
-                break
+        # level i: the vertices whose full-exponent mask has popcount i
+        if any(
+            d != squarefree_level_degree(f.k, v.xi_mask.bit_count())
+            for v, d in zip(g.vertices, g.degrees)
+        ):
+            failures.append(f"level degree law fails at n={n}")
         if failures:
             break
     if not failures:

@@ -353,6 +353,61 @@ def test_zagreb_sweep_rejects_an_end_at_2_63_before_sieving(capsys, monkeypatch)
             assert run_cli(capsys, "zagreb", start, top, "--format", fmt) == single
 
 
+def test_zagreb_sweep_with_no_composite_exits_1(capsys):
+    for start, end in (("2", "3"), ("0", "3"), ("7", "7")):
+        error = f"error: no composite n in [{start}, {end}]\n"
+        if start == end:
+            error = f"error: n must be composite and at least 4, got {start}\n"
+        for fmt in ("text", "json", "csv"):
+            assert run_cli(capsys, "zagreb", start, end, "--format", fmt) == (1, "", error)
+    # verify states the same error
+    assert run_cli(capsys, "verify", "2", "3") == (1, "", "error: no composite n in [2, 3]\n")
+
+
+def test_zagreb_exits_2_when_a_closed_form_disagrees(capsys, monkeypatch):
+    import eigraph.zagreb
+
+    original = eigraph.zagreb.zagreb_general_closed
+
+    def off_by_one(partition):
+        m1, m2 = original(partition)
+        return m1 + 1, m2
+
+    monkeypatch.setattr(eigraph.zagreb, "zagreb_general_closed", off_by_one)
+    code, out, err = run_cli(capsys, "zagreb", "2700")
+    assert (code, err) == (2, "")
+    assert "M1_closed = 22863" in out and "M1_agrees = False" in out
+    assert "M2_agrees = True" in out
+    code, out, err = run_cli(capsys, "zagreb", "4", "40", "--format", "csv")
+    assert (code, err) == (2, "")
+    composite = [f for f in map(factor, range(4, 41)) if not f.is_prime()]
+    assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
+    flags = {int(line.split(",")[0]): line.split(",")[-1] for line in out.splitlines()[1:]}
+    assert flags[12].startswith("m1_agree=false;m2_agree=true")
+    assert flags[8].startswith("m1_agree=true")  # a prime power takes another form
+    # A sweep that never reaches the general form still agrees.
+    assert run_cli(capsys, "zagreb", "30", "32", "--format", "json")[0] == 0
+
+
+def test_verify_bounds_factors_n_once(monkeypatch):
+    original = eigraph.arithmetic.factor
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    # k = 10: 521,731 divisor pairs, each of which factored n before.
+    summary = run_verify(6469693230, 6469693230, checks=("bounds",))
+    assert summary.passed and summary.categories == {"bounds": (1, 1)}
+    assert calls == [6469693230]
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "4", "120", "--format", "json")
     assert code == 0

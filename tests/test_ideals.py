@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -18,7 +19,7 @@ from eigraph import (
     is_essential,
     sum_is_essential_or_unit,
 )
-from eigraph.ideals import class_mask_order, intersects_every_ideal
+from eigraph.ideals import class_mask_order, intersects_every_ideal, subset_sums
 
 from conftest import composites
 
@@ -148,6 +149,36 @@ def test_adjacency_characterizations_agree(factored_100k):
         for i, a in enumerate(verts):
             for b in verts[i + 1 :]:
                 assert (not a.xi_mask & b.xi_mask) == sum_is_essential_or_unit(a, b)
+
+
+def test_subset_sums_equal_the_direct_sum():
+    rng = random.Random(2007)
+    for k in range(7):
+        for _ in range(5):
+            values = [rng.randrange(-(10**6), 10**6) for _ in range(1 << k)]
+            before = list(values)
+            want = [sum(values[b] for b in range(1 << k) if b & s == b) for s in range(1 << k)]
+            assert subset_sums(values, k) == want, (k, values)
+            assert values == before
+
+
+def _class_degree_by_scan(part, mask):
+    # The former ClassPartition.class_degree: one scan over every class per mask.
+    return part.m + sum(
+        len(members)
+        for other, members in part.classes.items()
+        if other != mask and not other & mask
+    )
+
+
+def test_class_degree_matches_the_per_class_scan(factored_100k):
+    # Every composite n <= 10^4, the two large-T n of the benchmark, k = 12 and k = 13.
+    large = (1321091265351, 203903066266900, 14841476269620, 608500527054420)
+    for f in [*composites(factored_100k, 4, 10_000), *map(factor, large)]:
+        part = class_partition(f)
+        for mask in part.class_masks():
+            assert part.class_degree(mask) == _class_degree_by_scan(part, mask), (f.n, mask)
+    assert [factor(n).k for n in large[2:]] == [12, 13]
 
 
 def test_gcd_lemma_examples():

@@ -1,3 +1,4 @@
+from math import comb
 
 import jsonschema
 import pytest
@@ -9,7 +10,6 @@ from eigraph import (
     class_partition,
     compute_zagreb_report,
     factor,
-    level_partition,
     zagreb_by_definition,
     zagreb_general_closed,
     zagreb_prime_power,
@@ -19,6 +19,7 @@ from eigraph import (
 from eigraph.zagreb import (
     ZAGREB_CSV_HEADER,
     ZAGREB_JSON_SCHEMA,
+    squarefree_level_degree,
     squarefree_within_level_sum,
 )
 
@@ -105,15 +106,17 @@ def test_squarefree_closed_matches_definition_up_to_k12():
 
 
 def test_level_partition_degree_law():
-    for n in (30, 210, 2310, 30030):
+    # For squarefree n, level i is the set of vertices whose mask has popcount i.
+    for k, n in ((3, 30), (4, 210), (5, 2310), (6, 30030)):
         g = graph_of(n)
-        lp = level_partition(g)
-        for i, level in enumerate(lp.levels, start=1):
-            assert len(level) == lp.expected_size(i)
+        levels = {}
+        for idx, v in enumerate(g.vertices):
+            levels.setdefault(v.xi_mask.bit_count(), []).append(idx)
+        assert sorted(levels) == list(range(1, k))
+        for i, level in levels.items():
+            assert len(level) == comb(k, i)
             for idx in level:
-                assert g.degrees[idx] == lp.expected_degree(i)
-    with pytest.raises(InputError):
-        level_partition(graph_of(12))
+                assert g.degrees[idx] == squarefree_level_degree(k, i)
 
 
 def test_general_closed_examples():
@@ -147,6 +150,13 @@ def test_general_closed_matches_definition_sweep(factored_100k):
         assert zagreb_general_closed(part) == zagreb_by_definition(
             build_essential_graph(f)
         ), f.n
+
+
+def test_general_closed_matches_definition_at_k12_and_k13():
+    for n, k in ((14841476269620, 12), (608500527054420, 13)):
+        g = graph_of(n)
+        assert g.factored.k == k and not g.factored.is_squarefree()
+        assert zagreb_general_closed(g.classes) == zagreb_by_definition(g), n
 
 
 def test_report_flags_and_schema():
