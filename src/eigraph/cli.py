@@ -269,7 +269,7 @@ def cmd_dim(args) -> int:
         g = build_essential_graph(f, args.max_t)
         report = dim_bruteforce(g, budget=args.budget)
     else:
-        report = constructive_resolving_set(f, max_t=args.max_t)
+        report = constructive_resolving_set(class_partition(f, enumerate_vertices(f, args.max_t)))
     if args.format == "json":
         _emit(_json_text(report.to_json_dict()), args.output)
     else:
@@ -283,12 +283,12 @@ def cmd_zagreb(args) -> int:
         raise InputError(f"range end {end} is below start {args.n}")
     reports = []
     if end == args.n:
-        reports.append(compute_zagreb_report(factor(args.n), max_t=args.max_t))
+        reports.append(compute_zagreb_report(build_essential_graph(factor(args.n), args.max_t)))
     else:
         for f in factor_window(args.n, end):
             if f.is_prime():
                 continue
-            reports.append(compute_zagreb_report(f, max_t=args.max_t))
+            reports.append(compute_zagreb_report(build_essential_graph(f, args.max_t)))
         if not reports:
             raise no_composite_in(args.n, end)
     if args.format == "csv":

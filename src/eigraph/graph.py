@@ -50,7 +50,7 @@ class IdealGraph:
         """This ideal graph's class partition by full-exponent mask, computed on first use."""
         if self.factored is None:
             raise InputError("the class partition is defined for ideal graphs only")
-        return class_partition(self.factored, list(self.vertices))
+        return class_partition(self.factored, self.vertices)
 
     @property
     def order(self) -> int:

@@ -168,16 +168,21 @@ def class_mask_order(k: int) -> list[int]:
 class ClassPartition:
     """Vertices grouped by full-exponent index set.
 
+    vertices is the ordered vertex list the partition was built from;
     essential_class holds the ideals with empty index set; classes maps each
     nonempty proper bitmask to its ideals.  m = prod(m_i) - 1 counts the
     essential vertices and T is the total vertex count.
     """
 
     modulus: FactoredInteger
+    vertices: tuple[Ideal, ...]
     essential_class: tuple[Ideal, ...]
     classes: dict[int, tuple[Ideal, ...]]
     m: int
-    T: int
+
+    @property
+    def T(self) -> int:
+        return len(self.vertices)
 
     def class_masks(self) -> list[int]:
         return class_mask_order(self.modulus.k)
@@ -235,10 +240,10 @@ class ClassPartition:
         return 3
 
 
-def class_partition(f: FactoredInteger, vertices: list[Ideal] | None = None) -> ClassPartition:
-    """Partition the vertex set by full-exponent index mask."""
-    if vertices is None:
-        vertices = enumerate_vertices(f)
+def class_partition(
+    f: FactoredInteger, vertices: list[Ideal] | tuple[Ideal, ...]
+) -> ClassPartition:
+    """Partition the vertex list of enumerate_vertices(f) by full-exponent index mask."""
     essential = tuple(v for v in vertices if v.xi_mask == 0)
     classes: dict[int, list[Ideal]] = {mask: [] for mask in class_mask_order(f.k)}
     for v in vertices:
@@ -250,7 +255,7 @@ def class_partition(f: FactoredInteger, vertices: list[Ideal] | None = None) -> 
         raise InconsistencyError(
             f"{len(essential)} essential vertices for n = {f.n}, expected {expected_m}"
         )
-    return ClassPartition(f, essential, frozen, len(essential), len(vertices))
+    return ClassPartition(f, tuple(vertices), essential, frozen, len(essential))
 
 
 def canonical_representative(f: FactoredInteger, mask: int) -> Ideal:

@@ -13,10 +13,11 @@ lexicographic order.  Each kept block top splits the classes of tops not
 yet told apart by its distance layers (bitsets), and a branch is cut when
 its classes need more picks than are left: with distances at most D, one
 more pick splits a class into at most D parts.  The problem stays
-exponential in the number of blocks.  The certificate builds no graph:
-the distance between two vertices depends only on their full-exponent
-masks (ClassPartition.mask_distance), so its witness is checked on the
-class partition.  The search builds no T x T distance matrix; it reads
+exponential in the number of blocks.  The certificate builds no graph
+and lists no vertex: it takes a class partition, and the distance between
+two vertices depends only on their full-exponent masks
+(ClassPartition.mask_distance), so its witness is checked on that
+partition.  The search builds no T x T distance matrix; it reads
 BFS rows of the block tops only.  Every witness the
 module hands out is re-verified before it is reported, and is_resolving
 on BFS rows stays the oracle for both.
@@ -31,12 +32,7 @@ from math import comb
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
 from .graph import DistanceSimilarPartition, IdealGraph, bfs_row, vertex_key
-from .ideals import (
-    ClassPartition,
-    canonical_representative,
-    class_partition,
-    enumerate_vertices,
-)
+from .ideals import ClassPartition, canonical_representative
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -319,7 +315,7 @@ def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
     return witness
 
 
-def constructive_resolving_set(f: FactoredInteger, max_t: int | None = None) -> DimReport:
+def constructive_resolving_set(part: ClassPartition) -> DimReport:
     """Resolving set prescribed by the shape of n, with no search and no graph.
 
     The witness comes from the class partition (see _witness_rule).  It is
@@ -329,11 +325,9 @@ def constructive_resolving_set(f: FactoredInteger, max_t: int | None = None) -> 
     report is exact iff the closed form is, and then the witness size must
     equal it.
     """
-    verts = enumerate_vertices(f, max_t)
-    t = len(verts)
+    f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
-    part = class_partition(f, verts)
     witness = _witness_rule(f, part)
     in_w = set(witness)
     mask_of = {v.d: v.xi_mask for v in verts}

@@ -2,7 +2,9 @@
 
 Each check category is a function of a per-n context that builds the
 shared artifacts (essential graph, AIG, distances) on first use; the
-essential graph keeps its own class and distance-similar partitions.
+essential graph keeps its own class and distance-similar partitions.  The
+dim certificate reads that class partition and the Zagreb report that
+graph, so neither lists the vertices again.
 A category returns (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
@@ -268,7 +270,7 @@ def _check_dim(ctx: _VerifyContext):
     # counts stay as they were; the tests check it for every such n <= 10^4.
     if not (f.is_squarefree() and f.k <= 5):
         try:
-            cons = constructive_resolving_set(f, ctx.max_t)
+            cons = constructive_resolving_set(ctx.ess.classes)
             # The certificate is checked on masks; BFS rows are the oracle.
             check = is_resolving(ctx.ess, cons.witness)
             ok = check.resolves and check.representations == cons.representations
@@ -292,7 +294,7 @@ def _check_dim(ctx: _VerifyContext):
 
 def _check_zagreb(ctx: _VerifyContext):
     f = ctx.f
-    report = compute_zagreb_report(f, graph=ctx.ess)
+    report = compute_zagreb_report(ctx.ess)
     results = [
         (report.m1_agrees, "M1 closed form equals definition"),
         (report.m2_agrees, "M2 closed form equals definition"),

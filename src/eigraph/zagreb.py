@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arithmetic import FactoredInteger, divisor_count
+from .arithmetic import FactoredInteger
 from .errors import InputError
-from .graph import IdealGraph, build_essential_graph
+from .graph import KIND_ESSENTIAL, IdealGraph
 from .ideals import ClassPartition, subset_sums
 
 
@@ -214,13 +214,11 @@ ZAGREB_JSON_SCHEMA = {
 }
 
 
-def compute_zagreb_report(
-    f: FactoredInteger,
-    graph: IdealGraph | None = None,
-    max_t: int | None = None,
-) -> ZagrebReport:
-    """Definition values plus the closed form matching the shape of n."""
-    g = graph if graph is not None else build_essential_graph(f, max_t)
+def compute_zagreb_report(g: IdealGraph) -> ZagrebReport:
+    """Definition values on the essential ideal graph g of Z_n, plus the closed form for n."""
+    f = g.factored
+    if g.kind != KIND_ESSENTIAL or f is None:
+        raise InputError(f"the Zagreb closed forms are for the essential ideal graph, not {g.kind}")
     m1_def, m2_def = zagreb_by_definition(g)
     published = None
     if f.k == 1:
@@ -232,7 +230,7 @@ def compute_zagreb_report(
     return ZagrebReport(
         n=f.n,
         k=f.k,
-        T=divisor_count(f) - 2,
+        T=g.order,
         m1_definition=m1_def,
         m2_definition=m2_def,
         m1_closed=m1_closed,

@@ -32,7 +32,7 @@ from eigraph import (
 )
 from eigraph.zagreb import squarefree_level_degree
 
-from conftest import composites, conjugate_check, index_blocks
+from conftest import composites, conjugate_check, index_blocks, partition_of
 
 
 def _report(number, ok, elapsed, target, detail=""):
@@ -116,7 +116,7 @@ def test_criterion_4_metric_dimension_exact_cases():
     f = factor(2700)
     g = build_essential_graph(f)
     lower = dim_lower_bound(distance_similar_partition(g))
-    witness_report = constructive_resolving_set(f)
+    witness_report = constructive_resolving_set(partition_of(f))
     if not (lower == witness_report.dim_value == 27 == dim_formula(f).dim_value):
         failures.append(
             f"n=2700: lower={lower} witness={witness_report.dim_value}"
@@ -137,7 +137,7 @@ def test_criterion_5_constructive_witnesses(factored_100k):
     start = time.time()
     failures = []
     for f in composites(factored_100k, 4, 2000, squarefree=False):
-        report = constructive_resolving_set(f)
+        report = constructive_resolving_set(partition_of(f))
         expected = dim_formula(f)
         if report.degenerate:
             # n = p^2 has a single vertex: dim 0 by convention, no witness
@@ -154,7 +154,7 @@ def test_criterion_5_constructive_witnesses(factored_100k):
     check = is_resolving(g, minimal)
     if not check.resolves:
         failures.append("n=30030: minimal ideals do not resolve")
-    cons = constructive_resolving_set(f)
+    cons = constructive_resolving_set(partition_of(f))
     if cons.dim_value != 6 or cons.is_exact:
         failures.append(f"n=30030: dim bound {cons.dim_value} exact={cons.is_exact}")
     _report(5, not failures, time.time() - start, 120, "; ".join(failures))

@@ -16,7 +16,6 @@ from eigraph import (
     build_aig,
     build_essential_graph,
     build_join_construction,
-    class_partition,
     compute_zagreb_report,
     constructive_resolving_set,
     factor,
@@ -99,14 +98,11 @@ def test_invalid_inputs_exit_1(capsys):
 
 
 # Every entry point that lists vertices: library calls taking (f, max_t), and
-# CLI argv with n inserted after the command.  class_partition(f) takes no
-# max_t, so only EIG_MAX_T reaches it.
+# CLI argv with n inserted after the command.
 _LISTING_LIBRARY = {
     "build_essential_graph": build_essential_graph,
     "build_aig": build_aig,
     "build_join_construction": build_join_construction,
-    "constructive_resolving_set": constructive_resolving_set,
-    "class_partition": lambda f, max_t: class_partition(f),
 }
 _LISTING_CLI = [
     "classes",
@@ -119,10 +115,7 @@ _LISTING_CLI = [
     "dim --method brute",
 ]
 _CAP_CASES = [
-    (entry, via)
-    for entry in [*_LISTING_LIBRARY, *_LISTING_CLI]
-    for via in ("max_t", "env")
-    if (entry, via) != ("class_partition", "max_t")
+    (entry, via) for entry in [*_LISTING_LIBRARY, *_LISTING_CLI] for via in ("max_t", "env")
 ]
 
 
@@ -334,7 +327,9 @@ def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
     digest = "4dd5366d69cb9754b57207410b2481f200a05737cbac56259dac33fd63c8ca2d"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     composite = [f for f in map(factor, range(200000, 200050)) if not f.is_prime()]
-    assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
+    assert out.splitlines()[1:] == [
+        compute_zagreb_report(build_essential_graph(f)).csv_row() for f in composite
+    ]
 
 
 def _no_factor(n):
@@ -381,7 +376,9 @@ def test_zagreb_exits_2_when_a_closed_form_disagrees(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "zagreb", "4", "40", "--format", "csv")
     assert (code, err) == (2, "")
     composite = [f for f in map(factor, range(4, 41)) if not f.is_prime()]
-    assert out.splitlines()[1:] == [compute_zagreb_report(f).csv_row() for f in composite]
+    assert out.splitlines()[1:] == [
+        compute_zagreb_report(build_essential_graph(f)).csv_row() for f in composite
+    ]
     flags = {int(line.split(",")[0]): line.split(",")[-1] for line in out.splitlines()[1:]}
     assert flags[12].startswith("m1_agree=false;m2_agree=true")
     assert flags[8].startswith("m1_agree=true")  # a prime power takes another form
@@ -550,35 +547,12 @@ def test_verify_rejects_a_range_with_no_composite(capsys):
     assert out.splitlines()[1:] == ["bounds: run=0 passed=0 failed=0", "result = PASS"]
 
 
-def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
-    import eigraph.graph
-
-    original = eigraph.graph.distance_similar_partition
-    calls = []
-
-    def counting(g):
-        calls.append(g.factored.n)
-        return original(g)
-
-    for name, module in list(sys.modules.items()):
-        if name == "eigraph" or name.startswith("eigraph."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    assert run_verify(4, 100).passed
-    composite = [n for n in range(4, 101) if not factor(n).is_prime()]
-    assert len(composite) == 74
-    assert calls == composite
-
-
-def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
-    import eigraph.ideals
-
-    original = eigraph.ideals.class_partition
+def _calls_during_verify(monkeypatch, original, n_of) -> list[int]:
+    """The n of each call to `original`, under any eigraph alias, in run_verify(4, 100)."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0].n)
+        calls.append(n_of(args[0]))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -587,9 +561,32 @@ def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     assert run_verify(4, 100).passed
-    # Per n: the essential graph's own (verify and zagreb share it), the join
-    # reference's and, where verify runs it, the certificate's; 212 before sharing.
-    assert len(calls) == 183
+    return calls
+
+
+def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
+    import eigraph.graph
+
+    original = eigraph.graph.distance_similar_partition
+    calls = _calls_during_verify(monkeypatch, original, lambda g: g.factored.n)
+    composite = [n for n in range(4, 101) if not factor(n).is_prime()]
+    assert len(composite) == 74
+    assert calls == composite
+
+
+def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
+    calls = _calls_during_verify(monkeypatch, eigraph.ideals.class_partition, lambda f: f.n)
+    # Per n: the essential graph's own (verify, zagreb and the certificate
+    # share it) and the join reference's; 212 before sharing, 183 while the
+    # certificate partitioned on its own.
+    assert len(calls) == 148
+
+
+def test_verify_lists_the_vertices_once_per_graph(monkeypatch):
+    calls = _calls_during_verify(monkeypatch, eigraph.ideals.enumerate_vertices, lambda f: f.n)
+    # Per n: the essential graph, the join reference and, unless T = 1, the
+    # AIG; 253 while the certificate listed them again.
+    assert len(calls) == 218
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):
@@ -678,7 +675,7 @@ def test_json_writer_on_real_payloads():
             to_json_dict(ess),
             to_json_dict(build_aig(f)),
             distances,
-            constructive_resolving_set(f).to_json_dict(),
+            constructive_resolving_set(ess.classes).to_json_dict(),
         ):
             assert _json_text(payload) == json.dumps(payload, indent=2), n
 

@@ -162,7 +162,7 @@ def test_graph_keeps_its_class_partition(monkeypatch):
     calls = []
     original = graph_module.class_partition
 
-    def counting(f, vertices=None):
+    def counting(f, vertices):
         calls.append(f.n)
         return original(f, vertices)
 
@@ -172,6 +172,7 @@ def test_graph_keeps_its_class_partition(monkeypatch):
         for g in (build_essential_graph(f), build_aig(f)):
             part = g.classes
             assert g.classes is part
+            assert part.vertices is g.vertices and part.T == g.order
             assert part == original(f, list(g.vertices))
     assert calls == [12, 12, 30, 30, 360, 360, 2700, 2700]
     with pytest.raises(InputError):

@@ -21,7 +21,7 @@ from eigraph import (
 )
 from eigraph.ideals import class_mask_order, intersects_every_ideal, subset_sums
 
-from conftest import composites
+from conftest import composites, partition_of
 
 
 def test_enumerate_vertices_examples():
@@ -90,7 +90,7 @@ def test_mixed_rings_rejected():
 
 def test_class_partition_examples():
     f12 = factor(12)
-    part = class_partition(f12)
+    part = partition_of(f12)
     assert [v.d for v in part.essential_class] == [2]
     assert part.m == 1 and part.T == 4
     assert [v.d for v in part.classes[0b01]] == [4]
@@ -98,11 +98,11 @@ def test_class_partition_examples():
     # n = p^a*q: the class {4} merges with X = {2}
     assert [[v.d for v in b] for b in part.similarity_blocks()] == [[2, 4], [3, 6]]
 
-    part = class_partition(factor(2700))
+    part = partition_of(factor(2700))
     assert part.m == 11
     assert [part.class_size(mask) for mask in part.class_masks()] == [6, 4, 6, 2, 3, 2]
 
-    part = class_partition(factor(30))
+    part = partition_of(factor(30))
     assert part.m == 0
     assert all(part.class_size(mask) == 1 for mask in part.class_masks())
     assert len(part.class_masks()) == 6
@@ -112,7 +112,7 @@ def test_class_partition_examples():
 
 def test_class_partition_size_invariants(factored_100k):
     for f in composites(factored_100k, 4, 3000):
-        part = class_partition(f)
+        part = partition_of(f)
         assert part.m == math.prod(f.exponents) - 1
         total = part.m
         for mask in part.class_masks():
@@ -133,7 +133,7 @@ def test_canonical_representative():
     f2700 = factor(2700)
     assert canonical_representative(f2700, 0).d == 2 * 9 * 5  # one below every exponent
     assert canonical_representative(f2700, 0b001).d == 4 * 9 * 5
-    part = class_partition(f2700)
+    part = partition_of(f2700)
     for mask in part.class_masks():
         rep = canonical_representative(f2700, mask)
         assert rep.xi_mask == mask
@@ -175,7 +175,7 @@ def test_class_degree_matches_the_per_class_scan(factored_100k):
     # Every composite n <= 10^4, the two large-T n of the benchmark, k = 12 and k = 13.
     large = (1321091265351, 203903066266900, 14841476269620, 608500527054420)
     for f in [*composites(factored_100k, 4, 10_000), *map(factor, large)]:
-        part = class_partition(f)
+        part = partition_of(f)
         for mask in part.class_masks():
             assert part.class_degree(mask) == _class_degree_by_scan(part, mask), (f.n, mask)
     assert [factor(n).k for n in large[2:]] == [12, 13]

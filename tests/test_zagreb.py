@@ -5,9 +5,9 @@ import pytest
 
 from eigraph import (
     InputError,
+    build_aig,
     build_essential_graph,
     build_field_product_model,
-    class_partition,
     compute_zagreb_report,
     factor,
     zagreb_by_definition,
@@ -23,7 +23,7 @@ from eigraph.zagreb import (
     squarefree_within_level_sum,
 )
 
-from conftest import composites
+from conftest import composites, partition_of
 
 
 def graph_of(n):
@@ -121,22 +121,22 @@ def test_level_partition_degree_law():
 
 def test_general_closed_examples():
     f2700 = factor(2700)
-    part = class_partition(f2700)
+    part = partition_of(f2700)
     assert zagreb_general_closed(part) == (22862, 300666)
 
     f36 = factor(36)
-    m1, m2 = zagreb_general_closed(class_partition(f36))
+    m1, m2 = zagreb_general_closed(partition_of(f36))
     assert m1 == 208
     assert (m1, m2) == zagreb_by_definition(graph_of(36))
 
     with pytest.raises(InputError):
-        zagreb_general_closed(class_partition(factor(30)))
+        zagreb_general_closed(partition_of(factor(30)))
 
 
 def test_two_prime_corollary_wraps_general():
     for n in (36, 24, 12, 72, 675, 50):
         f = factor(n)
-        assert zagreb_two_prime(f) == zagreb_general_closed(class_partition(f))
+        assert zagreb_two_prime(f) == zagreb_general_closed(partition_of(f))
         assert zagreb_two_prime(f) == zagreb_by_definition(graph_of(n))
     with pytest.raises(InputError):
         zagreb_two_prime(factor(30))
@@ -146,7 +146,7 @@ def test_two_prime_corollary_wraps_general():
 
 def test_general_closed_matches_definition_sweep(factored_100k):
     for f in composites(factored_100k, 4, 2000, squarefree=False):
-        part = class_partition(f)
+        part = partition_of(f)
         assert zagreb_general_closed(part) == zagreb_by_definition(
             build_essential_graph(f)
         ), f.n
@@ -160,13 +160,13 @@ def test_general_closed_matches_definition_at_k12_and_k13():
 
 
 def test_report_flags_and_schema():
-    report = compute_zagreb_report(factor(30))
+    report = compute_zagreb_report(graph_of(30))
     assert report.m1_agrees and report.m2_agrees
     assert report.m2_paper_convention == 63
     assert report.paper_convention_differs
     jsonschema.validate(report.to_json_dict(), ZAGREB_JSON_SCHEMA)
 
-    report = compute_zagreb_report(factor(2700))
+    report = compute_zagreb_report(graph_of(2700))
     assert report.m1_agrees and report.m2_agrees
     assert report.m2_paper_convention is None
     assert report.paper_convention_differs is None
@@ -185,6 +185,14 @@ def test_report_flags_and_schema():
     ]
 
 
+def test_report_refuses_graphs_other_than_the_essential_graph():
+    # The closed forms are the essential graph's: an AIG has other degrees,
+    # and the field-product model has no n to take a closed form of.
+    for g in (build_aig(factor(2700)), build_aig(factor(30)), build_field_product_model(3)):
+        with pytest.raises(InputError, match="essential ideal graph, not " + g.kind):
+            compute_zagreb_report(g)
+
+
 def test_m2_zero_iff_edgeless(factored_100k):
     for f in composites(factored_100k, 4, 400):
         g = build_essential_graph(f)
@@ -195,8 +203,8 @@ def test_m2_zero_iff_edgeless(factored_100k):
 
 def test_indices_nonnegative_and_consistent(factored_100k):
     for f in composites(factored_100k, 4, 300):
-        report = compute_zagreb_report(f)
+        g = build_essential_graph(f)
+        report = compute_zagreb_report(g)
         assert report.m1_definition >= 0 and report.m2_definition >= 0
         assert report.m1_agrees and report.m2_agrees
-        g = build_essential_graph(f)
         assert report.m1_definition == sum(d * d for d in g.degrees)
