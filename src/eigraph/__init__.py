@@ -41,7 +41,6 @@ from .graph import (
 from .ideals import (
     ClassPartition,
     Ideal,
-    canonical_representative,
     class_partition,
     enumerate_vertices,
     gcd_lemma_check,
@@ -99,7 +98,6 @@ __all__ = [
     "to_json_dict",
     "ClassPartition",
     "Ideal",
-    "canonical_representative",
     "class_partition",
     "enumerate_vertices",
     "gcd_lemma_check",

@@ -175,7 +175,7 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     part = g.classes
     sizes = " ".join(
-        f"{_mask_label(mask)}:{part.class_size(mask)}" for mask in part.class_masks()
+        f"{_mask_label(mask)}:{len(part.members[mask])}" for mask in part.class_masks()
     )
     lines = [
         f"n = {f.n}",
@@ -194,6 +194,7 @@ def cmd_graph(args) -> int:
 def cmd_classes(args) -> int:
     f = factor(args.n)
     part = class_partition(f, enumerate_vertices(f, args.max_t))
+    verts = part.vertices
     if args.format == "json":
         payload = {
             "n": f.n,
@@ -201,12 +202,12 @@ def cmd_classes(args) -> int:
             "k": f.k,
             "T": part.T,
             "m": part.m,
-            "essential": [v.d for v in part.essential_class],
+            "essential": [verts[i].d for i in part.members[0]],
             "classes": [
                 {
                     "xi": list(mask_indices(mask)),
-                    "size": part.class_size(mask),
-                    "members": [v.d for v in part.classes[mask]],
+                    "size": len(part.members[mask]),
+                    "members": [verts[i].d for i in part.members[mask]],
                 }
                 for mask in part.class_masks()
             ],
@@ -217,10 +218,10 @@ def cmd_classes(args) -> int:
         f"n = {f.n}",
         f"T = {part.T}",
         f"m = {part.m}",
-        "X = " + " ".join(str(v.d) for v in part.essential_class),
+        "X = " + " ".join(str(verts[i].d) for i in part.members[0]),
     ]
     for mask in part.class_masks():
-        members = " ".join(str(v.d) for v in part.classes[mask])
+        members = " ".join(str(verts[i].d) for i in part.members[mask])
         lines.append(f"X_{_mask_label(mask)} = {members}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK

@@ -165,12 +165,7 @@ def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> Ide
     """
     verts = enumerate_vertices(f, max_t)
     part = class_partition(f, verts)
-    bit_of = {v.d: 1 << i for i, v in enumerate(verts)}
-    class_bits = {}
-    for mask, members in [(0, part.essential_class), *part.classes.items()]:
-        class_bits[mask] = 0
-        for v in members:
-            class_bits[mask] |= bit_of[v.d]
+    class_bits = {mask: sum(1 << i for i in block) for mask, block in part.members.items()}
     x_bits = class_bits.pop(0)
     joined = {0: (1 << len(verts)) - 1}
     for a in class_bits:
@@ -178,7 +173,7 @@ def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> Ide
         for b, b_bits in class_bits.items():
             if not a & b:
                 joined[a] |= b_bits
-    rows = [joined[v.xi_mask] & ~bit_of[v.d] for v in verts]
+    rows = [joined[v.xi_mask] & ~(1 << i) for i, v in enumerate(verts)]
     return _finish(KIND_ESSENTIAL, f, verts, rows)
 
 

@@ -5,7 +5,9 @@ generator d over the prime factorization of n.  The set of indices where
 the generator carries the full exponent of n (stored as a bitmask) drives
 every adjacency, class, and resolving-set computation downstream: two
 vertices are adjacent in the essential ideal graph exactly when those
-index sets are disjoint.
+index sets are disjoint.  The class partition groups the indices of the
+vertex list by mask, with the essential class X at mask 0: the format of
+the graph's distance-similar blocks.
 """
 
 from __future__ import annotations
@@ -166,19 +168,22 @@ def class_mask_order(k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Vertices grouped by full-exponent index set.
+    """Vertex indices grouped by full-exponent index set.
 
     vertices is the ordered vertex list the partition was built from;
-    essential_class holds the ideals with empty index set; classes maps each
-    nonempty proper bitmask to its ideals.  m = prod(m_i) - 1 counts the
-    essential vertices and T is the total vertex count.
+    members maps each proper bitmask to the ascending indices of its
+    vertices: the essential class X at mask 0 first, then the classes in
+    class_mask_order.  m = prod(m_i) - 1 counts the essential vertices and
+    T is the total vertex count.
     """
 
     modulus: FactoredInteger
     vertices: tuple[Ideal, ...]
-    essential_class: tuple[Ideal, ...]
-    classes: dict[int, tuple[Ideal, ...]]
-    m: int
+    members: dict[int, tuple[int, ...]]
+
+    @property
+    def m(self) -> int:
+        return len(self.members[0])
 
     @property
     def T(self) -> int:
@@ -187,14 +192,12 @@ class ClassPartition:
     def class_masks(self) -> list[int]:
         return class_mask_order(self.modulus.k)
 
-    def class_size(self, mask: int) -> int:
-        return len(self.classes[mask])
-
     @cached_property
     def _degree_table(self) -> list[int]:
-        # subset_sums of the class sizes, with the essential class X at mask 0
+        # subset_sums of the class sizes indexed by mask value; members
+        # iterates in canonical order, not mask order
         full = (1 << self.modulus.k) - 1
-        sizes = [self.m] + [len(self.classes[s]) for s in range(1, full)] + [0]
+        sizes = [len(self.members[s]) for s in range(full)] + [0]
         return subset_sums(sizes, self.modulus.k)
 
     def class_degree(self, mask: int) -> int:
@@ -202,11 +205,7 @@ class ClassPartition:
         full = (1 << self.modulus.k) - 1
         return self._degree_table[full ^ mask]
 
-    def blocks_in_order(self) -> list[tuple[Ideal, ...]]:
-        """The essential class followed by the classes in canonical order."""
-        return [self.essential_class] + [self.classes[m] for m in self.class_masks()]
-
-    def similarity_blocks(self) -> list[tuple[Ideal, ...]]:
+    def similarity_blocks(self) -> list[tuple[int, ...]]:
         """Distance-similar blocks of the essential ideal graph, essential block first.
 
         Every class is a block, except for n = p^a * q (a >= 2): there the
@@ -217,13 +216,12 @@ class ClassPartition:
         """
         if self.m == 0:
             raise InputError("no essential vertices: squarefree n has no class law")
-        blocks = self.blocks_in_order()
+        blocks = dict(self.members)
         exps = self.modulus.exponents
         if self.modulus.k == 2 and min(exps) == 1:
-            # blocks_in_order lists X, then the classes of masks {1} and {2}
-            heavy = 1 if exps[0] > 1 else 2
-            blocks[0] += blocks.pop(heavy)
-        return blocks
+            heavy = 1 if exps[0] > 1 else 2  # the mask {p} of p^a
+            blocks[0] = tuple(sorted(blocks[0] + blocks.pop(heavy)))
+        return list(blocks.values())
 
     def mask_distance(self, a: int, b: int) -> int:
         """Distance in the essential ideal graph between two distinct vertices with masks a and b.
@@ -244,37 +242,16 @@ def class_partition(
     f: FactoredInteger, vertices: list[Ideal] | tuple[Ideal, ...]
 ) -> ClassPartition:
     """Partition the vertex list of enumerate_vertices(f) by full-exponent index mask."""
-    essential = tuple(v for v in vertices if v.xi_mask == 0)
-    classes: dict[int, list[Ideal]] = {mask: [] for mask in class_mask_order(f.k)}
-    for v in vertices:
-        if v.xi_mask:
-            classes[v.xi_mask].append(v)
-    frozen = {mask: tuple(members) for mask, members in classes.items()}
+    members: dict[int, list[int]] = {mask: [] for mask in [0, *class_mask_order(f.k)]}
+    for i, v in enumerate(vertices):
+        members[v.xi_mask].append(i)
     expected_m = math.prod(f.exponents) - 1
-    if len(essential) != expected_m:
+    if len(members[0]) != expected_m:
         raise InconsistencyError(
-            f"{len(essential)} essential vertices for n = {f.n}, expected {expected_m}"
+            f"{len(members[0])} essential vertices for n = {f.n}, expected {expected_m}"
         )
-    return ClassPartition(f, tuple(vertices), essential, frozen, len(essential))
-
-
-def canonical_representative(f: FactoredInteger, mask: int) -> Ideal:
-    """The class member with exponent m_i on the mask and m_i - 1 elsewhere.
-
-    For the essential class (mask 0) this requires some m_i > 1, otherwise
-    the class is empty and there is nothing to represent.
-    """
-    if mask < 0 or mask >= (1 << f.k) - 1:
-        raise InputError(f"mask {mask} is not a proper subset of the {f.k} prime indices")
-    exps = []
-    for i, m in enumerate(f.exponents):
-        if mask >> i & 1:
-            exps.append(m)
-        else:
-            exps.append(m - 1)
-    if mask == 0 and all(r == 0 for r in exps):
-        raise InputError("the essential class is empty for squarefree n")
-    return ideal_from_exponents(f, exps)
+    frozen = {mask: tuple(indices) for mask, indices in members.items()}
+    return ClassPartition(f, tuple(vertices), frozen)
 
 
 def gcd_lemma_check(n: int, d1: int, d2: int) -> bool:

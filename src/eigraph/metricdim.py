@@ -2,8 +2,8 @@
 
 Three routes are provided and cross-checked: a closed-form case analysis
 on the factorization shape, a search-free certificate for every
-composite n (the minimal ideals for squarefree n, one representative
-dropped per class otherwise), and an exact search.  The search rests on
+composite n (the minimal ideals for squarefree n, every class less its
+top otherwise), and an exact search.  The search rests on
 the twin argument: the vertices of a distance-similar block are pairwise
 twins, a transposition of two twins is a graph automorphism, so a
 resolving set keeps all but at most one vertex of each block and whether
@@ -17,10 +17,12 @@ exponential in the number of blocks.  The certificate builds no graph
 and lists no vertex: it takes a class partition, and the distance between
 two vertices depends only on their full-exponent masks
 (ClassPartition.mask_distance), so its witness is checked on that
-partition.  The search builds no T x T distance matrix; it reads
-BFS rows of the block tops only.  Every witness the
-module hands out is re-verified before it is reported, and is_resolving
-on BFS rows stays the oracle for both.
+partition.  Both routes drop a block's top, its largest vertex index:
+the class partition and the distance-similar partition hold index blocks
+in one format, and dim_lower_bound reads either.  The search builds no
+T x T distance matrix; it reads BFS rows of the block tops only.  Every
+witness the module hands out is re-verified before it is reported, and
+is_resolving on BFS rows stays the oracle for both.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from math import comb
 
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
-from .graph import DistanceSimilarPartition, IdealGraph, bfs_row, vertex_key
-from .ideals import ClassPartition, canonical_representative
+from .graph import IdealGraph, bfs_row, vertex_key
+from .ideals import ClassPartition
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -156,16 +158,17 @@ def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
     return ResolvingCheck(collision is None, reps, collision)
 
 
-def dim_lower_bound(partition: DistanceSimilarPartition) -> int:
+def dim_lower_bound(blocks) -> int:
     """Vertex count minus block count, floored at 1 for graphs of order >= 2.
 
-    Any resolving set keeps all but at most one vertex of each
-    distance-similar block, so this bounds the dimension from below.
+    blocks is a sequence of distance-similar blocks of vertex indices.  Any
+    resolving set keeps all but at most one vertex of each block, so this
+    bounds the dimension from below.
     """
-    t = sum(len(b) for b in partition.blocks)
+    t = sum(map(len, blocks))
     if t <= 1:
         return 0
-    return max(t - len(partition.blocks), 1)
+    return max(t - len(blocks), 1)
 
 
 def finiteness_bound_check(dim_value: int, t: int) -> bool:
@@ -212,8 +215,8 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
-    partition = g.distance_similar
-    tops = sorted(max(b) for b in partition.blocks)
+    blocks = g.distance_similar.blocks
+    tops = sorted(max(b) for b in blocks)
     top_set = set(tops)
     # Only the dropped tops are compared, so only their rows are needed.
     distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
@@ -247,7 +250,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
                 return [pos] + found
         return None
 
-    lower = dim_lower_bound(partition)
+    lower = dim_lower_bound(blocks)
     spent = 0
     for s in range(lower, t):
         r = s - len(fixed)
@@ -297,21 +300,20 @@ def dim_formula(f: FactoredInteger) -> DimReport:
 
 
 def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
-    # Squarefree n: the minimal ideals <n/p_i>, less the largest <n/p_1> for
-    # k <= 4.  Otherwise one vertex is dropped from every class, namely the
-    # representative with exponent m_i on the class mask and m_i - 1 elsewhere;
-    # when exactly one exponent exceeds 1 the dropped singleton <p^m> is
-    # appended back at the end.
+    # Vertex indices.  Squarefree n: the minimal ideals <n/p_i>, each alone
+    # in the class of every prime but p_i, less the largest <n/p_1> for k <= 4.
+    # Otherwise every class drops its top, its largest index: the vertices
+    # ascend by generator, so the top has exponent m_i on the class mask and
+    # m_i - 1 elsewhere.  When exactly one exponent exceeds 1 the dropped
+    # singleton <p^m> is appended back at the end.
     if f.is_squarefree():
-        minimal = sorted(f.n // p for p in f.primes)
+        full = (1 << f.k) - 1
+        minimal = sorted(part.members[full ^ (1 << i)][0] for i in range(f.k))
         return minimal[:-1] if f.k <= 4 else minimal
-    witness: list[int] = []
-    for mask, block in zip([0] + part.class_masks(), part.blocks_in_order()):
-        rep = canonical_representative(f, mask)
-        witness.extend(v.d for v in block if v.d != rep.d)
+    witness = [i for block in part.members.values() for i in block[:-1]]
     heavy = [i for i, m in enumerate(f.exponents) if m > 1]
     if f.k >= 2 and len(heavy) == 1:
-        witness.append(canonical_representative(f, 1 << heavy[0]).d)
+        witness.append(part.members[1 << heavy[0]][-1])
     return witness
 
 
@@ -328,15 +330,14 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
     f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
-    witness = _witness_rule(f, part)
-    in_w = set(witness)
-    mask_of = {v.d: v.xi_mask for v in verts}
-    w_masks = [mask_of[d] for d in witness]
+    w_idx = _witness_rule(f, part)
+    in_w = set(w_idx)
+    w_masks = [verts[i].xi_mask for i in w_idx]
     distinct = set(w_masks)
     codes: dict[int, tuple[int, ...]] = {}
     reps = {}
-    for v in verts:
-        if v.d in in_w:
+    for i, v in enumerate(verts):
+        if i in in_w:
             continue
         a = v.xi_mask
         if a not in codes:
@@ -345,7 +346,8 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
         reps[v.d] = codes[a]
     if len(set(reps.values())) != len(reps):
         raise InconsistencyError(f"constructed witness for n = {f.n} does not resolve")
-    lower = 1 if f.is_squarefree() else max(t - len(part.similarity_blocks()), 1)
+    lower = dim_lower_bound(part.similarity_blocks()) if part.m else 1
+    witness = tuple(verts[i].d for i in w_idx)
     expected = dim_formula(f)
     if expected.is_exact and len(witness) != expected.dim_value:
         raise InconsistencyError(
@@ -353,5 +355,5 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
             f"closed form gives {expected.dim_value}"
         )
     return DimReport(
-        f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, tuple(witness), reps
+        f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, witness, reps
     )

@@ -106,7 +106,7 @@ def zagreb_general_closed(partition: ClassPartition) -> tuple[int, int]:
     m1 = m * (t - 1) ** 2
     for a in partition.class_masks():
         degree = partition.class_degree(a)
-        w[a] = partition.class_size(a) * degree
+        w[a] = len(partition.members[a]) * degree
         m1 += w[a] * degree
     disjoint_w = subset_sums(w, partition.modulus.k)
     cross = sum(wa * disjoint_w[full ^ a] for a, wa in enumerate(w))

@@ -31,11 +31,6 @@ def partition_of(f):
     return class_partition(f, enumerate_vertices(f))
 
 
-def index_blocks(g, blocks):
-    """Blocks of ideals as a set of frozensets of vertex indices of g."""
-    return {frozenset(g.index_of(v.d) for v in b) for b in blocks}
-
-
 def conjugate_check(f):
     """Divisor-conjugate check on freshly built essential graph and AIG of f."""
     return check_divisor_conjugate_iso(build_essential_graph(f), build_aig(f))

@@ -32,7 +32,7 @@ from eigraph import (
 )
 from eigraph.zagreb import squarefree_level_degree
 
-from conftest import composites, conjugate_check, index_blocks, partition_of
+from conftest import composites, conjugate_check, partition_of
 
 
 def _report(number, ok, elapsed, target, detail=""):
@@ -64,15 +64,13 @@ def test_criterion_2_general_zagreb_2700():
     failures = []
     if part.T != 34 or part.m != 11:
         failures.append(f"T={part.T} m={part.m}")
-    sizes = [part.class_size(mask) for mask in part.class_masks()]
+    sizes = [len(part.members[mask]) for mask in part.class_masks()]
     if sizes != [6, 4, 6, 2, 3, 2]:
         failures.append(f"sizes={sizes}")
     degrees = [part.class_degree(mask) for mask in part.class_masks()]
     if degrees != [23, 26, 23, 17, 15, 17]:
         failures.append(f"degrees={degrees}")
-    counted = [
-        g.degrees[g.index_of(part.classes[mask][0].d)] for mask in part.class_masks()
-    ]
+    counted = [g.degrees[part.members[mask][0]] for mask in part.class_masks()]
     if counted != degrees:
         failures.append(f"counted degrees={counted}")
     definition = zagreb_by_definition(g)
@@ -115,7 +113,7 @@ def test_criterion_4_metric_dimension_exact_cases():
     # n=2700 is certified: partition lower bound meets the constructive witness
     f = factor(2700)
     g = build_essential_graph(f)
-    lower = dim_lower_bound(distance_similar_partition(g))
+    lower = dim_lower_bound(distance_similar_partition(g).blocks)
     witness_report = constructive_resolving_set(partition_of(f))
     if not (lower == witness_report.dim_value == 27 == dim_formula(f).dim_value):
         failures.append(
@@ -208,12 +206,12 @@ def test_criterion_7_structure(factored_100k):
             join_failures.append(f.n)
             continue
         part = class_partition(f, list(g.vertices))
-        actual = {frozenset(b) for b in distance_similar_partition(g).blocks}
+        actual = list(distance_similar_partition(g).blocks)
         if f.k == 2 and min(f.exponents) == 1:  # n = p^a*q, a >= 2 in this sweep
             merge_values.append(f.n)
-        if actual != index_blocks(g, part.blocks_in_order()):
+        if actual != sorted(part.members.values()):
             literal_failures.append(f.n)
-        expected = index_blocks(g, part.similarity_blocks())
+        expected = sorted(part.similarity_blocks())
         if actual != expected and not partition_failures:
             partition_failures.append(
                 f"n={f.n}: blocks {sorted(sorted(g.vertices[i].d for i in b) for b in actual)}"
@@ -317,12 +315,10 @@ def test_criterion_9_property_suite(factored_100k):
             part = class_partition(f, list(g.vertices))
             for mask in part.class_masks():
                 want = part.class_degree(mask)
-                if any(g.degrees[g.index_of(v.d)] != want for v in part.classes[mask]):
+                if any(g.degrees[i] != want for i in part.members[mask]):
                     failures.append(f"class degree law fails at n={f.n}")
                     break
-            if any(
-                g.degrees[g.index_of(v.d)] != part.T - 1 for v in part.essential_class
-            ):
+            if any(g.degrees[i] != part.T - 1 for i in part.members[0]):
                 failures.append(f"essential degree law fails at n={f.n}")
             if failures:
                 break
@@ -355,16 +351,14 @@ def test_criterion_7_corrected_structure_law(factored_100k):
     for f in composites(factored_100k, 4, 10_000, squarefree=False):
         g = build_essential_graph(f)
         part = class_partition(f, list(g.vertices))
-        actual = {frozenset(b) for b in distance_similar_partition(g).blocks}
-        if actual != index_blocks(g, part.similarity_blocks()):
+        if list(distance_similar_partition(g).blocks) != sorted(part.similarity_blocks()):
             ok = False
             detail = f"corrected law fails at n={f.n}"
             break
         rows = g.adjacency
-        for block in part.blocks_in_order():
-            idx = sorted(g.index_of(v.d) for v in block)
-            for a_pos, i in enumerate(idx):
-                for j in idx[a_pos + 1 :]:
+        for block in part.members.values():
+            for a_pos, i in enumerate(block):
+                for j in block[a_pos + 1 :]:
                     if (rows[i] ^ rows[j]) & ~((1 << i) | (1 << j)):
                         ok = False
                         detail = f"class not internally similar at n={f.n}"

@@ -430,6 +430,14 @@ def test_verify_iso_category(capsys):
     assert "result = PASS" in out
 
 
+def test_verify_iso_checks_the_field_product_model_past_k10():
+    # k = 11 (T = 2046) and k = 12 (T = 4094): the row comparison builds no
+    # model, so squarefree n of every k gets the embedding result
+    for n in (200560490130, 7420738134810):
+        summary = run_verify(n, n, checks=("iso",))
+        assert summary.categories == {"iso": (2, 2)}, n
+
+
 def test_dim_budget_counts_choices_of_blocks(capsys):
     # n = 3000000 (T = 96, 7 blocks): the lower bound 89 drops a vertex from
     # every block, one choice of blocks; counting the dropped member of each

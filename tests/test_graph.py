@@ -29,7 +29,7 @@ from eigraph import (
 from eigraph import graph as graph_module
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import composites, conjugate_check, index_blocks
+from conftest import composites, conjugate_check
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -385,8 +385,20 @@ def test_distance_similar_blocks_vs_classes(factored_100k):
     for f in composites(factored_100k, 4, 2000, squarefree=False):
         g = build_essential_graph(f)
         part = class_partition(f, list(g.vertices))
-        actual = {frozenset(b) for b in distance_similar_partition(g).blocks}
-        assert actual == index_blocks(g, part.similarity_blocks()), f.n
+        actual = list(distance_similar_partition(g).blocks)
+        assert actual == sorted(part.similarity_blocks()), f.n
+
+
+def test_class_and_distance_similar_partitions_share_a_format(factored_100k):
+    # Both partitions of one graph hold ascending tuples of vertex indices,
+    # so the class law is compared block for block, without translation.
+    for f in composites(factored_100k, 4, 3000, squarefree=False):
+        g = build_essential_graph(f)
+        blocks = g.classes.similarity_blocks()
+        for block in [*blocks, *g.distance_similar.blocks]:
+            assert type(block) is tuple and list(block) == sorted(set(block)), f.n
+            assert all(type(i) is int for i in block), f.n
+        assert sorted(blocks) == list(g.distance_similar.blocks), f.n
 
 
 def test_join_construction_equals_direct(factored_100k):
@@ -533,7 +545,7 @@ def test_essential_vertices_universal(factored_100k):
                 assert g.degrees[i] == t - 1
             elif g.degrees[i] == t - 1:
                 part = class_partition(f, list(g.vertices))
-                assert f.k == 2 and part.class_size(v.xi_mask) == 1
+                assert f.k == 2 and part.members[v.xi_mask] == (i,)
 
 
 def test_class_degree_law(factored_100k):
@@ -542,8 +554,8 @@ def test_class_degree_law(factored_100k):
         part = class_partition(f, list(g.vertices))
         for mask in part.class_masks():
             want = part.class_degree(mask)
-            for v in part.classes[mask]:
-                assert g.degrees[g.index_of(v.d)] == want
+            for i in part.members[mask]:
+                assert g.degrees[i] == want
 
 
 @given(composite_n)

@@ -8,7 +8,6 @@ import eigraph.ideals
 from eigraph import (
     InconsistencyError,
     InputError,
-    canonical_representative,
     class_partition,
     enumerate_vertices,
     factor,
@@ -91,20 +90,22 @@ def test_mixed_rings_rejected():
 def test_class_partition_examples():
     f12 = factor(12)
     part = partition_of(f12)
-    assert [v.d for v in part.essential_class] == [2]
+    # vertices 2, 3, 4, 6 at indices 0..3; X = {2} at mask 0 comes first
+    assert part.members == {0: (0,), 0b01: (2,), 0b10: (1, 3)}
+    assert list(part.members) == [0, 0b01, 0b10]
     assert part.m == 1 and part.T == 4
-    assert [v.d for v in part.classes[0b01]] == [4]
-    assert [v.d for v in part.classes[0b10]] == [3, 6]
-    # n = p^a*q: the class {4} merges with X = {2}
-    assert [[v.d for v in b] for b in part.similarity_blocks()] == [[2, 4], [3, 6]]
+    # n = p^a*q: the class {4} merges with X = {2}, and the block stays sorted
+    assert part.similarity_blocks() == [(0, 2), (1, 3)]
 
     part = partition_of(factor(2700))
     assert part.m == 11
-    assert [part.class_size(mask) for mask in part.class_masks()] == [6, 4, 6, 2, 3, 2]
+    assert list(part.members) == [0, *part.class_masks()]
+    assert [len(part.members[mask]) for mask in part.class_masks()] == [6, 4, 6, 2, 3, 2]
+    assert [part.vertices[i].d for i in part.members[0b110]] == [675, 1350]
 
     part = partition_of(factor(30))
-    assert part.m == 0
-    assert all(part.class_size(mask) == 1 for mask in part.class_masks())
+    assert part.m == 0 and part.members[0] == ()
+    assert all(len(part.members[mask]) == 1 for mask in part.class_masks())
     assert len(part.class_masks()) == 6
     with pytest.raises(InputError):
         part.similarity_blocks()
@@ -119,9 +120,15 @@ def test_class_partition_size_invariants(factored_100k):
             want = math.prod(
                 m for i, m in enumerate(f.exponents) if not mask >> i & 1
             )
-            assert part.class_size(mask) == want
-            total += part.class_size(mask)
+            assert len(part.members[mask]) == want
+            total += len(part.members[mask])
         assert total == part.T
+        # every index once, each block ascending and holding its mask
+        flat = [i for block in part.members.values() for i in block]
+        assert sorted(flat) == list(range(part.T)), f.n
+        for mask, block in part.members.items():
+            assert list(block) == sorted(block), f.n
+            assert all(part.vertices[i].xi_mask == mask for i in block), f.n
 
 
 def test_class_mask_order_matches_subset_listing():
@@ -129,17 +136,22 @@ def test_class_mask_order_matches_subset_listing():
     assert class_mask_order(3) == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
 
 
-def test_canonical_representative():
-    f2700 = factor(2700)
-    assert canonical_representative(f2700, 0).d == 2 * 9 * 5  # one below every exponent
-    assert canonical_representative(f2700, 0b001).d == 4 * 9 * 5
-    part = partition_of(f2700)
-    for mask in part.class_masks():
-        rep = canonical_representative(f2700, mask)
-        assert rep.xi_mask == mask
-        assert rep.d in {v.d for v in part.classes[mask]}
-    with pytest.raises(InputError):
-        canonical_representative(factor(30), 0)
+def test_class_top_is_the_componentwise_largest_member(factored_100k):
+    # The certificate drops each class's top, its largest index: exponent m_i
+    # on the mask and m_i - 1 elsewhere, for every nonempty class.
+    part = partition_of(factor(2700))
+    assert part.vertices[part.members[0][-1]].d == 2 * 9 * 5  # one below every exponent
+    assert part.vertices[part.members[0b001][-1]].d == 4 * 9 * 5
+    tops = 0
+    for f in composites(factored_100k, 4, 10_000):
+        part = partition_of(f)
+        for mask, block in part.members.items():
+            if not block:
+                continue
+            want = tuple(m if mask >> i & 1 else m - 1 for i, m in enumerate(f.exponents))
+            assert part.vertices[block[-1]].exponents == want, (f.n, mask)
+            tops += 1
+    assert tops == 47_787
 
 
 def test_adjacency_characterizations_agree(factored_100k):
@@ -166,8 +178,8 @@ def _class_degree_by_scan(part, mask):
     # The former ClassPartition.class_degree: one scan over every class per mask.
     return part.m + sum(
         len(members)
-        for other, members in part.classes.items()
-        if other != mask and not other & mask
+        for other, members in part.members.items()
+        if other and not other & mask
     )
 
 

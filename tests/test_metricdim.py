@@ -92,7 +92,7 @@ def _member_product_search(g, budget=10_000_000):
             counts[j + 1] += counts[j] * size
     dist = all_pairs_distances(g)
     spent = 0
-    for s in range(dim_lower_bound(part), t):
+    for s in range(dim_lower_bound(part.blocks), t):
         e = t - s
         if e > len(blocks):
             continue
@@ -149,7 +149,7 @@ def _block_choice_scan(g, budget=10_000_000):
     top_set = set(tops)
     distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
     fixed = [i for i in range(t) if i not in top_set]
-    lower = dim_lower_bound(partition)
+    lower = dim_lower_bound(partition.blocks)
     spent = 0
     for s in range(lower, t):
         r = s - len(fixed)
@@ -316,7 +316,7 @@ def test_squarefree_certificate(factored_100k):
         rows = [bfs_row(g, s) for s in range(g.order)]
         check = is_resolving(g, report.witness, rows)
         assert check.resolves and check.representations == report.representations, f.n
-        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g)), f.n
+        assert report.lower_bound == dim_lower_bound(g.distance_similar.blocks), f.n
     for n in (6, 30, 210, 2310):  # one n per k = 2..5
         report = constructive_resolving_set(partition_of(factor(n)))
         assert report.dim_value == dim_bruteforce(graph_of(n)).dim_value, n
@@ -360,12 +360,12 @@ def test_constructive_sweep(factored_100k):
         check = is_resolving(g, report.witness)
         assert check.resolves, f.n
         assert check.representations == report.representations, f.n
-        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g)), f.n
+        assert report.lower_bound == dim_lower_bound(g.distance_similar.blocks), f.n
 
 
 def test_constructive_catches_a_bad_witness(monkeypatch):
-    # a witness rule that drops its last vertex fails the mask-law check,
-    # and BFS agrees that the shortened witness does not resolve
+    # a witness rule that drops its last vertex index fails the mask-law
+    # check, and BFS agrees that the shortened witness does not resolve
     import eigraph.metricdim as metricdim
 
     real = metricdim._witness_rule
@@ -374,15 +374,16 @@ def test_constructive_catches_a_bad_witness(monkeypatch):
         f = factor(n)
         with pytest.raises(InconsistencyError, match="does not resolve"):
             constructive_resolving_set(partition_of(f))
-        short = real(f, partition_of(f))[:-1]
+        part = partition_of(f)
+        short = [part.vertices[i].d for i in real(f, part)[:-1]]
         assert not is_resolving(build_essential_graph(f), short).resolves, n
 
 
 def test_dim_lower_bound_examples():
-    assert dim_lower_bound(distance_similar_partition(graph_of(2700))) == 27
-    assert dim_lower_bound(distance_similar_partition(graph_of(60))) == 3
-    assert dim_lower_bound(distance_similar_partition(graph_of(30))) == 1
-    assert dim_lower_bound(distance_similar_partition(graph_of(4))) == 0
+    assert dim_lower_bound(graph_of(2700).distance_similar.blocks) == 27
+    assert dim_lower_bound(graph_of(60).distance_similar.blocks) == 3
+    assert dim_lower_bound(graph_of(30).distance_similar.blocks) == 1
+    assert dim_lower_bound(graph_of(4).distance_similar.blocks) == 0
 
 
 def test_completeness_check():
