@@ -29,7 +29,6 @@ from .graph import (
     bfs_row,
     build_aig,
     build_essential_graph,
-    build_field_product_model,
     build_join_construction,
     check_divisor_conjugate_iso,
     check_field_product_iso,
@@ -88,7 +87,6 @@ __all__ = [
     "bfs_row",
     "build_aig",
     "build_essential_graph",
-    "build_field_product_model",
     "build_join_construction",
     "check_divisor_conjugate_iso",
     "check_field_product_iso",

@@ -16,7 +16,6 @@ from functools import cached_property
 from .errors import InputError
 
 MAX_N = 2**63
-MAX_DISTINCT_PRIMES = 20
 DEFAULT_MAX_VERTICES = 20000
 MAX_VERTICES_ENV = "EIG_MAX_T"
 
@@ -186,11 +185,7 @@ def resolve_max_vertices(max_t: int | None = None) -> int:
 
 
 def check_caps(f: FactoredInteger, max_t: int | None = None) -> None:
-    """Reject inputs whose graph would exceed the desk-scale caps."""
-    if f.k > MAX_DISTINCT_PRIMES:
-        raise InputError(
-            f"n = {f.n} has {f.k} distinct primes, cap is {MAX_DISTINCT_PRIMES}"
-        )
+    """Reject n whose graph would have more vertices than the cap."""
     cap = resolve_max_vertices(max_t)
     t = divisor_count(f) - 2
     if t > cap:

@@ -282,16 +282,13 @@ def cmd_zagreb(args) -> int:
     end = args.end if args.end is not None else args.n
     if end < args.n:
         raise InputError(f"range end {end} is below start {args.n}")
-    reports = []
     if end == args.n:
-        reports.append(compute_zagreb_report(build_essential_graph(factor(args.n), args.max_t)))
+        numbers = [factor(args.n)]  # a prime n is refused by the builder
     else:
-        for f in factor_window(args.n, end):
-            if f.is_prime():
-                continue
-            reports.append(compute_zagreb_report(build_essential_graph(f, args.max_t)))
-        if not reports:
-            raise no_composite_in(args.n, end)
+        numbers = (f for f in factor_window(args.n, end) if not f.is_prime())
+    reports = [compute_zagreb_report(build_essential_graph(f, args.max_t)) for f in numbers]
+    if not reports:
+        raise no_composite_in(args.n, end)
     if args.format == "csv":
         lines = [ZAGREB_CSV_HEADER] + [r.csv_row() for r in reports]
         _emit("\n".join(lines), args.output)

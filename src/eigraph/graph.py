@@ -1,10 +1,13 @@
 """Graph construction and structural analysis.
 
 Builds the essential ideal graph and the annihilating ideal graph of Z_n
-over the canonical (ascending generator) vertex order, plus the abstract
-field-product model on index subsets.  Adjacency lives in bitset rows
-(one Python int per vertex), which makes neighborhood comparisons and
-BFS frontiers cheap at desk scale.
+over the canonical (ascending generator) vertex order.  Every graph is a
+graph of the ideals of one factored n, each vertex keyed by its
+generator d.  The essential graph of a product of k fields is that of
+the k-th primorial 2 * 3 * ... * p_k, read through xi_mask (the zero
+slots of each ideal).  Adjacency lives in bitset rows (one Python int per
+vertex), which makes neighborhood comparisons and BFS frontiers cheap at
+desk scale.
 """
 
 from __future__ import annotations
@@ -12,33 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arithmetic import MAX_DISTINCT_PRIMES, FactoredInteger, resolve_max_vertices
+from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
-from .ideals import ClassPartition, Ideal, class_partition, enumerate_vertices, subset_sums
+from .ideals import ClassPartition, class_partition, enumerate_vertices, subset_sums
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
-KIND_FIELD_PRODUCT = "field-product-model"
-
-
-def vertex_key(v):
-    """Stable lookup key: the generator for ideals, the zero-slot mask for model vertices."""
-    return v.d if isinstance(v, Ideal) else int(v)
 
 
 @dataclass(frozen=True)
 class IdealGraph:
-    """Immutable vertex-ordered graph with bitset adjacency rows."""
+    """Immutable graph on the ideals of one n, with bitset adjacency rows."""
 
     kind: str
-    factored: FactoredInteger | None
+    factored: FactoredInteger
     vertices: tuple
     adjacency: tuple[int, ...]
     degrees: tuple[int, ...]
 
     @cached_property
     def _index(self) -> dict:
-        return {vertex_key(v): i for i, v in enumerate(self.vertices)}
+        return {v.d: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def distance_similar(self) -> DistanceSimilarPartition:
@@ -47,9 +44,7 @@ class IdealGraph:
 
     @cached_property
     def classes(self) -> ClassPartition:
-        """This ideal graph's class partition by full-exponent mask, computed on first use."""
-        if self.factored is None:
-            raise InputError("the class partition is defined for ideal graphs only")
+        """This graph's class partition by full-exponent mask, computed on first use."""
         return class_partition(self.factored, self.vertices)
 
     @property
@@ -66,7 +61,7 @@ class IdealGraph:
     def index_of(self, key) -> int:
         try:
             return self._index[key]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputError(f"no vertex with key {key!r} in this graph") from None
 
     def edges(self):
@@ -134,24 +129,6 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
             row &= sets[m - r]
         rows.append(row)
     return _finish(KIND_ANNIHILATING, f, verts, rows)
-
-
-def build_field_product_model(k: int) -> IdealGraph:
-    """Essential ideal graph of a product of k fields.
-
-    Its 2^k - 2 vertices are the nonzero proper ideals, each given as the
-    int mask of its zero slots.  Like every builder it refuses more
-    vertices than the cap (the default or EIG_MAX_T).
-    """
-    if k < 2:
-        raise InputError(f"the field-product model needs k >= 2, got {k}")
-    if k > MAX_DISTINCT_PRIMES:
-        raise InputError(f"k = {k} exceeds the cap of {MAX_DISTINCT_PRIMES} distinct factors")
-    t, cap = (1 << k) - 2, resolve_max_vertices()
-    if t > cap:
-        raise InputError(f"k = {k} yields T = {t} vertices, cap is {cap}")
-    masks = list(range(1, t + 1))
-    return _finish(KIND_FIELD_PRODUCT, None, masks, _disjoint_mask_rows(masks, k))
 
 
 def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
@@ -384,9 +361,7 @@ GRAPH_JSON_SCHEMA = {
 
 
 def to_json_dict(g: IdealGraph) -> dict:
-    """JSON-ready description of an ideal graph (not the abstract model)."""
-    if g.factored is None:
-        raise InputError("JSON export is defined for ideal graphs only")
+    """JSON-ready description of an ideal graph."""
     return {
         "n": g.factored.n,
         "kind": g.kind,
@@ -407,10 +382,8 @@ def to_json_dict(g: IdealGraph) -> dict:
 
 def to_dot(g: IdealGraph) -> str:
     """DOT text with one node per vertex labeled by its generator."""
-    if g.factored is None:
-        raise InputError("DOT export is defined for ideal graphs only")
     f = g.factored
-    name = f"{g.kind.replace('-', '_')}_{f.n}"
+    name = f"{g.kind}_{f.n}"
     lines = [
         f"graph {name} {{",
         f'  comment = "n = {f.n} = {f.format_factorization()}";',

@@ -33,7 +33,7 @@ from math import comb
 
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
-from .graph import IdealGraph, bfs_row, vertex_key
+from .graph import IdealGraph, bfs_row
 from .ideals import ClassPartition
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -121,9 +121,9 @@ def _witness_indices(g: IdealGraph, witness) -> list[int]:
     indices = []
     seen = set()
     for w in items:
-        idx = g.index_of(vertex_key(w))
+        idx = g.index_of(w)
         if idx in seen:
-            raise InputError(f"duplicate vertex {vertex_key(w)!r} in witness")
+            raise InputError(f"duplicate vertex {w!r} in witness")
         seen.add(idx)
         indices.append(idx)
     return indices
@@ -134,9 +134,9 @@ def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
 
     Only the rows of vertices outside the witness are read: `distances`
     needs distances[v] for those v alone, and without it each such row is
-    one BFS.  Representations are keyed by vertex (generator for ideal
-    graphs) and follow the witness order; on failure one colliding pair is
-    reported.
+    one BFS.  The witness lists generators, and representations are keyed
+    by generator and follow the witness order; on failure one colliding
+    pair is reported.
     """
     w_idx = _witness_indices(g, witness)
     in_w = set(w_idx)
@@ -146,7 +146,7 @@ def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
     for v in range(g.order):
         if v in in_w:
             continue
-        key = vertex_key(g.vertices[v])
+        key = g.vertices[v].d
         row = bfs_row(g, v) if distances is None else distances[v]
         rep = tuple(row[w] for w in w_idx)
         reps[key] = rep
@@ -211,7 +211,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     prune skips; if it would be exceeded the search stops and reports the
     proven lower bound as a non-exact value.
     """
-    n = g.factored.n if g.factored is not None else 0
+    n = g.factored.n
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
@@ -261,7 +261,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
         kept = scan(roots, 0, r)
         if kept is not None:
             w_cols = sorted(fixed + [tops[pos] for pos in kept])
-            witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
+            witness = tuple(g.vertices[i].d for i in w_cols)
             check = is_resolving(g, witness, distances)
             if not check.resolves:
                 raise InconsistencyError(f"constructed witness for n = {n} does not resolve")

@@ -217,7 +217,7 @@ ZAGREB_JSON_SCHEMA = {
 def compute_zagreb_report(g: IdealGraph) -> ZagrebReport:
     """Definition values on the essential ideal graph g of Z_n, plus the closed form for n."""
     f = g.factored
-    if g.kind != KIND_ESSENTIAL or f is None:
+    if g.kind != KIND_ESSENTIAL:
         raise InputError(f"the Zagreb closed forms are for the essential ideal graph, not {g.kind}")
     m1_def, m2_def = zagreb_by_definition(g)
     published = None

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from eigraph import (
@@ -6,8 +8,11 @@ from eigraph import (
     check_divisor_conjugate_iso,
     class_partition,
     enumerate_vertices,
+    factor,
     factor_range,
 )
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +39,12 @@ def partition_of(f):
 def conjugate_check(f):
     """Divisor-conjugate check on freshly built essential graph and AIG of f."""
     return check_divisor_conjugate_iso(build_essential_graph(f), build_aig(f))
+
+
+def primorial_graph(k):
+    """Essential graph of 2 * 3 * ... * p_k, the field-product model on k slots.
+
+    Z_n for this n is the product of the k fields F_p, and xi_mask reads
+    each ideal as the set of slots where it is zero.
+    """
+    return build_essential_graph(factor(math.prod(PRIMES[:k])))

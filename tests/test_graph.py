@@ -13,7 +13,6 @@ from eigraph import (
     bfs_row,
     build_aig,
     build_essential_graph,
-    build_field_product_model,
     build_join_construction,
     check_divisor_conjugate_iso,
     check_field_product_iso,
@@ -29,7 +28,7 @@ from eigraph import (
 from eigraph import graph as graph_module
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import composites, conjugate_check
+from conftest import composites, conjugate_check, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -124,38 +123,24 @@ def test_edge_walk_matches_pair_definition(factored_100k):
         for g in (build_essential_graph(f), build_aig(f)):
             assert list(g.edges()) == _edges_by_pairs(g), (g.kind, f.n)
     for k in range(2, 11):
-        g = build_field_product_model(k)
+        g = primorial_graph(k)
         assert list(g.edges()) == _edges_by_pairs(g), k
 
 
 def test_field_product_model():
-    g2 = build_field_product_model(2)
+    # the model on k slots is the essential graph of the k-th primorial
+    g2 = primorial_graph(2)
     assert g2.order == 2 and g2.edge_count == 1
-    g3 = build_field_product_model(3)
+    g3 = primorial_graph(3)
     assert g3.order == 6 and g3.edge_count == 6
     with pytest.raises(InputError):
-        build_field_product_model(1)
+        primorial_graph(1)
 
     check = check_field_product_iso(build_aig(factor(30)))
     assert check.edge_preserving
     # psi sends the zero-slot set to the product of the remaining primes
     assert check.mapping[0b001] == 15
     assert check.mapping[0b110] == 2
-
-
-def test_field_product_model_obeys_the_vertex_cap(monkeypatch):
-    def no_rows(masks, k):
-        raise AssertionError("rows built for a model over the cap")
-
-    monkeypatch.setattr(graph_module, "_disjoint_mask_rows", no_rows)
-    monkeypatch.delenv("EIG_MAX_T", raising=False)
-    with pytest.raises(InputError, match="T = 32766 vertices, cap is 20000"):
-        build_field_product_model(15)
-    with pytest.raises(AssertionError):  # k = 14, T = 16382, passes the cap
-        build_field_product_model(14)
-    monkeypatch.setenv("EIG_MAX_T", "5")
-    with pytest.raises(InputError, match="T = 6 vertices, cap is 5"):
-        build_field_product_model(3)
 
 
 def test_graph_keeps_its_class_partition(monkeypatch):
@@ -175,8 +160,6 @@ def test_graph_keeps_its_class_partition(monkeypatch):
             assert part.vertices is g.vertices and part.T == g.order
             assert part == original(f, list(g.vertices))
     assert calls == [12, 12, 30, 30, 360, 360, 2700, 2700]
-    with pytest.raises(InputError):
-        build_field_product_model(3).classes
 
 
 def test_field_product_requires_squarefree():
@@ -252,7 +235,7 @@ def test_diameter_examples():
 
 
 def test_diameter_is_the_distance_matrix_maximum(factored_100k, monkeypatch):
-    graphs = [build_field_product_model(k) for k in range(2, 9)]
+    graphs = [primorial_graph(k) for k in range(2, 9)]
     for f in composites(factored_100k, 4, 3000):
         graphs += [build_essential_graph(f), build_aig(f)]
     want = [max(max(bfs_row(g, s)) for s in range(g.order)) for g in graphs]
@@ -273,7 +256,7 @@ def test_distance_similar_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(graph_module, "distance_similar_partition", counting)
     f = factor(2700)
-    for g in (build_essential_graph(f), build_aig(f), build_field_product_model(5)):
+    for g in (build_essential_graph(f), build_aig(f), primorial_graph(5)):
         calls.clear()
         first = g.distance_similar
         all_pairs_distances(g)
@@ -341,7 +324,7 @@ def test_distance_similar_partition_matches_oracle(factored_100k):
         for f in composites(factored_100k, 4, 400)
         for build in (build_essential_graph, build_aig)
     ]
-    graphs += [build_field_product_model(k) for k in range(2, 7)]
+    graphs += [primorial_graph(k) for k in range(2, 7)]
     for g in graphs:
         want = _distance_similar_oracle(g)
         assert want == set(distance_similar_partition(g).blocks), (g.kind, g.order)
@@ -373,7 +356,7 @@ def test_distance_similar_blocks_are_twin_classes(factored_100k):
         _assert_twin_blocks(build_essential_graph(f))
         _assert_twin_blocks(build_aig(f))
     for k in range(2, 11):
-        _assert_twin_blocks(build_field_product_model(k))
+        _assert_twin_blocks(primorial_graph(k))
     for n in (1321091265351, 203903066266900):
         _assert_twin_blocks(build_essential_graph(factor(n)))
         _assert_twin_blocks(build_aig(factor(n)))
@@ -410,10 +393,12 @@ def test_join_construction_equals_direct(factored_100k):
 
 
 def test_field_product_model_matches_disjointness_oracle():
+    # Relabelled by xi_mask, the essential graph of p_1 ... p_k is the graph
+    # on the masks 1 .. 2^k - 2 in which two masks are adjacent iff disjoint.
     for k in range(2, 13):
-        g = build_field_product_model(k)
-        masks = g.vertices
-        assert masks == tuple(range(1, (1 << k) - 1))
+        g = primorial_graph(k)
+        masks = [v.xi_mask for v in g.vertices]
+        assert sorted(masks) == list(range(1, (1 << k) - 1))
         for i, a in enumerate(masks):
             want = 0
             for j, b in enumerate(masks):
@@ -460,8 +445,9 @@ def test_iso_checks_name_a_flipped_edge_as_the_pair_loop_does(n):
     ess, aig = build_essential_graph(f), build_aig(f)
     t, full = aig.order, (1 << f.k) - 1
     conj_image = [aig.index_of(n // v.d) for v in ess.vertices]
-    model = build_field_product_model(f.k) if f.is_squarefree() else None
     masks = [full ^ v.xi_mask for v in aig.vertices]
+    # the model's rows on the AIG's masks, by a pair loop: disjoint masks meet
+    model_rows = [sum(1 << j for j, b in enumerate(masks) if not a & b) for a in masks]
     for a in range(t):
         for b in range(a + 1, t):
             rows = list(aig.adjacency)
@@ -473,10 +459,18 @@ def test_iso_checks_name_a_flipped_edge_as_the_pair_loop_does(n):
             want = None if pair is None else tuple(ess.vertices[i].d for i in pair)
             check = check_divisor_conjugate_iso(ess, broken)
             assert (check.isomorphic, check.failing_pair) == (pair is None, want), (n, a, b)
-            if model is None:
+            if not f.is_squarefree():
                 continue
             # the model check walks the AIG's index order
-            pair = _first_mismatch(broken, model, [model.index_of(m) for m in masks])
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(t)
+                    for j in range(i + 1, t)
+                    if broken.adjacent(i, j) != bool(model_rows[i] >> j & 1)
+                ),
+                None,
+            )
             assert pair is not None, (n, a, b)
             fp = check_field_product_iso(broken)
             assert not fp.edge_preserving
@@ -503,10 +497,6 @@ def test_conjugate_check_reverses_rows_up_to_the_first_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("n", [30, 2310, 6469693230])
 def test_field_product_check_builds_no_model(monkeypatch, n):
-    def no_model(k):
-        raise AssertionError("field-product model built")
-
-    monkeypatch.setattr(graph_module, "build_field_product_model", no_model)
     monkeypatch.setenv("EIG_MAX_T", "5")  # the AIG passes its own cap below
     f = factor(n)
     check = check_field_product_iso(build_aig(f, max_t=2000))
@@ -607,8 +597,3 @@ def test_json_export_schema_and_content():
     assert all(i < j for i, j in payload["edges"])
     assert len(payload["edges"]) == 5
     json.dumps(payload)  # serializable
-
-
-def test_model_graph_has_no_ideal_export():
-    with pytest.raises(InputError):
-        to_json_dict(build_field_product_model(3))

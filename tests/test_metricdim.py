@@ -7,7 +7,6 @@ from eigraph import (
     InputError,
     bfs_row,
     build_essential_graph,
-    build_field_product_model,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
@@ -17,7 +16,6 @@ from eigraph import (
     finiteness_bound_check,
     is_resolving,
 )
-from eigraph.graph import vertex_key
 from eigraph.metricdim import DIM_JSON_SCHEMA
 
 import jsonschema
@@ -60,6 +58,15 @@ def test_is_resolving_validation():
         is_resolving(g12, [5])
     with pytest.raises(InputError):
         is_resolving(g12, [3, 3])
+
+
+def test_witness_lists_generators():
+    # a float or a string that reads as a generator names no vertex, and
+    # neither does an unhashable item
+    g12 = graph_of(12)
+    for witness in ([3.7, 4], ["3", "4"], [[3], 4]):
+        with pytest.raises(InputError, match="no vertex with key"):
+            is_resolving(g12, witness)
 
 
 def test_dim_bruteforce_examples():
@@ -140,7 +147,7 @@ def _block_choice_scan(g, budget=10_000_000):
 
     from eigraph.metricdim import METHOD_BRUTE, DimReport
 
-    n = g.factored.n if g.factored is not None else 0
+    n = g.factored.n
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0, None, None)
@@ -168,7 +175,7 @@ def _block_choice_scan(g, budget=10_000_000):
                     break
                 seen.add(rep)
             else:
-                witness = tuple(vertex_key(g.vertices[i]) for i in w_cols)
+                witness = tuple(g.vertices[i].d for i in w_cols)
                 check = is_resolving(g, witness, distances)
                 return DimReport(
                     n, t, s, True, METHOD_BRUTE, lower, witness, check.representations
@@ -179,12 +186,11 @@ def _block_choice_scan(g, budget=10_000_000):
 def test_pruned_search_equals_block_choice_scan(factored_100k):
     # the depth-first scan with refinement and prune returns the reference's
     # report field for field, representations included, at every budget
-    graphs = [build_essential_graph(f) for f in composites(factored_100k, 4, 3000)]
-    graphs += [build_field_product_model(k) for k in range(2, 6)]
-    for g in graphs:
+    for f in composites(factored_100k, 4, 3000):
+        g = build_essential_graph(f)
         for budget in (10_000_000, 0, 1, 3, 100):
             want = _block_choice_scan(g, budget)
-            assert dim_bruteforce(g, budget=budget) == want, (g.vertices[-1], budget)
+            assert dim_bruteforce(g, budget=budget) == want, (f.n, budget)
 
 
 def test_budget_counts_choices_of_blocks():

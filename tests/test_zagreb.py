@@ -7,7 +7,6 @@ from eigraph import (
     InputError,
     build_aig,
     build_essential_graph,
-    build_field_product_model,
     compute_zagreb_report,
     factor,
     zagreb_by_definition,
@@ -23,7 +22,7 @@ from eigraph.zagreb import (
     squarefree_within_level_sum,
 )
 
-from conftest import composites, partition_of
+from conftest import composites, partition_of, primorial_graph
 
 
 def graph_of(n):
@@ -58,7 +57,7 @@ def test_definition_matches_edge_walk_reference(factored_100k):
         g = build_essential_graph(f)
         assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), f.n
     for k in range(2, 11):
-        g = build_field_product_model(k)
+        g = primorial_graph(k)
         assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), k
 
 
@@ -186,9 +185,8 @@ def test_report_flags_and_schema():
 
 
 def test_report_refuses_graphs_other_than_the_essential_graph():
-    # The closed forms are the essential graph's: an AIG has other degrees,
-    # and the field-product model has no n to take a closed form of.
-    for g in (build_aig(factor(2700)), build_aig(factor(30)), build_field_product_model(3)):
+    # The closed forms are the essential graph's: an AIG has other degrees.
+    for g in (build_aig(factor(2700)), build_aig(factor(30))):
         with pytest.raises(InputError, match="essential ideal graph, not " + g.kind):
             compute_zagreb_report(g)
 
