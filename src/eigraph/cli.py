@@ -14,18 +14,11 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain, repeat
 
 from . import __version__
 from .arithmetic import divisor_count, factor, factor_window, no_composite_in
 from .errors import InconsistencyError, InputError
-from .graph import (
-    all_pairs_distances,
-    build_aig,
-    build_essential_graph,
-    to_dot,
-    to_json_dict,
-)
+from .graph import KIND_ESSENTIAL, build_aig, build_essential_graph, to_dot
 from .ideals import class_partition, enumerate_vertices, mask_indices
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
@@ -91,20 +84,23 @@ def _mask_label(mask: int) -> str:
     return "{" + ",".join(map(str, mask_indices(mask))) + "}"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks, path: str | None) -> None:
+    """Write the chunks of one output, the last ending in its newline, to path or stdout.
+
+    The file is opened only here, so a caller that factors and checks its
+    input first leaves no file behind when that fails.
+    """
     with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+        handle.writelines(chunks)
 
 
-def _json_text(payload) -> str:
+def _json_text(payload, pad: str = "") -> str:
     """Exactly the text of json.dumps(payload, indent=2), written faster.
 
     With indent set, json uses its pure-Python encoder.  Here a list of plain
-    ints (bool excluded) is one str join, and a list of non-empty plain-int
-    lists (a distance matrix, an edge list) one join per row; everything
-    else recurses, with each scalar and each dict key through json.dumps.
+    ints (bool excluded) is one str join; everything else recurses, with
+    each scalar and each dict key through json.dumps.  pad is the indent of
+    the line the payload starts on, for a payload nested in a larger text.
     """
 
     def emit(value, pad: str) -> str:
@@ -124,18 +120,67 @@ def _json_text(payload) -> str:
             return json.dumps(value)
         if not value:
             return "[]"
-        types = set(map(type, value))
-        if types == {int}:
+        if set(map(type, value)) == {int}:
             body = sep.join(map(str, value))
-        elif types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            head, tail = "[\n" + inner + "  ", "\n" + inner + "]"
-            rows = map((",\n" + inner + "  ").join, map(map, repeat(str), value))
-            body = head + (tail + sep + head).join(rows) + tail
         else:
             body = sep.join(emit(item, inner) for item in value)
         return "[\n" + inner + body + "\n" + pad + "]"
 
-    return emit(payload, "")
+    return emit(payload, pad)
+
+
+def _json_open(fields: dict) -> str:
+    """The JSON text of fields left open after its last field, for more to follow."""
+    return _json_text(fields)[: -len("\n}")]
+
+
+_VERTEX_JSON = (
+    '{{\n      "d": {},\n      "exponents": [\n        {}\n      ],\n      "xi": {},'
+    '\n      "essential": {},\n      "degree": {}\n    }}'
+)
+
+
+def _graph_json(g):
+    """The text of _json_text(to_json_dict(g)) and a newline, a chunk per vertex and edge row."""
+    f = g.factored
+    yield _json_open({"n": f.n, "kind": g.kind, "factors": [[p, m] for p, m in f.factors]})
+    xi = {v.xi_mask: _json_text(list(v.xi_indices), "      ") for v in g.vertices}
+    sep = ',\n  "vertices": [\n    '
+    for v, degree in zip(g.vertices, g.degrees):
+        exponents = ",\n        ".join(map(str, v.exponents))
+        essential = "false" if v.xi_mask else "true"
+        yield sep + _VERTEX_JSON.format(v.d, exponents, xi[v.xi_mask], essential, degree)
+        sep = ",\n    "
+    sep = '\n  ],\n  "edges": [\n    '
+    for i, above in enumerate(g.neighbours_above(list(map(str, range(g.order))))):
+        head = f"[\n      {i},\n      "
+        row = f"\n    ],\n    {head}".join(above)
+        if row:
+            yield f"{sep}{head}{row}\n    ]"
+            sep = ",\n    "
+    yield "\n  ]\n}\n" if g.edge_count else '\n  ],\n  "edges": []\n}\n'
+
+
+def _distances_json(part):
+    """The text of the distance matrix's JSON payload and a newline: a chunk per row."""
+    vertices = [v.d for v in part.vertices]
+    yield _json_open({"n": part.modulus.n, "kind": KIND_ESSENTIAL, "vertices": vertices})
+    sep = ',\n  "distances": [\n    [\n      '
+    for row in part.distance_rows():
+        yield sep + ",\n      ".join(row)
+        sep = "\n    ],\n    [\n      "
+    yield "\n    ]\n  ]\n}\n"
+
+
+def _distances_text(part):
+    """The distance table, a row per vertex, and its diameter: the largest entry written."""
+    labels = [str(v.d) for v in part.vertices]
+    yield "d " + " ".join(labels)
+    top = "0"
+    for label, row in zip(labels, part.distance_rows()):
+        top = max(top, next(digit for digit in "3210" if digit in row))
+        yield f"\n{label} " + " ".join(row)
+    yield f"\ndiameter = {top}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +197,7 @@ def cmd_factor(args) -> int:
             "k": f.k,
             "divisor_count": divisor_count(f),
         }
-        _emit(_json_text(payload), args.output)
+        _emit([_json_text(payload), "\n"], args.output)
     else:
         lines = [
             f"n = {f.n}",
@@ -160,7 +205,7 @@ def cmd_factor(args) -> int:
             f"k = {f.k}",
             f"divisor_count = {divisor_count(f)}",
         ]
-        _emit("\n".join(lines), args.output)
+        _emit(["\n".join(lines), "\n"], args.output)
     return EXIT_OK
 
 
@@ -168,10 +213,10 @@ def cmd_graph(args) -> int:
     f = factor(args.n)
     g = args.build(f, args.max_t)
     if args.format == "dot":
-        _emit(to_dot(g), args.output)
+        _emit([to_dot(g)], args.output)
         return EXIT_OK
     if args.format == "json":
-        _emit(_json_text(to_json_dict(g)), args.output)
+        _emit(_graph_json(g), args.output)
         return EXIT_OK
     part = g.classes
     sizes = " ".join(
@@ -187,7 +232,7 @@ def cmd_graph(args) -> int:
         f"classes = {sizes}" if sizes else "classes =",
         f"edges = {g.edge_count}",
     ]
-    _emit("\n".join(lines), args.output)
+    _emit(["\n".join(lines), "\n"], args.output)
     return EXIT_OK
 
 
@@ -212,7 +257,7 @@ def cmd_classes(args) -> int:
                 for mask in part.class_masks()
             ],
         }
-        _emit(_json_text(payload), args.output)
+        _emit([_json_text(payload), "\n"], args.output)
         return EXIT_OK
     lines = [
         f"n = {f.n}",
@@ -223,28 +268,14 @@ def cmd_classes(args) -> int:
     for mask in part.class_masks():
         members = " ".join(str(verts[i].d) for i in part.members[mask])
         lines.append(f"X_{_mask_label(mask)} = {members}")
-    _emit("\n".join(lines), args.output)
+    _emit(["\n".join(lines), "\n"], args.output)
     return EXIT_OK
 
 
 def cmd_distances(args) -> int:
     f = factor(args.n)
-    g = build_essential_graph(f, args.max_t)
-    dist = all_pairs_distances(g)
-    if args.format == "json":
-        payload = {
-            "n": f.n,
-            "kind": g.kind,
-            "vertices": [v.d for v in g.vertices],
-            "distances": dist,
-        }
-        _emit(_json_text(payload), args.output)
-        return EXIT_OK
-    lines = ["d " + " ".join(str(v.d) for v in g.vertices)]
-    for i, v in enumerate(g.vertices):
-        lines.append(f"{v.d} " + " ".join(str(x) for x in dist[i]))
-    lines.append(f"diameter = {max(max(row) for row in dist)}")
-    _emit("\n".join(lines), args.output)
+    part = class_partition(f, enumerate_vertices(f, args.max_t))
+    _emit((_distances_json if args.format == "json" else _distances_text)(part), args.output)
     return EXIT_OK
 
 
@@ -272,9 +303,9 @@ def cmd_dim(args) -> int:
     else:
         report = constructive_resolving_set(class_partition(f, enumerate_vertices(f, args.max_t)))
     if args.format == "json":
-        _emit(_json_text(report.to_json_dict()), args.output)
+        _emit([_json_text(report.to_json_dict()), "\n"], args.output)
     else:
-        _emit(_dim_report_text(report), args.output)
+        _emit([_dim_report_text(report), "\n"], args.output)
     return EXIT_OK
 
 
@@ -291,16 +322,16 @@ def cmd_zagreb(args) -> int:
         raise no_composite_in(args.n, end)
     if args.format == "csv":
         lines = [ZAGREB_CSV_HEADER] + [r.csv_row() for r in reports]
-        _emit("\n".join(lines), args.output)
+        _emit(["\n".join(lines), "\n"], args.output)
     elif args.format == "json":
         payload = [r.to_json_dict() for r in reports]
-        _emit(_json_text(payload[0] if end == args.n else payload), args.output)
+        _emit([_json_text(payload[0] if end == args.n else payload), "\n"], args.output)
     else:
         blocks = []
         for r in reports:
             d = r.to_json_dict()
             blocks.append("\n".join(f"{key} = {value}" for key, value in d.items()))
-        _emit("\n\n".join(blocks), args.output)
+        _emit(["\n\n".join(blocks), "\n"], args.output)
     agree = all(r.m1_agrees and r.m2_agrees for r in reports)
     return EXIT_OK if agree else EXIT_INCONSISTENT
 
@@ -312,9 +343,9 @@ def cmd_verify(args) -> int:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     summary = run_verify(args.start, args.end, checks, args.budget, args.max_t)
     if args.format == "json":
-        _emit(_json_text(summary.to_json_dict()), args.output)
+        _emit([_json_text(summary.to_json_dict()), "\n"], args.output)
     else:
-        _emit(summary.to_text(), args.output)
+        _emit([summary.to_text(), "\n"], args.output)
     return EXIT_OK if summary.passed else EXIT_INCONSISTENT
 
 

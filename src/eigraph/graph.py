@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
@@ -21,6 +22,8 @@ from .ideals import ClassPartition, class_partition, enumerate_vertices, subset_
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -64,15 +67,21 @@ class IdealGraph:
         except (KeyError, TypeError):
             raise InputError(f"no vertex with key {key!r} in this graph") from None
 
+    def neighbours_above(self, labels):
+        """For each row i, an iterator over labels[j] for its neighbours j > i, ascending.
+
+        One compress per row: the row's bits above the diagonal, lowest
+        first, as the bytes 0 and 1 select from labels.
+        """
+        for i, row in enumerate(self.adjacency):
+            above = row >> (i + 1) << (i + 1)
+            yield compress(labels, bin(above)[:1:-1].encode().translate(_BIT_BYTES))
+
     def edges(self):
         """Yield edges as index pairs (i, j) with i < j."""
-        for i, row in enumerate(self.adjacency):
-            # bits above the diagonal, lowest first: bits[j] is column i + 1 + j
-            bits = bin(row >> (i + 1))[:1:-1]
-            j = bits.find("1")
-            while j >= 0:
-                yield (i, i + 1 + j)
-                j = bits.find("1", j + 1)
+        for i, above in enumerate(self.neighbours_above(range(self.order))):
+            for j in above:
+                yield (i, j)
 
     def is_complete(self) -> bool:
         t = self.order
@@ -390,7 +399,9 @@ def to_dot(g: IdealGraph) -> str:
     ]
     for i, v in enumerate(g.vertices):
         lines.append(f'  v{i} [label="{v.d}"];')
-    for i, j in g.edges():
-        lines.append(f"  v{i} -- v{j};")
+    for i, above in enumerate(g.neighbours_above(list(map(str, range(g.order))))):
+        row = f";\n  v{i} -- v".join(above)
+        if row:
+            lines.append(f"  v{i} -- v{row};")
     lines.append("}")
     return "\n".join(lines) + "\n"

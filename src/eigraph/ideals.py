@@ -237,6 +237,24 @@ class ClassPartition:
             return 2
         return 3
 
+    def distance_rows(self):
+        """Yield each vertex's distances to every vertex, in vertex order, as a digit string.
+
+        By the mask-distance law a row depends only on the vertex's mask, up
+        to its own entry 0, so each distinct mask's digits are made once.
+        Members of one class are twins: mask_distance(a, a) is their
+        distance, 1 in the clique X and 2 in any other class.
+        """
+        masks = [v.xi_mask for v in self.vertices]
+        present = set(masks)
+        base = {}
+        for a in present:
+            digit = {b: str(self.mask_distance(a, b)) for b in present}
+            base[a] = "".join(map(digit.__getitem__, masks))
+        for i, a in enumerate(masks):
+            row = base[a]
+            yield row[:i] + "0" + row[i + 1 :]
+
 
 def class_partition(
     f: FactoredInteger, vertices: list[Ideal] | tuple[Ideal, ...]

@@ -13,6 +13,7 @@ from eigraph import (
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+LARGE_T = (1321091265351, 203903066266900)  # T = 358 and T = 1438
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from eigraph import (
     build_join_construction,
     compute_zagreb_report,
     constructive_resolving_set,
+    diameter,
     factor,
     to_json_dict,
 )
@@ -33,6 +34,8 @@ from eigraph.cli import (
 from eigraph.graph import GRAPH_JSON_SCHEMA
 from eigraph.metricdim import DIM_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
+
+from conftest import LARGE_T, composites
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +235,76 @@ def test_dim_command_formula_and_constructive(capsys):
     payload = json.loads(out)
     assert payload["dim"] == 6 and payload["exact"] is False
     assert payload["witness"] == [2310, 2730, 4290, 6006, 10010, 15015]
+
+
+def _built_outputs(f):
+    """graph, aig and distances outputs as written by building each payload whole."""
+    ess, aig = build_essential_graph(f), build_aig(f)
+    dist = all_pairs_distances(ess)
+    payload = {
+        "n": f.n,
+        "kind": ess.kind,
+        "vertices": [v.d for v in ess.vertices],
+        "distances": dist,
+    }
+    lines = ["d " + " ".join(str(v.d) for v in ess.vertices)]
+    lines += [f"{v.d} " + " ".join(map(str, row)) for v, row in zip(ess.vertices, dist)]
+    lines.append(f"diameter = {max(map(max, dist))}")
+    return {
+        ("graph", "--format", "json"): _json_text(to_json_dict(ess)) + "\n",
+        ("aig", "--format", "json"): _json_text(to_json_dict(aig)) + "\n",
+        ("distances", "--format", "json"): _json_text(payload) + "\n",
+        ("distances",): "\n".join(lines) + "\n",
+    }
+
+
+def test_streamed_outputs_equal_built_outputs(capsys, factored_100k):
+    # rows from the bitsets and the mask-distance law, against the whole
+    # payloads of to_json_dict and all_pairs_distances (BFS): the writers
+    # themselves for every composite n <= 3000, where the parser would cost
+    # more than they do, and main for the large-T n
+    for f in composites(factored_100k, 4, 3000):
+        ess = build_essential_graph(f)
+        streamed = [
+            cli._graph_json(ess),
+            cli._graph_json(build_aig(f)),
+            cli._distances_json(ess.classes),
+            cli._distances_text(ess.classes),
+        ]
+        outputs = list(map("".join, streamed))
+        assert outputs == list(_built_outputs(f).values()), f.n
+        assert outputs[3].endswith(f"\ndiameter = {diameter(ess)}\n"), f.n
+    for f in map(factor, LARGE_T):
+        for (command, *options), want in _built_outputs(f).items():
+            assert run_cli(capsys, command, str(f.n), *options) == (0, want, ""), (f.n, command)
+        diameter_line = f"\ndiameter = {diameter(build_essential_graph(f))}\n"
+        assert run_cli(capsys, "distances", str(f.n))[1].endswith(diameter_line), f.n
+
+
+def test_distances_build_no_graph(capsys, monkeypatch):
+    # the rows come from the class partition's mask-distance law: no graph, no BFS
+    import eigraph
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("distances built a graph or ran a BFS")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr in ("build_essential_graph", "bfs_row", "all_pairs_distances"):
+                if getattr(module, attr, None) is getattr(eigraph, attr):
+                    monkeypatch.setattr(module, attr, no_graph)
+    for n in ("4", "12", "30", "2700", "1321091265351"):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, "distances", n, "--format", fmt)[0] == 0, (n, fmt)
+
+
+@pytest.mark.parametrize("command", ["graph", "aig", "distances"])
+def test_errors_write_no_file(capsys, tmp_path, command):
+    target = tmp_path / "out.json"
+    argv = [command, "2700", "--max-t", "10", "--format", "json", "--output", str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_dim_builds_no_distance_matrix(capsys, monkeypatch):

@@ -28,7 +28,7 @@ from eigraph import (
 from eigraph import graph as graph_module
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import composites, conjugate_check, primorial_graph
+from conftest import LARGE_T, composites, conjugate_check, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -181,9 +181,6 @@ def test_distances_examples():
 
 
 # One n of each large-t signature: T = 358 and T = 1438.
-LARGE_T = (1321091265351, 203903066266900)
-
-
 def test_distances_match_bfs_from_every_source(factored_100k):
     fs = list(composites(factored_100k, 4, 3000)) + [factor(n) for n in LARGE_T]
     for f in fs:
