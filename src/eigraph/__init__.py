@@ -32,7 +32,6 @@ from .graph import (
     build_join_construction,
     check_divisor_conjugate_iso,
     check_field_product_iso,
-    diameter,
     distance_similar_partition,
     to_dot,
     to_json_dict,
@@ -90,7 +89,6 @@ __all__ = [
     "build_join_construction",
     "check_divisor_conjugate_iso",
     "check_field_product_iso",
-    "diameter",
     "distance_similar_partition",
     "to_dot",
     "to_json_dict",

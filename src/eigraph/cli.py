@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from . import __version__
 from .arithmetic import divisor_count, factor, factor_window, no_composite_in
@@ -94,44 +95,9 @@ def _emit(chunks, path: str | None) -> None:
         handle.writelines(chunks)
 
 
-def _json_text(payload, pad: str = "") -> str:
-    """Exactly the text of json.dumps(payload, indent=2), written faster.
-
-    With indent set, json uses its pure-Python encoder.  Here a list of plain
-    ints (bool excluded) is one str join; everything else recurses, with
-    each scalar and each dict key through json.dumps.  pad is the indent of
-    the line the payload starts on, for a payload nested in a larger text.
-    """
-
-    def emit(value, pad: str) -> str:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            body = sep.join(
-                json.dumps(key if isinstance(key, str) else json.dumps(key))
-                + ": "
-                + emit(item, inner)
-                for key, item in value.items()
-            )
-            return "{\n" + inner + body + "\n" + pad + "}"
-        if not isinstance(value, (list, tuple)):
-            return json.dumps(value)
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join(emit(item, inner) for item in value)
-        return "[\n" + inner + body + "\n" + pad + "]"
-
-    return emit(payload, pad)
-
-
 def _json_open(fields: dict) -> str:
     """The JSON text of fields left open after its last field, for more to follow."""
-    return _json_text(fields)[: -len("\n}")]
+    return json.dumps(fields, indent=2)[: -len("\n}")]
 
 
 _VERTEX_JSON = (
@@ -141,10 +107,13 @@ _VERTEX_JSON = (
 
 
 def _graph_json(g):
-    """The text of _json_text(to_json_dict(g)) and a newline, a chunk per vertex and edge row."""
+    """json.dumps(to_json_dict(g), indent=2) and a newline, a chunk per vertex and edge row."""
     f = g.factored
     yield _json_open({"n": f.n, "kind": g.kind, "factors": [[p, m] for p, m in f.factors]})
-    xi = {v.xi_mask: _json_text(list(v.xi_indices), "      ") for v in g.vertices}
+    xi = {
+        mask: json.dumps(mask_indices(mask), indent=2).replace("\n", "\n      ")
+        for mask in {v.xi_mask for v in g.vertices}
+    }
     sep = ',\n  "vertices": [\n    '
     for v, degree in zip(g.vertices, g.degrees):
         exponents = ",\n        ".join(map(str, v.exponents))
@@ -197,7 +166,7 @@ def cmd_factor(args) -> int:
             "k": f.k,
             "divisor_count": divisor_count(f),
         }
-        _emit([_json_text(payload), "\n"], args.output)
+        _emit([json.dumps(payload, indent=2), "\n"], args.output)
     else:
         lines = [
             f"n = {f.n}",
@@ -213,7 +182,7 @@ def cmd_graph(args) -> int:
     f = factor(args.n)
     g = args.build(f, args.max_t)
     if args.format == "dot":
-        _emit([to_dot(g)], args.output)
+        _emit(to_dot(g), args.output)
         return EXIT_OK
     if args.format == "json":
         _emit(_graph_json(g), args.output)
@@ -257,7 +226,7 @@ def cmd_classes(args) -> int:
                 for mask in part.class_masks()
             ],
         }
-        _emit([_json_text(payload), "\n"], args.output)
+        _emit([json.dumps(payload, indent=2), "\n"], args.output)
         return EXIT_OK
     lines = [
         f"n = {f.n}",
@@ -293,6 +262,26 @@ def _dim_report_text(report: DimReport) -> str:
     return "\n".join(lines)
 
 
+def _dim_json(report: DimReport):
+    """The text of json.dumps(report.to_json_dict(), indent=2) and a newline.
+
+    The witness is one chunk and each representation another; a report
+    with no representation to list is small and is dumped whole.
+    """
+    if not report.representations:
+        yield json.dumps(report.to_json_dict(), indent=2) + "\n"
+        return
+    fields = replace(report, witness=None, representations=None).to_json_dict()
+    del fields["witness"], fields["representations"]
+    yield _json_open(fields)
+    yield ',\n  "witness": [\n    ' + ",\n    ".join(map(str, report.witness)) + "\n  ]"
+    sep = ',\n  "representations": {\n    '
+    for key, rep in report.representations.items():
+        yield f'{sep}"{key}": [\n      ' + ",\n      ".join(map(str, rep)) + "\n    ]"
+        sep = ",\n    "
+    yield "\n  }\n}\n"
+
+
 def cmd_dim(args) -> int:
     f = factor(args.n)
     if args.method == "formula":
@@ -303,7 +292,7 @@ def cmd_dim(args) -> int:
     else:
         report = constructive_resolving_set(class_partition(f, enumerate_vertices(f, args.max_t)))
     if args.format == "json":
-        _emit([_json_text(report.to_json_dict()), "\n"], args.output)
+        _emit(_dim_json(report), args.output)
     else:
         _emit([_dim_report_text(report), "\n"], args.output)
     return EXIT_OK
@@ -325,7 +314,7 @@ def cmd_zagreb(args) -> int:
         _emit(["\n".join(lines), "\n"], args.output)
     elif args.format == "json":
         payload = [r.to_json_dict() for r in reports]
-        _emit([_json_text(payload[0] if end == args.n else payload), "\n"], args.output)
+        _emit([json.dumps(payload[0] if end == args.n else payload, indent=2), "\n"], args.output)
     else:
         blocks = []
         for r in reports:
@@ -343,7 +332,7 @@ def cmd_verify(args) -> int:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     summary = run_verify(args.start, args.end, checks, args.budget, args.max_t)
     if args.format == "json":
-        _emit([_json_text(summary.to_json_dict()), "\n"], args.output)
+        _emit([json.dumps(summary.to_json_dict(), indent=2), "\n"], args.output)
     else:
         _emit([summary.to_text(), "\n"], args.output)
     return EXIT_OK if summary.passed else EXIT_INCONSISTENT

@@ -195,32 +195,8 @@ def bfs_row(g: IdealGraph, s: int) -> list[int]:
 
 
 def all_pairs_distances(g: IdealGraph) -> list[list[int]]:
-    """Distance matrix from one BFS per twin block; raises if the graph is disconnected.
-
-    The members of a distance-similar block are twins, so a member u is as
-    far from every other vertex as the block's first index r is; only the
-    entries at u and r swap.  The first block starts at index 0.
-    """
-    out: list[list[int]] = [[]] * g.order
-    for block in g.distance_similar.blocks:
-        r = block[0]
-        base = bfs_row(g, r)
-        out[r] = base
-        for u in block[1:]:
-            row = base.copy()
-            row[u] = 0
-            row[r] = base[u]
-            out[u] = row
-    return out
-
-
-def diameter(g: IdealGraph) -> int:
-    """Largest pairwise distance, from one BFS per twin block; raises if disconnected.
-
-    A twin's row is its block's first row with two entries swapped, so both
-    rows have the same maximum.
-    """
-    return max(max(bfs_row(g, block[0])) for block in g.distance_similar.blocks)
+    """Distance matrix, one BFS from every source; raises if the graph is disconnected."""
+    return [bfs_row(g, s) for s in range(g.order)]
 
 
 @dataclass(frozen=True)
@@ -389,19 +365,15 @@ def to_json_dict(g: IdealGraph) -> dict:
     }
 
 
-def to_dot(g: IdealGraph) -> str:
-    """DOT text with one node per vertex labeled by its generator."""
+def to_dot(g: IdealGraph):
+    """Yield the DOT text line by line, one node per vertex labeled by its generator."""
     f = g.factored
-    name = f"{g.kind}_{f.n}"
-    lines = [
-        f"graph {name} {{",
-        f'  comment = "n = {f.n} = {f.format_factorization()}";',
-    ]
+    yield f"graph {g.kind}_{f.n} {{\n"
+    yield f'  comment = "n = {f.n} = {f.format_factorization()}";\n'
     for i, v in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{v.d}"];')
+        yield f'  v{i} [label="{v.d}"];\n'
     for i, above in enumerate(g.neighbours_above(list(map(str, range(g.order))))):
         row = f";\n  v{i} -- v".join(above)
         if row:
-            lines.append(f"  v{i} -- v{row};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  v{i} -- v{row};\n"
+    yield "}\n"

@@ -5,12 +5,11 @@ import sys
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import eigraph.arithmetic
 import eigraph.ideals
 from eigraph import (
+    ClassPartition,
     InputError,
     all_pairs_distances,
     build_aig,
@@ -18,7 +17,8 @@ from eigraph import (
     build_join_construction,
     compute_zagreb_report,
     constructive_resolving_set,
-    diameter,
+    dim_bruteforce,
+    dim_formula,
     factor,
     to_json_dict,
 )
@@ -27,7 +27,6 @@ from eigraph.cli import (
     CLASSES_JSON_SCHEMA,
     DISTANCES_JSON_SCHEMA,
     VERIFY_JSON_SCHEMA,
-    _json_text,
     main,
     run_verify,
 )
@@ -35,7 +34,7 @@ from eigraph.graph import GRAPH_JSON_SCHEMA
 from eigraph.metricdim import DIM_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
 
-from conftest import LARGE_T, composites
+from conftest import LARGE_T, composites, partition_of
 
 
 def run_cli(capsys, *argv):
@@ -251,9 +250,9 @@ def _built_outputs(f):
     lines += [f"{v.d} " + " ".join(map(str, row)) for v, row in zip(ess.vertices, dist)]
     lines.append(f"diameter = {max(map(max, dist))}")
     return {
-        ("graph", "--format", "json"): _json_text(to_json_dict(ess)) + "\n",
-        ("aig", "--format", "json"): _json_text(to_json_dict(aig)) + "\n",
-        ("distances", "--format", "json"): _json_text(payload) + "\n",
+        ("graph", "--format", "json"): json.dumps(to_json_dict(ess), indent=2) + "\n",
+        ("aig", "--format", "json"): json.dumps(to_json_dict(aig), indent=2) + "\n",
+        ("distances", "--format", "json"): json.dumps(payload, indent=2) + "\n",
         ("distances",): "\n".join(lines) + "\n",
     }
 
@@ -273,12 +272,11 @@ def test_streamed_outputs_equal_built_outputs(capsys, factored_100k):
         ]
         outputs = list(map("".join, streamed))
         assert outputs == list(_built_outputs(f).values()), f.n
-        assert outputs[3].endswith(f"\ndiameter = {diameter(ess)}\n"), f.n
+        bfs_max = max(map(max, all_pairs_distances(ess)))
+        assert outputs[3].endswith(f"\ndiameter = {bfs_max}\n"), f.n
     for f in map(factor, LARGE_T):
         for (command, *options), want in _built_outputs(f).items():
             assert run_cli(capsys, command, str(f.n), *options) == (0, want, ""), (f.n, command)
-        diameter_line = f"\ndiameter = {diameter(build_essential_graph(f))}\n"
-        assert run_cli(capsys, "distances", str(f.n))[1].endswith(diameter_line), f.n
 
 
 def test_distances_build_no_graph(capsys, monkeypatch):
@@ -497,6 +495,28 @@ def test_verify_command(capsys):
     }
 
 
+def test_verify_checks_the_printed_distance_rows(monkeypatch):
+    # non-squarefree n, where no mask-law result stands in: the rows that
+    # `distances` prints are compared with BFS in the first result
+    original = ClassPartition.distance_rows
+
+    def one_digit_off(self):
+        rows = list(original(self))
+        rows[1] = ("1" if rows[1][0] != "1" else "2") + rows[1][1:]
+        return iter(rows)
+
+    for n in (12, 360):
+        want = run_verify(n, n, ("distances",))
+        assert want.passed
+        monkeypatch.setattr(ClassPartition, "distance_rows", one_digit_off)
+        summary = run_verify(n, n, ("distances",))
+        monkeypatch.undo()
+        run, passed = want.categories["distances"]
+        assert summary.categories == {"distances": (run, passed - 1)}, n
+        detail = "distance matrix symmetric with entries in 1..3"
+        assert summary.failures == [{"n": n, "category": "distances", "detail": detail}]
+
+
 def test_verify_iso_category(capsys):
     code, out, _ = run_cli(capsys, "verify", "4", "100", "--checks", "iso")
     assert code == 0
@@ -652,7 +672,8 @@ def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
     calls = _calls_during_verify(monkeypatch, original, lambda g: g.factored.n)
     composite = [n for n in range(4, 101) if not factor(n).is_prime()]
     assert len(composite) == 74
-    assert calls == composite
+    # a prime square has one vertex, and no check reads its partition
+    assert calls == [n for n in composite if n not in (4, 9, 25, 49)]
 
 
 def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
@@ -719,30 +740,8 @@ def test_version_flag():
     assert proc.stdout.startswith("eigraph ")
 
 
-big_ints = st.integers(min_value=-(2**70), max_value=2**70)
-json_text = st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀')) | st.text()
-json_scalars = st.one_of(big_ints, st.booleans(), st.floats(), json_text, st.none())
-int_rows = st.lists(st.lists(big_ints, max_size=4), max_size=4)  # ragged, may hold []
-json_payloads = st.recursive(
-    json_scalars
-    | st.lists(big_ints)
-    | st.lists(big_ints | st.booleans())
-    | int_rows
-    | st.lists(st.lists(big_ints, min_size=1, max_size=3), max_size=3),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(json_text | big_ints, inner, max_size=4),
-    max_leaves=25,
-)
-
-
-@given(json_payloads)
-@settings(max_examples=200, deadline=None)
-def test_json_writer_equals_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
-
-
-def test_json_writer_on_real_payloads():
+def test_json_writer_on_real_payloads(capsys):
+    # each streamed JSON output is the bytes of json.dumps(indent=2) on its reference payload
     for n in (12, 360, 2310, 1321091265351, 203903066266900):
         f = factor(n)
         ess = build_essential_graph(f)
@@ -752,13 +751,30 @@ def test_json_writer_on_real_payloads():
             "vertices": [v.d for v in ess.vertices],
             "distances": all_pairs_distances(ess),
         }
-        for payload in (
-            to_json_dict(ess),
-            to_json_dict(build_aig(f)),
-            distances,
-            constructive_resolving_set(ess.classes).to_json_dict(),
+        for command, payload in (
+            ("graph", to_json_dict(ess)),
+            ("aig", to_json_dict(build_aig(f))),
+            ("distances", distances),
+            ("dim", constructive_resolving_set(ess.classes).to_json_dict()),
         ):
-            assert _json_text(payload) == json.dumps(payload, indent=2), n
+            out = run_cli(capsys, command, str(n), "--format", "json")[1]
+            assert out == json.dumps(payload, indent=2) + "\n", (n, command)
+
+
+def test_dim_json_equals_json_dumps_of_the_report(capsys, factored_100k):
+    # the streamed dim writer against DimReport.to_json_dict, the reference:
+    # the writer itself for every composite n <= 3000, where the parser
+    # would cost more than it does, and main for the rest
+    for f in composites(factored_100k, 4, 3000):
+        for report in (constructive_resolving_set(partition_of(f)), dim_formula(f)):
+            want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+            assert "".join(cli._dim_json(report)) == want, (f.n, report.method)
+    cases = [(n, "brute", dim_bruteforce(build_essential_graph(factor(n)))) for n in (1680, 30030)]
+    cases += [(n, "auto", constructive_resolving_set(partition_of(factor(n)))) for n in LARGE_T]
+    for n, method, report in cases:
+        want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        got = run_cli(capsys, "dim", str(n), "--method", method, "--format", "json")
+        assert got == (0, want, ""), (n, method)
 
 
 def test_dot_output_pinned(capsys):

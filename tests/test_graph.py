@@ -17,7 +17,6 @@ from eigraph import (
     check_divisor_conjugate_iso,
     check_field_product_iso,
     class_partition,
-    diameter,
     distance_similar_partition,
     enumerate_vertices,
     factor,
@@ -26,9 +25,10 @@ from eigraph import (
     to_json_dict,
 )
 from eigraph import graph as graph_module
+from eigraph.cli import main
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import LARGE_T, composites, conjugate_check, primorial_graph
+from conftest import composites, conjugate_check, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -180,15 +180,6 @@ def test_distances_examples():
     )
 
 
-# One n of each large-t signature: T = 358 and T = 1438.
-def test_distances_match_bfs_from_every_source(factored_100k):
-    fs = list(composites(factored_100k, 4, 3000)) + [factor(n) for n in LARGE_T]
-    for f in fs:
-        for g in (build_essential_graph(f), build_aig(f)):
-            want = [bfs_row(g, s) for s in range(g.order)]
-            assert all_pairs_distances(g) == want, (f.n, g.kind)
-
-
 def _law(n):
     """Distance by ClassPartition.mask_distance between two generators of n."""
     f = factor(n)
@@ -224,24 +215,10 @@ def test_squarefree_distance_matches_bfs(factored_100k):
                     assert law(masks[i], masks[j]) == row[j], (f.n, i, j)
 
 
-def test_diameter_examples():
-    assert diameter(build_essential_graph(factor(32))) == 1
-    assert diameter(build_essential_graph(factor(30))) == 3
-    assert diameter(build_essential_graph(factor(12))) == 2
-    assert diameter(build_essential_graph(factor(4))) == 0
-
-
-def test_diameter_is_the_distance_matrix_maximum(factored_100k, monkeypatch):
-    graphs = [primorial_graph(k) for k in range(2, 9)]
-    for f in composites(factored_100k, 4, 3000):
-        graphs += [build_essential_graph(f), build_aig(f)]
-    want = [max(max(bfs_row(g, s)) for s in range(g.order)) for g in graphs]
-
-    def forbidden(g):
-        raise AssertionError("diameter built the distance matrix")
-
-    monkeypatch.setattr(graph_module, "all_pairs_distances", forbidden)
-    assert [diameter(g) for g in graphs] == want
+def test_diameter_examples(capsys):
+    for n, diameter in ((32, 1), (30, 3), (12, 2), (4, 0)):
+        assert main(["distances", str(n)]) == 0
+        assert capsys.readouterr().out.endswith(f"\ndiameter = {diameter}\n"), n
 
 
 def test_distance_similar_is_computed_once(monkeypatch):
@@ -256,8 +233,6 @@ def test_distance_similar_is_computed_once(monkeypatch):
     for g in (build_essential_graph(f), build_aig(f), primorial_graph(5)):
         calls.clear()
         first = g.distance_similar
-        all_pairs_distances(g)
-        diameter(g)
         assert g.distance_similar is first
         assert len(calls) == 1 and calls[0] is g, g.kind
         assert first == distance_similar_partition(g), g.kind
@@ -265,7 +240,7 @@ def test_distance_similar_is_computed_once(monkeypatch):
 
 def _distance_similar_oracle(g: IdealGraph):
     # direct from the definition: d(u, x) = d(v, x) for every other vertex x,
-    # on BFS rows from every source (all_pairs_distances reuses the blocks)
+    # on BFS rows from every source
     dist = [bfs_row(g, s) for s in range(g.order)]
     t = g.order
     parent = list(range(t))
@@ -552,8 +527,9 @@ def test_essential_graph_properties(n):
     for i, row in enumerate(g.adjacency):
         assert not row >> i & 1  # no self loops
     if g.order >= 2:
-        assert diameter(g) <= 3
-        assert (diameter(g) == 1) == g.is_complete()
+        diameter = max(map(max, all_pairs_distances(g)))
+        assert diameter <= 3
+        assert (diameter == 1) == g.is_complete()
 
 
 def test_disconnected_is_structural_error():
@@ -561,18 +537,16 @@ def test_disconnected_is_structural_error():
     broken = IdealGraph(g.kind, g.factored, g.vertices, (0,) * g.order, (0,) * g.order)
     with pytest.raises(InconsistencyError):
         all_pairs_distances(broken)
-    with pytest.raises(InconsistencyError):
-        diameter(broken)
 
 
 def test_dot_export():
-    dot = to_dot(build_essential_graph(factor(30)))
+    dot = "".join(to_dot(build_essential_graph(factor(30))))
     lines = dot.strip().splitlines()
     assert lines[0] == "graph essential_30 {"
     assert '  comment = "n = 30 = 2 * 3 * 5";' in lines
     assert sum(1 for line in lines if "[label=" in line) == 6
     assert sum(1 for line in lines if " -- " in line) == 6
-    dot_aig = to_dot(build_aig(factor(30)))
+    dot_aig = "".join(to_dot(build_aig(factor(30))))
     assert dot_aig.startswith("graph annihilating_30 {")
 
 
