@@ -135,8 +135,8 @@ def _distances_json(part):
     vertices = [v.d for v in part.vertices]
     yield _json_open({"n": part.modulus.n, "kind": KIND_ESSENTIAL, "vertices": vertices})
     sep = ',\n  "distances": [\n    [\n      '
-    for row in part.distance_rows():
-        yield sep + ",\n      ".join(row)
+    for row in part.distance_rows(",\n      "):
+        yield sep + row
         sep = "\n    ],\n    [\n      "
     yield "\n    ]\n  ]\n}\n"
 
@@ -146,9 +146,9 @@ def _distances_text(part):
     labels = [str(v.d) for v in part.vertices]
     yield "d " + " ".join(labels)
     top = "0"
-    for label, row in zip(labels, part.distance_rows()):
+    for label, row in zip(labels, part.distance_rows(" ")):
         top = max(top, next(digit for digit in "3210" if digit in row))
-        yield f"\n{label} " + " ".join(row)
+        yield f"\n{label} {row}"
     yield f"\ndiameter = {top}\n"
 
 

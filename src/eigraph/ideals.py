@@ -42,7 +42,7 @@ def subset_sums(values: list[int], k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ideal:
     """A nonzero proper ideal of Z_n, represented by its generator's exponents.
 
@@ -54,6 +54,18 @@ class Ideal:
     exponents: tuple[int, ...]
     d: int
     xi_mask: int
+
+    def __init__(
+        self, modulus: FactoredInteger, exponents: tuple[int, ...], d: int, xi_mask: int
+    ) -> None:
+        # As in FactoredInteger: the instance __dict__ takes the fields without
+        # one object.__setattr__ call each, and eq, hash, repr and
+        # immutability are those of the generated frozen dataclass.
+        state = self.__dict__
+        state["modulus"] = modulus
+        state["exponents"] = exponents
+        state["d"] = d
+        state["xi_mask"] = xi_mask
 
     @property
     def xi_indices(self) -> tuple[int, ...]:
@@ -237,23 +249,67 @@ class ClassPartition:
             return 2
         return 3
 
-    def distance_rows(self):
-        """Yield each vertex's distances to every vertex, in vertex order, as a digit string.
+    def distance_layers(self, by_mask: list[int]) -> tuple[list[int], list[int]]:
+        """The mask-distance law for many positions at once.
+
+        by_mask[b] is the bitset of the positions whose vertex has mask b,
+        for the 2^k masks b.  For a vertex with mask a, near[a] holds the
+        positions at distance 1 (mask disjoint from a) and far[a] those at
+        distance 3 (m = 0, a | b full, a & b nonempty); every other
+        position is at distance 2, but the vertex's own.  near is
+        subset_sums read at full ^ a, the transform that builds the
+        essential rows; far is the same transform on complemented masks,
+        read at a, less near[a].
+        """
+        k = self.modulus.k
+        near = subset_sums(by_mask, k)[::-1]
+        if self.m:
+            return near, [0] * len(near)
+        up = subset_sums(by_mask[::-1], k)
+        return near, [u & ~d for u, d in zip(up, near)]
+
+    def distance_rows(self, sep: str = ""):
+        """Yield each vertex's distances to every vertex, in vertex order, joined by sep.
 
         By the mask-distance law a row depends only on the vertex's mask, up
-        to its own entry 0, so each distinct mask's digits are made once.
-        Members of one class are twins: mask_distance(a, a) is their
-        distance, 1 in the clique X and 2 in any other class.
+        to its own entry 0, so each mask's digits come from its distance
+        layers, once for a class of two or more.  One buffer holds the
+        joined text: its digit positions are overwritten with the row's
+        digits, then its own with 0.  Members of one class are twins:
+        mask_distance(a, a) is their distance, 1 in the clique X and 2 in
+        any other class.
         """
         masks = [v.xi_mask for v in self.vertices]
-        present = set(masks)
-        base = {}
-        for a in present:
-            digit = {b: str(self.mask_distance(a, b)) for b in present}
-            base[a] = "".join(map(digit.__getitem__, masks))
+        by_mask = [0] * (1 << self.modulus.k)
         for i, a in enumerate(masks):
-            row = base[a]
-            yield row[:i] + "0" + row[i + 1 :]
+            by_mask[a] |= 1 << i
+        near, far = self.distance_layers(by_mask)
+        row = bytearray(sep.join("0" * len(masks)).encode())
+        step = len(sep) + 1
+        shared = {}
+        for i, a in enumerate(masks):
+            digits = shared.get(a)
+            if digits is None:
+                digits = distance_digits(near[a], far[a], len(masks)).encode()
+                if len(self.members[a]) > 1:
+                    shared[a] = digits
+            row[::step] = digits
+            row[i * step] = ord("0")
+            yield row.decode()
+
+
+def distance_digits(near: int, far: int, width: int) -> str:
+    """Character j is 1 if bit j of near is set, 3 if that of far is, and 2 otherwise.
+
+    near and far are disjoint bitsets below 2^width, as distance_layers
+    gives them.  Read as hexadecimal, the binary text of a bitset puts bit
+    j into hex digit j, so the digits are one sum of three integers with no
+    carry, 2 - near + far in every hex digit, written lowest first.
+    """
+    twos = int.from_bytes(b"\x22" * width, "little") >> 4 * width  # width hex digits 2
+    spread_near = int(bin(near)[2:], 16)
+    spread_far = int(bin(far)[2:], 16)
+    return format(twos - spread_near + spread_far, "x")[::-1]
 
 
 def class_partition(

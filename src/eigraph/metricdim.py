@@ -17,8 +17,13 @@ exponential in the number of blocks.  The certificate builds no graph
 and lists no vertex: it takes a class partition, and the distance between
 two vertices depends only on their full-exponent masks
 (ClassPartition.mask_distance), so its witness is checked on that
-partition.  Both routes drop a block's top, its largest vertex index:
-the class partition and the distance-similar partition hold index blocks
+partition: one column per distinct witness mask, and for every mask the
+columns at distance 1 and at distance 3 as two bitsets, read off one
+subset-sum transform (ClassPartition.distance_layers).  It resolves iff
+the outside vertices' pairs of bitsets are pairwise distinct, so it
+holds no (T - dim) x dim table; the representations are decoded from
+the bitsets when first read.  Both routes drop a block's top, its
+largest vertex index: the class partition and the distance-similar partition hold index blocks
 in one format, and dim_lower_bound reads either.  The search builds no
 T x T distance matrix; it reads BFS rows of the block tops only.  Every
 witness the module hands out is re-verified before it is reported, and
@@ -27,14 +32,15 @@ is_resolving on BFS rows stays the oracle for both.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
 from .graph import IdealGraph, bfs_row
-from .ideals import ClassPartition
+from .ideals import ClassPartition, distance_digits
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -50,7 +56,9 @@ class DimReport:
     is_exact is False only when the value is a bound: the squarefree k >= 6
     upper bound, or a search that ran out of budget (then dim_value is the
     proven lower bound and no witness is attached).  A single-vertex graph
-    gets dim 0 and reads as degenerate.
+    gets dim 0 and reads as degenerate.  representations maps each vertex
+    outside the witness to its distances to the witness; the certificate's
+    is decoded on first read.
     """
 
     n: int
@@ -60,7 +68,7 @@ class DimReport:
     method: str
     lower_bound: int
     witness: tuple[int, ...] | None = None
-    representations: dict | None = None
+    representations: Mapping | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -317,35 +325,73 @@ def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
     return witness
 
 
+class _Representations(Mapping):
+    """A certificate's representations, decoded from its class codes on first read.
+
+    Text `dim` reads none, so it never builds the (T - dim) x dim table.
+    """
+
+    def __init__(self, decode):
+        self._decode = decode
+
+    @cached_property
+    def _table(self) -> dict:
+        return self._decode()
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __eq__(self, other) -> bool:
+        return self._table == other
+
+    def __repr__(self) -> str:
+        return repr(self._table)
+
+
 def constructive_resolving_set(part: ClassPartition) -> DimReport:
     """Resolving set prescribed by the shape of n, with no search and no graph.
 
     The witness comes from the class partition (see _witness_rule).  It is
     checked on the quotient: a vertex's distance to a witness depends only
-    on the two masks (ClassPartition.mask_distance), so each representation
-    is read off the masks, and two equal ones raise InconsistencyError.  The
-    report is exact iff the closed form is, and then the witness size must
-    equal it.
+    on the two masks (ClassPartition.mask_distance), so the witness has one
+    column per distinct witness mask, and ClassPartition.distance_layers
+    gives each mask a its code, the columns at distance 1 and at distance 3.
+    The witness resolves iff the vertices outside it have pairwise distinct
+    codes: no class keeps two of them, and no two of their masks share a
+    code.  Otherwise InconsistencyError is raised.  The representations
+    are decoded from the codes when first read.  The report is exact iff
+    the closed form is, and then the witness size must equal it.
     """
     f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
     w_idx = _witness_rule(f, part)
-    in_w = set(w_idx)
     w_masks = [verts[i].xi_mask for i in w_idx]
-    distinct = set(w_masks)
-    codes: dict[int, tuple[int, ...]] = {}
-    reps = {}
-    for i, v in enumerate(verts):
-        if i in in_w:
-            continue
-        a = v.xi_mask
-        if a not in codes:
-            law = {b: part.mask_distance(a, b) for b in distinct}
-            codes[a] = tuple(map(law.__getitem__, w_masks))
-        reps[v.d] = codes[a]
-    if len(set(reps.values())) != len(reps):
+    column = {b: j for j, b in enumerate(dict.fromkeys(w_masks))}
+    by_mask = [0] * (1 << f.k)
+    for b, j in column.items():
+        by_mask[b] = 1 << j
+    near, far = part.distance_layers(by_mask)
+    outside = sorted(set(range(t)).difference(w_idx))
+    # two outside members of one class share their mask, and so their code
+    o_masks = [verts[i].xi_mask for i in outside]
+    if len(outside) != len({(near[a], far[a]) for a in o_masks}):
         raise InconsistencyError(f"constructed witness for n = {f.n} does not resolve")
+
+    def decode() -> dict:
+        cols = list(map(column.__getitem__, w_masks))
+        reps = {}
+        for i, a in zip(outside, o_masks):
+            by_column = list(map(int, distance_digits(near[a], far[a], len(column))))
+            reps[verts[i].d] = tuple(map(by_column.__getitem__, cols))
+        return reps
+
     lower = dim_lower_bound(part.similarity_blocks()) if part.m else 1
     witness = tuple(verts[i].d for i in w_idx)
     expected = dim_formula(f)
@@ -354,6 +400,7 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
             f"constructed witness for n = {f.n} has size {len(witness)}, "
             f"closed form gives {expected.dim_value}"
         )
+    reps = _Representations(decode)
     return DimReport(
         f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, witness, reps
     )

@@ -22,20 +22,29 @@ from .ideals import ClassPartition, subset_sums
 def zagreb_by_definition(g: IdealGraph) -> tuple[int, int]:
     """M1 = sum of squared degrees; M2 = sum of degree products over edges.
 
-    With B_d the bitset of vertices of degree d, the neighbours of i add
-    sum_d d * |row_i & B_d| to i's degree-weighted neighbourhood sum, and
-    summing deg_i times that over all i counts every edge twice.
+    With P_b the bitset of vertices whose degree has bit b set, the
+    neighbours of i have degree sum sum_b 2^b * |row_i & P_b|, made once
+    per distinct row: twins share theirs.  Summing deg_i times that over
+    all i counts every edge twice.
     """
     degs = g.degrees
     m1 = sum(d * d for d in degs)
     by_degree: dict[int, int] = {}
     for i, d in enumerate(degs):
         by_degree[d] = by_degree.get(d, 0) | 1 << i
-    groups = list(by_degree.items())
-    twice_m2 = sum(
-        di * sum(d * (row & bits).bit_count() for d, bits in groups)
-        for di, row in zip(degs, g.adjacency)
-    )
+    planes = [0] * max(degs).bit_length()
+    for d, bits in by_degree.items():
+        for b in range(d.bit_length()):
+            if d >> b & 1:
+                planes[b] |= bits
+    neighbour_sums: dict[int, int] = {}
+    twice_m2 = 0
+    for di, row in zip(degs, g.adjacency):
+        total = neighbour_sums.get(row)
+        if total is None:
+            total = sum((row & plane).bit_count() << b for b, plane in enumerate(planes))
+            neighbour_sums[row] = total
+        twice_m2 += di * total
     return m1, twice_m2 // 2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 import eigraph.ideals
 from eigraph import (
     InconsistencyError,
+    Ideal,
     InputError,
     class_partition,
     enumerate_vertices,
@@ -20,7 +22,7 @@ from eigraph import (
 )
 from eigraph.ideals import class_mask_order, intersects_every_ideal, subset_sums
 
-from conftest import composites, partition_of
+from conftest import PRIMES, composites, partition_of
 
 
 def test_enumerate_vertices_examples():
@@ -223,3 +225,44 @@ def test_ideal_validation():
         ideal_from_divisor(f12, 5)
     with pytest.raises(InputError):
         ideal_from_divisor(f12, 12)
+
+
+def test_ideal_keeps_the_frozen_dataclass_behaviour():
+    # the constructor writes the instance __dict__, like FactoredInteger's;
+    # equality, hashing, repr and immutability stay those of the dataclass
+    f12 = factor(12)
+    two = Ideal(f12, (1, 0), 2, 0)
+    assert two == ideal_from_divisor(f12, 2) == enumerate_vertices(f12)[0]
+    assert two != Ideal(f12, (1, 0), 2, 1) and two != (f12, (1, 0), 2, 0)
+    assert hash(two) == hash((f12, (1, 0), 2, 0)) == hash(ideal_from_divisor(f12, 2))
+    assert repr(two) == (
+        "Ideal(modulus=FactoredInteger(n=12, factors=((2, 2), (3, 1))), "
+        "exponents=(1, 0), d=2, xi_mask=0)"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        two.d = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del two.xi_mask
+    assert two.d == 2 and two.xi_mask == 0
+
+
+def _pairwise_rows(part):
+    # the reference table: mask_distance on every pair, 0 on the diagonal
+    masks = [v.xi_mask for v in part.vertices]
+    return [
+        "".join("0" if j == i else str(part.mask_distance(a, b)) for j, b in enumerate(masks))
+        for i, a in enumerate(masks)
+    ]
+
+
+def test_distance_rows_equal_the_pairwise_law(factored_100k):
+    # the rows read off the distance layers equal the scalar law on every
+    # composite n <= 3000, and on the primorials k <= 10, where m = 0 and
+    # complementary masks sit at distance 3
+    parts = [partition_of(f) for f in composites(factored_100k, 4, 3000)]
+    parts += [partition_of(factor(math.prod(PRIMES[:k]))) for k in range(2, 11)]
+    for part in parts:
+        want = _pairwise_rows(part)
+        assert list(part.distance_rows()) == want, part.modulus.n
+        if part.T <= 64:
+            assert list(part.distance_rows(", ")) == [", ".join(row) for row in want]

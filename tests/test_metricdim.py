@@ -20,7 +20,7 @@ from eigraph.metricdim import DIM_JSON_SCHEMA
 
 import jsonschema
 
-from conftest import composites, partition_of
+from conftest import LARGE_T, composites, partition_of
 
 composite_n = st.integers(min_value=4, max_value=1000).filter(
     lambda n: not factor(n).is_prime()
@@ -383,6 +383,113 @@ def test_constructive_catches_a_bad_witness(monkeypatch):
         part = partition_of(f)
         short = [part.vertices[i].d for i in real(f, part)[:-1]]
         assert not is_resolving(build_essential_graph(f), short).resolves, n
+
+
+def _certificate_by_law(part, w_idx):
+    # the former production check: one mask_distance call per outside mask
+    # and distinct witness mask; returns the verdict and the representations
+    verts = part.vertices
+    in_w = set(w_idx)
+    w_masks = [verts[i].xi_mask for i in w_idx]
+    distinct = set(w_masks)
+    codes = {}
+    reps = {}
+    for i, v in enumerate(verts):
+        if i in in_w:
+            continue
+        a = v.xi_mask
+        if a not in codes:
+            law = {b: part.mask_distance(a, b) for b in distinct}
+            codes[a] = tuple(map(law.__getitem__, w_masks))
+        reps[v.d] = codes[a]
+    return len(set(reps.values())) == len(reps), reps
+
+
+def _assert_certificate_matches_law(part, w_idx):
+    resolves, want = _certificate_by_law(part, w_idx)
+    if not resolves:
+        with pytest.raises(InconsistencyError, match="does not resolve"):
+            constructive_resolving_set(part)
+        return
+    report = constructive_resolving_set(part)
+    assert report.witness == tuple(part.vertices[i].d for i in w_idx)
+    assert list(report.representations.items()) == list(want.items())
+    assert report.representations == want and dict(report.representations) == want
+
+
+def test_certificate_equals_the_pairwise_law(factored_100k, monkeypatch):
+    # the distance layers give the verdict and the representations of the
+    # per-pair law on every composite n <= 10^4 and both large-t n
+    import eigraph.metricdim as metricdim
+
+    fs = list(composites(factored_100k, 4, 10_000))
+    fs += [factor(n) for n in LARGE_T]
+    for f in fs:
+        part = partition_of(f)
+        if part.T > 1:
+            _assert_certificate_matches_law(part, metricdim._witness_rule(f, part))
+    # the same witnesses with one entry swapped for an outside vertex: some
+    # resolve and some do not, and both sides agree on which
+    real = metricdim._witness_rule
+    seen = set()
+    for f in composites(factored_100k, 4, 2000):
+        part = partition_of(f)
+        w_idx = real(f, part)
+        outside = sorted(set(range(part.T)).difference(w_idx))
+        for pos in range(0, len(w_idx), max(1, len(w_idx) // 3)):
+            for o in outside[:2]:
+                swapped = w_idx[:pos] + [o] + w_idx[pos + 1 :]
+                seen.add(_certificate_by_law(part, swapped)[0])
+                monkeypatch.setattr(metricdim, "_witness_rule", lambda f, part: swapped)
+                _assert_certificate_matches_law(part, swapped)
+                monkeypatch.undo()
+    assert seen == {True, False}
+
+
+def test_certificate_rejects_two_outside_members_of_one_class(monkeypatch):
+    # a rule that leaves a second member of a class outside its witness: the
+    # two share their mask and so their code
+    import eigraph.metricdim as metricdim
+
+    real = metricdim._witness_rule
+
+    def one_short(f, part):
+        w_idx = real(f, part)
+        outside = set(range(part.T)).difference(w_idx)
+        masks = [v.xi_mask for v in part.vertices]
+        drop = next(i for i in w_idx if outside.intersection(part.members[masks[i]]))
+        return [i for i in w_idx if i != drop]
+
+    monkeypatch.setattr(metricdim, "_witness_rule", one_short)
+    for n in (12, 60, 360, 2700, *LARGE_T):
+        f = factor(n)
+        part = partition_of(f)
+        assert not _certificate_by_law(part, one_short(f, part))[0], n
+        with pytest.raises(InconsistencyError, match="does not resolve"):
+            constructive_resolving_set(part)
+
+
+def test_certificate_decodes_only_when_read(monkeypatch):
+    # text dim prints no representation and decodes none; JSON decodes them
+    import io
+    from contextlib import redirect_stdout
+
+    import eigraph.metricdim as metricdim
+    from eigraph.cli import main
+
+    calls = []
+    real = metricdim.distance_digits
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metricdim, "distance_digits", counted)
+    for argv, decoded in ((["dim", "2700"], False), (["dim", "2700", "--format", "json"], True)):
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert bool(calls) == decoded, argv
 
 
 def test_dim_lower_bound_examples():

@@ -22,7 +22,7 @@ from eigraph.zagreb import (
     squarefree_within_level_sum,
 )
 
-from conftest import composites, partition_of, primorial_graph
+from conftest import LARGE_T, composites, partition_of, primorial_graph
 
 
 def graph_of(n):
@@ -53,10 +53,13 @@ def _zagreb_by_edge_walk(g):
 
 
 def test_definition_matches_edge_walk_reference(factored_100k):
-    for f in composites(factored_100k, 4, 5000):
+    # every composite n <= 5000, the large-t n (T = 358, 1438) and the
+    # primorials k <= 11 (T up to 2046, every row distinct)
+    fs = list(composites(factored_100k, 4, 5000)) + [factor(n) for n in LARGE_T]
+    for f in fs:
         g = build_essential_graph(f)
         assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), f.n
-    for k in range(2, 11):
+    for k in range(2, 12):
         g = primorial_graph(k)
         assert zagreb_by_definition(g) == _zagreb_by_edge_walk(g), k
 
