@@ -276,8 +276,8 @@ def _dim_json(report: DimReport):
     yield _json_open(fields)
     yield ',\n  "witness": [\n    ' + ",\n    ".join(map(str, report.witness)) + "\n  ]"
     sep = ',\n  "representations": {\n    '
-    for key, rep in report.representations.items():
-        yield f'{sep}"{key}": [\n      ' + ",\n      ".join(map(str, rep)) + "\n    ]"
+    for key, text in report.joined_representations(",\n      "):
+        yield f'{sep}"{key}": [\n      {text}\n    ]'
         sep = ",\n    "
     yield "\n  }\n}\n"
 
@@ -361,37 +361,12 @@ def _add_common(parser, formats):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="eigraph", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"eigraph {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor n and count divisors")
+def _n(p):
     p.add_argument("n", type=int)
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=cmd_factor)
 
-    for name, build, help_text in (
-        ("graph", build_essential_graph, "build the essential ideal graph"),
-        ("aig", build_aig, "build the annihilating ideal graph"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("n", type=int)
-        _add_common(p, ("text", "json", "dot"))
-        p.set_defaults(func=cmd_graph, build=build)
 
-    p = sub.add_parser("classes", help="vertex classes by full-exponent index set")
-    p.add_argument("n", type=int)
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("distances", help="all-pairs distances in the essential graph")
-    p.add_argument("n", type=int)
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=cmd_distances)
-
-    p = sub.add_parser("dim", help="metric dimension of the essential graph")
-    p.add_argument("n", type=int)
+def _dim_args(p):
+    _n(p)
     p.add_argument(
         "--method",
         choices=("auto", "formula", "brute", "constructive"),
@@ -401,39 +376,99 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET, help="--method brute only"
     )
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser(
-        "zagreb",
-        help="first and second Zagreb indices",
-        description=(
-            "Computes both Zagreb indices by definition and closed form. CSV "
-            "sweeps use the fixed column order " + ZAGREB_CSV_HEADER + "."
-        ),
-    )
-    p.add_argument("n", type=int)
+
+def _zagreb_args(p):
+    _n(p)
     p.add_argument("end", type=int, nargs="?", default=None, help="sweep up to this n")
-    _add_common(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_zagreb)
 
-    p = sub.add_parser(
-        "verify",
-        help="cross-check closed forms against oracles over a range of n",
-        description="Categories: " + ", ".join(CHECK_CATEGORIES) + ".",
-    )
+
+def _verify_args(p):
     p.add_argument("start", type=int)
     p.add_argument("end", type=int)
     p.add_argument("--checks", default="all", help="all or comma-separated categories")
     p.add_argument("--budget", type=_budget, default=DEFAULT_SEARCH_BUDGET)
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=cmd_verify)
 
+
+# Each subcommand in listing order: its help line, the arguments added
+# before the common ones, its output formats and its defaults; some also
+# have a description.
+_COMMANDS = {
+    "factor": ("factor n and count divisors", _n, ("text", "json"), {"func": cmd_factor}),
+    "graph": (
+        "build the essential ideal graph",
+        _n,
+        ("text", "json", "dot"),
+        {"func": cmd_graph, "build": build_essential_graph},
+    ),
+    "aig": (
+        "build the annihilating ideal graph",
+        _n,
+        ("text", "json", "dot"),
+        {"func": cmd_graph, "build": build_aig},
+    ),
+    "classes": (
+        "vertex classes by full-exponent index set",
+        _n,
+        ("text", "json"),
+        {"func": cmd_classes},
+    ),
+    "distances": (
+        "all-pairs distances in the essential graph",
+        _n,
+        ("text", "json"),
+        {"func": cmd_distances},
+    ),
+    "dim": (
+        "metric dimension of the essential graph",
+        _dim_args,
+        ("text", "json"),
+        {"func": cmd_dim},
+    ),
+    "zagreb": (
+        "first and second Zagreb indices",
+        _zagreb_args,
+        ("text", "json", "csv"),
+        {"func": cmd_zagreb},
+    ),
+    "verify": (
+        "cross-check closed forms against oracles over a range of n",
+        _verify_args,
+        ("text", "json"),
+        {"func": cmd_verify},
+    ),
+}
+_DESCRIPTIONS = {
+    "zagreb": (
+        "Computes both Zagreb indices by definition and closed form. CSV "
+        "sweeps use the fixed column order " + ZAGREB_CSV_HEADER + "."
+    ),
+    "verify": "Categories: " + ", ".join(CHECK_CATEGORIES) + ".",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The eigraph parser, with every subcommand or only the one named.
+
+    A subcommand's parser is the same either way, so for an argv that
+    names one, the two parse alike and print the same help and errors.
+    """
+    parser = _Parser(prog="eigraph", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"eigraph {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, formats, defaults = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, description=_DESCRIPTIONS.get(name))
+        add_arguments(p)
+        _add_common(p, formats)
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only top-level help and an unknown command list every subcommand.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -168,9 +168,16 @@ def ideal_sum(a: Ideal, b: Ideal) -> tuple[int, ...]:
 
 
 def sum_is_essential_or_unit(a: Ideal, b: Ideal) -> bool:
-    """Adjacency oracle: the ideal sum is essential (the unit ideal counts)."""
-    vec = ideal_sum(a, b)
-    return all(r < m for r, m in zip(vec, a.modulus.exponents))
+    """Adjacency oracle: the ideal sum is essential (the unit ideal counts).
+
+    Each exponent of the sum, min(r, s) as in ideal_sum, is tested against
+    the full exponent in turn, so no sum vector is built.
+    """
+    _require_same_modulus(a, b)
+    for r, s, m in zip(a.exponents, b.exponents, a.modulus.exponents):
+        if min(r, s) >= m:
+            return False
+    return True
 
 
 def class_mask_order(k: int) -> list[int]:

@@ -21,11 +21,12 @@ partition: one column per distinct witness mask, and for every mask the
 columns at distance 1 and at distance 3 as two bitsets, read off one
 subset-sum transform (ClassPartition.distance_layers).  It resolves iff
 the outside vertices' pairs of bitsets are pairwise distinct, so it
-holds no (T - dim) x dim table; the representations are decoded from
-the bitsets when first read.  Both routes drop a block's top, its
-largest vertex index: the class partition and the distance-similar partition hold index blocks
-in one format, and dim_lower_bound reads either.  The search builds no
-T x T distance matrix; it reads BFS rows of the block tops only.  Every
+holds no (T - dim) x dim table; the representations are read off each
+outside mask's digit text when first used.  Both routes drop a block's
+top, its largest vertex index: the class partition and the
+distance-similar partition hold index blocks in one format, and
+dim_lower_bound reads either.  The search builds no T x T distance
+matrix; it reads BFS rows of the block tops only.  Every
 witness the module hands out is re-verified before it is reported, and
 is_resolving on BFS rows stays the oracle for both.
 """
@@ -36,6 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
+from operator import itemgetter
 
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
@@ -58,7 +60,7 @@ class DimReport:
     proven lower bound and no witness is attached).  A single-vertex graph
     gets dim 0 and reads as degenerate.  representations maps each vertex
     outside the witness to its distances to the witness; the certificate's
-    is decoded on first read.
+    is read off per-mask digit text on first use.
     """
 
     n: int
@@ -89,6 +91,13 @@ class DimReport:
                 else None
             ),
         }
+
+    def joined_representations(self, sep: str):
+        """Yield (key, its representation's entries joined by sep), as to_json_dict lists them."""
+        reps = self.representations
+        if isinstance(reps, _Representations):
+            return reps.joined(sep)
+        return ((key, sep.join(map(str, rep))) for key, rep in reps.items())
 
 
 DIM_JSON_SCHEMA = {
@@ -326,26 +335,42 @@ def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
 
 
 class _Representations(Mapping):
-    """A certificate's representations, decoded from its class codes on first read.
+    """A certificate's representations, read off per-mask digit text on first use.
 
-    Text `dim` reads none, so it never builds the (T - dim) x dim table.
+    keys and masks list the vertices outside the witness; digits(a) is the
+    text of mask a's distances to the witness, a digit per witness vertex
+    in witness order, made once per distinct mask.  Text `dim` reads none,
+    and the JSON writer reads only the text, so neither builds the
+    (T - dim) x dim table of tuples.
     """
 
-    def __init__(self, decode):
-        self._decode = decode
+    def __init__(self, keys: list[int], masks: list[int], digits):
+        self._keys = keys
+        self._masks = masks
+        self._digits = digits
+
+    @cached_property
+    def _text(self) -> dict[int, str]:
+        return {a: self._digits(a) for a in dict.fromkeys(self._masks)}
 
     @cached_property
     def _table(self) -> dict:
-        return self._decode()
+        decoded = {a: tuple(map(int, text)) for a, text in self._text.items()}
+        return dict(zip(self._keys, map(decoded.__getitem__, self._masks)))
+
+    def joined(self, sep: str):
+        """Yield (key, the representation's digits joined by sep) in key order."""
+        texts = {a: sep.join(text) for a, text in self._text.items()}
+        return zip(self._keys, map(texts.__getitem__, self._masks))
 
     def __getitem__(self, key):
         return self._table[key]
 
     def __iter__(self):
-        return iter(self._table)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._keys)
 
     def __eq__(self, other) -> bool:
         return self._table == other
@@ -365,8 +390,8 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
     The witness resolves iff the vertices outside it have pairwise distinct
     codes: no class keeps two of them, and no two of their masks share a
     code.  Otherwise InconsistencyError is raised.  The representations
-    are decoded from the codes when first read.  The report is exact iff
-    the closed form is, and then the witness size must equal it.
+    are read off each outside mask's code when first used.  The report is
+    exact iff the closed form is, and then the witness size must equal it.
     """
     f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
@@ -384,13 +409,12 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
     if len(outside) != len({(near[a], far[a]) for a in o_masks}):
         raise InconsistencyError(f"constructed witness for n = {f.n} does not resolve")
 
-    def decode() -> dict:
-        cols = list(map(column.__getitem__, w_masks))
-        reps = {}
-        for i, a in zip(outside, o_masks):
-            by_column = list(map(int, distance_digits(near[a], far[a], len(column))))
-            reps[verts[i].d] = tuple(map(by_column.__getitem__, cols))
-        return reps
+    # picks each witness vertex's column digit; for a one-vertex witness it
+    # gives that digit itself, which "".join leaves as it is
+    by_witness = itemgetter(*map(column.__getitem__, w_masks))
+
+    def digits(a: int) -> str:
+        return "".join(by_witness(distance_digits(near[a], far[a], len(column))))
 
     lower = dim_lower_bound(part.similarity_blocks()) if part.m else 1
     witness = tuple(verts[i].d for i in w_idx)
@@ -400,7 +424,7 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
             f"constructed witness for n = {f.n} has size {len(witness)}, "
             f"closed form gives {expected.dim_value}"
         )
-    reps = _Representations(decode)
+    reps = _Representations([verts[i].d for i in outside], o_masks, digits)
     return DimReport(
         f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, witness, reps
     )

@@ -116,8 +116,8 @@ def _check_adjacency(ctx: _VerifyContext):
     t = ess.order
 
     ok = all(
-        ess.adjacent(i, j) == sum_is_essential_or_unit(verts[i], verts[j])
-        for i in range(t)
+        ess.adjacent(i, j) == sum_is_essential_or_unit(a, verts[j])
+        for i, a in enumerate(verts)
         for j in range(i + 1, t)
     )
     results.append((ok, "essential adjacency vs ideal-sum oracle"))
@@ -126,9 +126,10 @@ def _check_adjacency(ctx: _VerifyContext):
     results.append((ok, "full-exponent mask vs ring-definition essentiality"))
 
     n = f.n
+    ds = [v.d for v in verts]
     ok = all(
-        ctx.aig.adjacent(i, j) == (verts[i].d * verts[j].d % n == 0)
-        for i in range(t)
+        ctx.aig.adjacent(i, j) == (d * ds[j] % n == 0)
+        for i, d in enumerate(ds)
         for j in range(i + 1, t)
     )
     results.append((ok, "annihilating adjacency vs integer divisibility"))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -97,6 +98,76 @@ def test_invalid_inputs_exit_1(capsys):
     assert run_cli(capsys, "graph", "2700", "--max-t", "10")[0] == 1
     assert run_cli(capsys, "dim", "2310", "--method", "brute", "--budget", "-1")[0] == 1
     assert run_cli(capsys, "verify", "4", "10", "--budget", "-1")[0] == 1
+
+
+_COMMANDS = ("factor", "graph", "aig", "classes", "distances", "dim", "zagreb", "verify")
+# Per subcommand: its positionals, and one valid call's options.
+_VALID_CALLS = {
+    "factor": (["60"], ["--format", "json"]),
+    "graph": (["60"], ["--format", "dot", "--max-t", "100"]),
+    "aig": (["60"], ["--output", "out.json", "--format", "json"]),
+    "classes": (["60"], ["--format=json"]),
+    "distances": (["60"], ["--max-t", "10"]),
+    "dim": (["60"], ["--method", "brute", "--budget", "5", "--format", "json"]),
+    "zagreb": (["60", "90"], ["--format", "csv"]),
+    "verify": (["4", "30"], ["--checks", "adjacency,dim", "--budget", "7"]),
+}
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_parser_is_the_same_at_every_command(capsys, monkeypatch, command):
+    # main builds only the named subcommand's parser; it must parse, fail and
+    # print help exactly as the parser of every subcommand does
+    positionals, options = _VALID_CALLS[command]
+    argvs = [
+        [command, *positionals, *options],
+        [command, *positionals, "--bogus"],
+        [command, *positionals, "--format", "xml"],
+        [command],
+        [command, "x", *positionals[1:]],
+        [command, *positionals, "extra"],
+    ]
+    if command in ("dim", "verify"):
+        argvs.append([command, *positionals, "--budget", "-1"])
+    for argv in argvs:
+        want = _parse(cli.build_parser(), argv)
+        assert _parse(cli.build_parser(command), argv) == want, argv
+    assert isinstance(_parse(cli.build_parser(command), argvs[0]), argparse.Namespace)
+    assert all(isinstance(_parse(cli.build_parser(), argv), str) for argv in argvs[1:])
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args([command, "-h"])
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main([command, "-h"])
+    assert (one.value.code, capsys.readouterr()) == (full.value.code, want) == (0, (want.out, ""))
+    assert want.out.startswith(f"usage: eigraph {command} [-h]")
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run_cli(capsys, "dim", "12")[0] == 0
+    assert built == ["dim"]
+    built.clear()
+    code, out, err = run_cli(capsys, "nope")
+    assert (code, out, built) == (1, "", list(_COMMANDS))
+    assert err.startswith("error: argument command: invalid choice: 'nope'")
+    assert err.count("\n") == 1 and all(f"'{name}'" in err for name in _COMMANDS)
 
 
 # Every entry point that lists vertices: library calls taking (f, max_t), and
@@ -763,12 +834,14 @@ def test_json_writer_on_real_payloads(capsys):
 
 def test_dim_json_equals_json_dumps_of_the_report(capsys, factored_100k):
     # the streamed dim writer against DimReport.to_json_dict, the reference:
-    # the writer itself for every composite n <= 3000, where the parser
-    # would cost more than it does, and main for the rest
-    for f in composites(factored_100k, 4, 3000):
+    # the writer itself, before the report's representations are decoded,
+    # for every composite n <= 3000, where the parser would cost more than
+    # it does, and for both LARGE_T n, where the representations are long;
+    # main for the rest
+    for f in [*composites(factored_100k, 4, 3000), *map(factor, LARGE_T)]:
         for report in (constructive_resolving_set(partition_of(f)), dim_formula(f)):
-            want = json.dumps(report.to_json_dict(), indent=2) + "\n"
-            assert "".join(cli._dim_json(report)) == want, (f.n, report.method)
+            got = "".join(cli._dim_json(report))
+            assert got == json.dumps(report.to_json_dict(), indent=2) + "\n", (f.n, report.method)
     cases = [(n, "brute", dim_bruteforce(build_essential_graph(factor(n)))) for n in (1680, 30030)]
     cases += [(n, "auto", constructive_resolving_set(partition_of(factor(n)))) for n in LARGE_T]
     for n, method, report in cases:
