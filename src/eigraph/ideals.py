@@ -209,7 +209,7 @@ class ClassPartition:
         return len(self.vertices)
 
     def class_masks(self) -> list[int]:
-        return class_mask_order(self.modulus.k)
+        return list(self.members)[1:]
 
     @cached_property
     def _degree_table(self) -> list[int]:
@@ -220,9 +220,9 @@ class ClassPartition:
         return subset_sums(sizes, self.modulus.k)
 
     def class_degree(self, mask: int) -> int:
-        """Degree of any vertex in the class: m plus the disjoint class sizes."""
+        """Degree of every vertex in the class: the disjoint class sizes, less itself in X."""
         full = (1 << self.modulus.k) - 1
-        return self._degree_table[full ^ mask]
+        return self._degree_table[full ^ mask] - (not mask)
 
     def similarity_blocks(self) -> list[tuple[int, ...]]:
         """Distance-similar blocks of the essential ideal graph, essential block first.

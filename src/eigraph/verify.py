@@ -144,8 +144,8 @@ def _check_adjacency(ctx: _VerifyContext):
         results.append((ok, "universal vertices are X plus p^a for n = p^a*q"))
         ok = all(
             ess.degrees[i] == part.class_degree(mask)
-            for mask in part.class_masks()
-            for i in part.members[mask]
+            for mask, members in part.members.items()
+            for i in members
         )
         results.append((ok, "class degree law"))
     if f.is_squarefree() and f.k >= 2:
@@ -259,7 +259,7 @@ def _check_dim(ctx: _VerifyContext):
         try:
             cons = constructive_resolving_set(ctx.ess.classes)
             # The certificate is checked on masks; BFS rows are the oracle.
-            check = is_resolving(ctx.ess, cons.witness)
+            check = is_resolving(ctx.ess, cons.witness, ctx.distances)
             ok = check.resolves and check.representations == cons.representations
             if formula.is_exact and cons.is_exact:
                 ok = ok and cons.dim_value == formula.dim_value

@@ -98,29 +98,24 @@ def squarefree_within_level_sum(k: int) -> int:
 
 
 def zagreb_general_closed(partition: ClassPartition) -> tuple[int, int]:
-    """Closed forms from the class partition, for n with an essential vertex.
+    """Closed forms from the class partition, for every composite n.
 
-    Every essential vertex has degree T - 1 and every class vertex has the
-    class degree m + sum of disjoint class sizes; M2 adds the essential
-    clique, the essential-to-class edges, and half the ordered sum over
-    disjoint class pairs.  With w[a] = size * degree of class a, that sum
-    is the sum over a of w[a] times the subset sum of w over full ^ a.
+    Every vertex of class a has degree class_degree(a), so M1 is the sum
+    of size * degree^2.  With w[a] = size * degree of class a, the sum over
+    a of w[a] times the subset sum of w over full ^ a counts every edge
+    twice, plus each essential vertex once with itself, as X is disjoint
+    from itself: 2 * M2 is that sum less m * (T - 1)^2.
     """
-    if partition.m == 0:
-        raise InputError("no essential vertices; use the squarefree closed form")
-    m = partition.m
-    t = partition.T
     full = (1 << partition.modulus.k) - 1
     w = [0] * (full + 1)
-    m1 = m * (t - 1) ** 2
-    for a in partition.class_masks():
+    m1 = 0
+    for a, members in partition.members.items():
         degree = partition.class_degree(a)
-        w[a] = len(partition.members[a]) * degree
+        w[a] = len(members) * degree
         m1 += w[a] * degree
     disjoint_w = subset_sums(w, partition.modulus.k)
-    cross = sum(wa * disjoint_w[full ^ a] for a, wa in enumerate(w))
-    m2 = comb(m, 2) * (t - 1) ** 2 + m * (t - 1) * sum(w) + cross // 2
-    return m1, m2
+    twice_m2 = sum(wa * disjoint_w[full ^ a] for a, wa in enumerate(w))
+    return m1, (twice_m2 - partition.m * (partition.T - 1) ** 2) // 2
 
 
 def zagreb_two_prime(f: FactoredInteger) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from eigraph import (
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 LARGE_T = (1321091265351, 203903066266900)  # T = 358 and T = 1438
+K12_K13 = (14841476269620, 608500527054420)  # k = 12 (T = 6142) and k = 13 (T = 12286)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from eigraph import graph as graph_module
 from eigraph.cli import main
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import composites, conjugate_check, primorial_graph
+from conftest import K12_K13, LARGE_T, composites, conjugate_check, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -511,13 +511,13 @@ def test_essential_vertices_universal(factored_100k):
 
 
 def test_class_degree_law(factored_100k):
-    for f in composites(factored_100k, 4, 1000, squarefree=False):
+    # Every class, X included, of every composite n <= 10^4 (squarefree n
+    # and prime powers too), the two large-T n, k = 12 and k = 13.
+    for f in [*composites(factored_100k, 4, 10_000), *map(factor, LARGE_T + K12_K13)]:
         g = build_essential_graph(f)
-        part = class_partition(f, list(g.vertices))
-        for mask in part.class_masks():
-            want = part.class_degree(mask)
-            for i in part.members[mask]:
-                assert g.degrees[i] == want
+        for mask, members in g.classes.members.items():
+            want = g.classes.class_degree(mask)
+            assert all(g.degrees[i] == want for i in members), (f.n, mask)
 
 
 @given(composite_n)

@@ -22,7 +22,7 @@ from eigraph import (
 )
 from eigraph.ideals import class_mask_order, intersects_every_ideal, subset_sums
 
-from conftest import PRIMES, composites, partition_of
+from conftest import K12_K13, LARGE_T, PRIMES, composites, partition_of
 
 
 def test_enumerate_vertices_examples():
@@ -177,22 +177,22 @@ def test_subset_sums_equal_the_direct_sum():
 
 
 def _class_degree_by_scan(part, mask):
-    # The former ClassPartition.class_degree: one scan over every class per mask.
-    return part.m + sum(
-        len(members)
-        for other, members in part.members.items()
-        if other and not other & mask
-    )
+    # One scan over every class per mask: the sizes of the classes disjoint
+    # from it, less the vertex itself in X, the one class disjoint from itself.
+    disjoint = sum(len(members) for other, members in part.members.items() if not other & mask)
+    return disjoint - (mask == 0)
 
 
 def test_class_degree_matches_the_per_class_scan(factored_100k):
-    # Every composite n <= 10^4, the two large-T n of the benchmark, k = 12 and k = 13.
-    large = (1321091265351, 203903066266900, 14841476269620, 608500527054420)
-    for f in [*composites(factored_100k, 4, 10_000), *map(factor, large)]:
+    # Every class, X included, of every composite n <= 10^4, the two large-T
+    # n of the benchmark, k = 12 and k = 13.
+    for f in [*composites(factored_100k, 4, 10_000), *map(factor, LARGE_T + K12_K13)]:
         part = partition_of(f)
-        for mask in part.class_masks():
+        for mask in part.members:
             assert part.class_degree(mask) == _class_degree_by_scan(part, mask), (f.n, mask)
-    assert [factor(n).k for n in large[2:]] == [12, 13]
+        # the essential vertices are universal
+        assert part.class_degree(0) == part.T - 1, f.n
+    assert [factor(n).k for n in K12_K13] == [12, 13]
 
 
 def test_gcd_lemma_examples():

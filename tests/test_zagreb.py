@@ -131,8 +131,10 @@ def test_general_closed_examples():
     assert m1 == 208
     assert (m1, m2) == zagreb_by_definition(graph_of(36))
 
-    with pytest.raises(InputError):
-        zagreb_general_closed(partition_of(factor(30)))
+    # squarefree n has no essential vertex, and the class sum holds there too
+    m1, m2_once, _ = zagreb_squarefree_closed(3)
+    assert zagreb_general_closed(partition_of(factor(30))) == (m1, m2_once)
+    assert (m1, m2_once) == zagreb_by_definition(graph_of(30))
 
 
 def test_two_prime_corollary_wraps_general():
@@ -147,7 +149,8 @@ def test_two_prime_corollary_wraps_general():
 
 
 def test_general_closed_matches_definition_sweep(factored_100k):
-    for f in composites(factored_100k, 4, 2000, squarefree=False):
+    # every composite n <= 3000: prime powers and squarefree n included
+    for f in composites(factored_100k, 4, 3000):
         part = partition_of(f)
         assert zagreb_general_closed(part) == zagreb_by_definition(
             build_essential_graph(f)
