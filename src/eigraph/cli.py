@@ -276,7 +276,7 @@ def _dim_json(report: DimReport):
     yield _json_open(fields)
     yield ',\n  "witness": [\n    ' + ",\n    ".join(map(str, report.witness)) + "\n  ]"
     sep = ',\n  "representations": {\n    '
-    for key, text in report.joined_representations(",\n      "):
+    for key, text in report.representations.joined(",\n      "):
         yield f'{sep}"{key}": [\n      {text}\n    ]'
         sep = ",\n    "
     yield "\n  }\n}\n"

@@ -256,19 +256,21 @@ class ClassPartition:
             return 2
         return 3
 
-    def distance_layers(self, by_mask: list[int]) -> tuple[list[int], list[int]]:
+    def distance_layers(self, masks: list[int]) -> tuple[list[int], list[int]]:
         """The mask-distance law for many positions at once.
 
-        by_mask[b] is the bitset of the positions whose vertex has mask b,
-        for the 2^k masks b.  For a vertex with mask a, near[a] holds the
-        positions at distance 1 (mask disjoint from a) and far[a] those at
-        distance 3 (m = 0, a | b full, a & b nonempty); every other
-        position is at distance 2, but the vertex's own.  near is
-        subset_sums read at full ^ a, the transform that builds the
-        essential rows; far is the same transform on complemented masks,
-        read at a, less near[a].
+        masks[j] is the mask of the vertex at position j.  For a vertex
+        with mask a, near[a] holds the positions at distance 1 (mask
+        disjoint from a) and far[a] those at distance 3 (m = 0, a | b full,
+        a & b nonempty); every other position is at distance 2, but the
+        vertex's own.  near is subset_sums of the positions by mask, read at
+        full ^ a, the transform that builds the essential rows; far is the
+        same transform on complemented masks, read at a, less near[a].
         """
         k = self.modulus.k
+        by_mask = [0] * (1 << k)
+        for j, b in enumerate(masks):
+            by_mask[b] |= 1 << j
         near = subset_sums(by_mask, k)[::-1]
         if self.m:
             return near, [0] * len(near)
@@ -287,10 +289,7 @@ class ClassPartition:
         any other class.
         """
         masks = [v.xi_mask for v in self.vertices]
-        by_mask = [0] * (1 << self.modulus.k)
-        for i, a in enumerate(masks):
-            by_mask[a] |= 1 << i
-        near, far = self.distance_layers(by_mask)
+        near, far = self.distance_layers(masks)
         row = bytearray(sep.join("0" * len(masks)).encode())
         step = len(sep) + 1
         shared = {}

@@ -3,45 +3,44 @@
 Three routes are provided and cross-checked: a closed-form case analysis
 on the factorization shape, a search-free certificate for every
 composite n (the minimal ideals for squarefree n, every class less its
-top otherwise), and an exact search.  The search rests on
-the twin argument: the vertices of a distance-similar block are pairwise
-twins, a transposition of two twins is a graph automorphism, so a
-resolving set keeps all but at most one vertex of each block and whether
-it resolves depends only on which blocks lose a vertex.  The search
-therefore walks choices of blocks, not choices of members, depth first in
-lexicographic order.  Each kept block top splits the classes of tops not
-yet told apart by its distance layers (bitsets), and a branch is cut when
-its classes need more picks than are left: with distances at most D, one
-more pick splits a class into at most D parts.  The problem stays
-exponential in the number of blocks.  The certificate builds no graph
-and lists no vertex: it takes a class partition, and the distance between
-two vertices depends only on their full-exponent masks
-(ClassPartition.mask_distance), so its witness is checked on that
-partition: one column per distinct witness mask, and for every mask the
-columns at distance 1 and at distance 3 as two bitsets, read off one
-subset-sum transform (ClassPartition.distance_layers).  It resolves iff
-the outside vertices' pairs of bitsets are pairwise distinct, so it
-holds no (T - dim) x dim table; the representations are read off each
-outside mask's digit text when first used.  Both routes drop a block's
-top, its largest vertex index: the class partition and the
-distance-similar partition hold index blocks in one format, and
-dim_lower_bound reads either.  The search builds no T x T distance
-matrix; it reads BFS rows of the block tops only.  Every
-witness the module hands out is re-verified before it is reported, and
-is_resolving on BFS rows stays the oracle for both.
+top otherwise), and an exact search.  Both the certificate and the
+search read one distance law: the distance between two vertices depends
+only on their full-exponent masks (ClassPartition.mask_distance), and
+ClassPartition.distance_layers gives every mask the positions at
+distance 1 and at distance 3 as two bitsets, read off one subset-sum
+transform.  The search rests on the twin argument: the vertices of a
+distance-similar block are pairwise twins, a transposition of two twins
+is a graph automorphism, so a resolving set keeps all but at most one
+vertex of each block and whether it resolves depends only on which
+blocks lose a vertex.  The search therefore walks choices of blocks, not
+choices of members, depth first in lexicographic order.  Each kept block
+top splits the classes of tops not yet told apart by its distance
+layers, and a branch is cut when its classes need more picks than are
+left: with distances at most D, one more pick splits a class into at
+most D parts.  The problem stays exponential in the number of blocks.
+The certificate builds no graph and lists no vertex: it takes a class
+partition.  Both routes drop a block's top, its largest vertex index:
+the class partition and the distance-similar partition hold index blocks
+in one format, and dim_lower_bound reads either.  One function checks
+every witness the module hands out, on the partition: one column per
+distinct witness mask, and the witness resolves iff the outside
+vertices' pairs of layer bitsets are pairwise distinct, so it holds no
+(T - dim) x dim table; the representations are read off each outside
+mask's digit text when first used.  Neither route runs a BFS:
+is_resolving on BFS rows is the oracle for both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import comb
 from operator import itemgetter
 
 from .arithmetic import FactoredInteger, divisor_count, require_composite
 from .errors import InconsistencyError, InputError
-from .graph import IdealGraph, bfs_row
+from .graph import KIND_ESSENTIAL, IdealGraph, bfs_row
 from .ideals import ClassPartition, distance_digits
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -59,8 +58,8 @@ class DimReport:
     upper bound, or a search that ran out of budget (then dim_value is the
     proven lower bound and no witness is attached).  A single-vertex graph
     gets dim 0 and reads as degenerate.  representations maps each vertex
-    outside the witness to its distances to the witness; the certificate's
-    is read off per-mask digit text on first use.
+    outside the witness to its distances to the witness, read off per-mask
+    digit text on first use.
     """
 
     n: int
@@ -91,13 +90,6 @@ class DimReport:
                 else None
             ),
         }
-
-    def joined_representations(self, sep: str):
-        """Yield (key, its representation's entries joined by sep), as to_json_dict lists them."""
-        reps = self.representations
-        if isinstance(reps, _Representations):
-            return reps.joined(sep)
-        return ((key, sep.join(map(str, rep))) for key, rep in reps.items())
 
 
 DIM_JSON_SCHEMA = {
@@ -212,47 +204,48 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     For r kept tops the search walks the choices of r tops depth first, in
     ascending position, which is the order of combinations(tops, r).  It
     carries the classes of tops not yet told apart as bitsets over top
-    positions: at the root, the tops grouped by their distances to the fixed
-    vertices; keeping a top splits every class by that top's distance
-    layers and removes the top.  A choice resolves iff no class keeps two
-    members.  With D the largest distance in the tops' BFS rows and `left`
-    picks to go, a class of c tops keeps at most D^left unpicked members,
-    so a node whose classes need more than `left` picks in all, the sum of
-    max(0, c - D^left), is abandoned; the prune only drops subtrees with no
-    resolving leaf.
+    positions: at the root, the tops grouped by their distance layers over
+    the fixed vertices' distinct masks; keeping a top splits every class
+    by that top's three distance layers over the tops and removes the top.
+    A choice resolves iff no class keeps two members.  With D the diameter
+    bound of the mask-distance law (2 with an essential vertex, else 3) and
+    `left` picks to go, a class of c tops keeps at most D^left unpicked
+    members, so a node whose classes need more than `left` picks in all,
+    the sum of max(0, c - D^left), is abandoned; the prune only drops
+    subtrees with no resolving leaf.
 
     Sizes are scanned ascending from the block-count lower bound, so the
     first resolving choice is the lexicographically least minimum witness
     (by vertex index).  The budget counts choices of blocks, C(blocks, e)
     for e dropped blocks, charged before a size is scanned however much the
     prune skips; if it would be exceeded the search stops and reports the
-    proven lower bound as a non-exact value.
+    proven lower bound as a non-exact value.  Only the essential graph has
+    the mask-distance law: any other graph raises InputError.
     """
+    if g.kind != KIND_ESSENTIAL:
+        raise InputError(f"the exact search needs the essential graph, not the {g.kind} graph")
     n = g.factored.n
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
+    part, verts = g.classes, g.vertices
     blocks = g.distance_similar.blocks
     tops = sorted(max(b) for b in blocks)
-    top_set = set(tops)
-    # Only the dropped tops are compared, so only their rows are needed.
-    distances = [bfs_row(g, v) if v in top_set else None for v in range(t)]
-    fixed = [i for i in range(t) if i not in top_set]
+    fixed = sorted(set(range(t)).difference(tops))
+    top_masks = [verts[v].xi_mask for v in tops]
+    near, far = part.distance_layers(list(dict.fromkeys(verts[i].xi_mask for i in fixed)))
     groups: dict[tuple, int] = {}
-    for pos, v in enumerate(tops):
-        key = tuple(map(distances[v].__getitem__, fixed))
-        groups[key] = groups.get(key, 0) | 1 << pos
+    for pos, a in enumerate(top_masks):
+        groups[near[a], far[a]] = groups.get((near[a], far[a]), 0) | 1 << pos
     roots = [c for c in groups.values() if c & (c - 1)]
-    reach = max(max(distances[v]) for v in tops)
-
-    @cache
-    def layers(pos: int) -> list[int]:
-        # Bitsets of the tops at each distance 1..reach from the top at pos.
-        row = distances[tops[pos]]
-        bits = [0] * (reach + 1)
-        for j, v in enumerate(tops):
-            bits[row[v]] |= 1 << j
-        return bits[1:]
+    reach = 2 if part.m else 3
+    # layers[pos]: the tops at distance 1, 2 and 3 from the top at pos
+    near, far = part.distance_layers(top_masks)
+    everyone = (1 << len(tops)) - 1
+    layers = []
+    for pos, a in enumerate(top_masks):
+        others = everyone ^ 1 << pos
+        layers.append((near[a] & others, others & ~(near[a] | far[a]), far[a] & others))
 
     def scan(classes: list[int], first: int, left: int) -> list[int] | None:
         cap = reach**left
@@ -261,8 +254,8 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
         if left == 0:
             return []
         for pos in range(first, len(tops) - left + 1):
-            parts = [c & bits for c in classes for bits in layers(pos)]
-            found = scan([c for c in parts if c & (c - 1)], pos + 1, left - 1)
+            parts = [p for c in classes for bits in layers[pos] if (p := c & bits) & (p - 1)]
+            found = scan(parts, pos + 1, left - 1)
             if found is not None:
                 return [pos] + found
         return None
@@ -277,12 +270,10 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
         spent += cost
         kept = scan(roots, 0, r)
         if kept is not None:
-            w_cols = sorted(fixed + [tops[pos] for pos in kept])
-            witness = tuple(g.vertices[i].d for i in w_cols)
-            check = is_resolving(g, witness, distances)
-            if not check.resolves:
-                raise InconsistencyError(f"constructed witness for n = {n} does not resolve")
-            return DimReport(n, t, s, True, METHOD_BRUTE, lower, witness, check.representations)
+            w_idx = sorted(fixed + [tops[pos] for pos in kept])
+            witness = tuple(verts[i].d for i in w_idx)
+            reps = _checked_representations(part, w_idx)
+            return DimReport(n, t, s, True, METHOD_BRUTE, lower, witness, reps)
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
 
 
@@ -379,43 +370,52 @@ class _Representations(Mapping):
         return repr(self._table)
 
 
+def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Representations:
+    """The representations of the vertices outside a witness, checked on the partition.
+
+    w_idx lists the witness's vertex indices.  A vertex's distance to a
+    witness depends only on the two masks (ClassPartition.mask_distance),
+    so the witness has one column per distinct witness mask, and
+    ClassPartition.distance_layers gives each mask a its code, the columns
+    at distance 1 and at distance 3.  The witness resolves iff the vertices
+    outside it have pairwise distinct codes: no class keeps two of them,
+    and no two of their masks share a code.  Otherwise InconsistencyError
+    is raised.  The representations are read off each outside mask's code
+    when first used.
+    """
+    verts = part.vertices
+    w_masks = [verts[i].xi_mask for i in w_idx]
+    columns = list(dict.fromkeys(w_masks))
+    near, far = part.distance_layers(columns)
+    outside = sorted(set(range(part.T)).difference(w_idx))
+    # two outside members of one class share their mask, and so their code
+    o_masks = [verts[i].xi_mask for i in outside]
+    if len(outside) != len({(near[a], far[a]) for a in o_masks}):
+        raise InconsistencyError(f"constructed witness for n = {part.modulus.n} does not resolve")
+
+    # picks each witness vertex's column digit; for a one-vertex witness it
+    # gives that digit itself, which "".join leaves as it is
+    column = {b: j for j, b in enumerate(columns)}
+    by_witness = itemgetter(*map(column.__getitem__, w_masks))
+
+    def digits(a: int) -> str:
+        return "".join(by_witness(distance_digits(near[a], far[a], len(columns))))
+
+    return _Representations([verts[i].d for i in outside], o_masks, digits)
+
+
 def constructive_resolving_set(part: ClassPartition) -> DimReport:
     """Resolving set prescribed by the shape of n, with no search and no graph.
 
-    The witness comes from the class partition (see _witness_rule).  It is
-    checked on the quotient: a vertex's distance to a witness depends only
-    on the two masks (ClassPartition.mask_distance), so the witness has one
-    column per distinct witness mask, and ClassPartition.distance_layers
-    gives each mask a its code, the columns at distance 1 and at distance 3.
-    The witness resolves iff the vertices outside it have pairwise distinct
-    codes: no class keeps two of them, and no two of their masks share a
-    code.  Otherwise InconsistencyError is raised.  The representations
-    are read off each outside mask's code when first used.  The report is
-    exact iff the closed form is, and then the witness size must equal it.
+    The witness comes from the class partition (see _witness_rule) and is
+    checked there by _checked_representations.  The report is exact iff
+    the closed form is, and then the witness size must equal it.
     """
     f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
     w_idx = _witness_rule(f, part)
-    w_masks = [verts[i].xi_mask for i in w_idx]
-    column = {b: j for j, b in enumerate(dict.fromkeys(w_masks))}
-    by_mask = [0] * (1 << f.k)
-    for b, j in column.items():
-        by_mask[b] = 1 << j
-    near, far = part.distance_layers(by_mask)
-    outside = sorted(set(range(t)).difference(w_idx))
-    # two outside members of one class share their mask, and so their code
-    o_masks = [verts[i].xi_mask for i in outside]
-    if len(outside) != len({(near[a], far[a]) for a in o_masks}):
-        raise InconsistencyError(f"constructed witness for n = {f.n} does not resolve")
-
-    # picks each witness vertex's column digit; for a one-vertex witness it
-    # gives that digit itself, which "".join leaves as it is
-    by_witness = itemgetter(*map(column.__getitem__, w_masks))
-
-    def digits(a: int) -> str:
-        return "".join(by_witness(distance_digits(near[a], far[a], len(column))))
-
+    reps = _checked_representations(part, w_idx)
     lower = dim_lower_bound(part.similarity_blocks()) if part.m else 1
     witness = tuple(verts[i].d for i in w_idx)
     expected = dim_formula(f)
@@ -424,7 +424,6 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
             f"constructed witness for n = {f.n} has size {len(witness)}, "
             f"closed form gives {expected.dim_value}"
         )
-    reps = _Representations([verts[i].d for i in outside], o_masks, digits)
     return DimReport(
         f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, witness, reps
     )

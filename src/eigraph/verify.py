@@ -268,14 +268,15 @@ def _check_dim(ctx: _VerifyContext):
             results.append((False, f"constructive witness failed: {exc}"))
     brute = dim_bruteforce(ctx.ess, budget=ctx.budget)
     if brute.is_exact:
+        # The search reads the mask-distance law; BFS rows are the oracle.
+        check = is_resolving(ctx.ess, brute.witness, ctx.distances)
+        ok = check.resolves and check.representations == brute.representations
         if formula.is_exact:
-            results.append(
-                (brute.dim_value == formula.dim_value, "brute force equals formula")
-            )
+            ok = ok and brute.dim_value == formula.dim_value
+            results.append((ok, "brute force equals formula"))
         else:
-            results.append(
-                (brute.dim_value <= formula.dim_value, "brute force within upper bound")
-            )
+            ok = ok and brute.dim_value <= formula.dim_value
+            results.append((ok, "brute force within upper bound"))
     return results
 
 

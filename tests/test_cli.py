@@ -377,7 +377,7 @@ def test_errors_write_no_file(capsys, tmp_path, command):
 
 
 def test_dim_builds_no_distance_matrix(capsys, monkeypatch):
-    # every dim method reads BFS rows, never the T x T matrix
+    # no dim method builds the T x T matrix: every one reads the class law
     import eigraph
 
     def no_matrix(g):
@@ -409,6 +409,25 @@ def test_dim_certificate_builds_no_graph(capsys, monkeypatch):
             for fmt in ("text", "json"):
                 argv = ("dim", n, "--method", method, "--format", fmt)
                 assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+def test_dim_search_runs_no_bfs(capsys, monkeypatch):
+    # the exact search reads the mask-distance law and checks its witness
+    # on the class partition: BFS and is_resolving are oracles only
+    import eigraph
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("the dim search ran a BFS or the BFS witness check")
+
+    for name, module in list(sys.modules.items()):
+        if name == "eigraph" or name.startswith("eigraph."):
+            for attr in ("bfs_row", "all_pairs_distances", "is_resolving"):
+                if getattr(module, attr, None) is getattr(eigraph, attr):
+                    monkeypatch.setattr(module, attr, no_bfs)
+    for n in ("12", "60", "2310", "2700", "1321091265351"):
+        for fmt in ("text", "json"):
+            argv = ("dim", n, "--method", "brute", "--format", fmt)
+            assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_zagreb_command(capsys):

@@ -6,6 +6,7 @@ from eigraph import (
     InconsistencyError,
     InputError,
     bfs_row,
+    build_aig,
     build_essential_graph,
     constructive_resolving_set,
     dim_bruteforce,
@@ -184,13 +185,24 @@ def _block_choice_scan(g, budget=10_000_000):
 
 
 def test_pruned_search_equals_block_choice_scan(factored_100k):
-    # the depth-first scan with refinement and prune returns the reference's
-    # report field for field, representations included, at every budget
+    # the depth-first scan on the mask-distance layers returns the BFS
+    # reference's report field for field, representations included, at
+    # every budget, and at the default budget for both LARGE_T n
     for f in composites(factored_100k, 4, 3000):
         g = build_essential_graph(f)
         for budget in (10_000_000, 0, 1, 3, 100):
             want = _block_choice_scan(g, budget)
             assert dim_bruteforce(g, budget=budget) == want, (f.n, budget)
+    for f in map(factor, LARGE_T):
+        g = build_essential_graph(f)
+        assert dim_bruteforce(g) == _block_choice_scan(g), f.n
+
+
+def test_search_needs_the_essential_graph():
+    # the mask-distance law is the essential graph's; the AIG has its own
+    for n in (12, 30, 2700):
+        with pytest.raises(InputError):
+            dim_bruteforce(build_aig(factor(n)))
 
 
 def test_budget_counts_choices_of_blocks():
