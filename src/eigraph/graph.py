@@ -18,7 +18,7 @@ from itertools import compress
 
 from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
-from .ideals import ClassPartition, class_partition, enumerate_vertices, subset_sums
+from .ideals import ClassPartition, class_partition, disjoint_sets, enumerate_vertices
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
@@ -62,10 +62,10 @@ class IdealGraph:
         return bool(self.adjacency[i] >> j & 1)
 
     def index_of(self, key) -> int:
-        try:
-            return self._index[key]
-        except (KeyError, TypeError):
-            raise InputError(f"no vertex with key {key!r} in this graph") from None
+        index = self._index.get(key) if type(key) is int else None
+        if index is None:
+            raise InputError(f"no vertex with key {key!r} in this graph")
+        return index
 
     def neighbours_above(self, labels):
         """For each row i, an iterator over labels[j] for its neighbours j > i, ascending.
@@ -94,18 +94,9 @@ def _finish(kind, factored, vertices, rows) -> IdealGraph:
 
 
 def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
-    """Bitset rows of the graph on `masks` in which i ~ j iff the masks are disjoint.
-
-    subset_sums over the 2^k masks gives down[s], the vertices whose mask
-    is a subset of s; row i is down[full ^ masks[i]] without i.
-    """
-    full = (1 << k) - 1
-    by_mask = [0] * (full + 1)
-    for i, mask in enumerate(masks):
-        by_mask[mask] |= 1 << i
-    # The vertex sets of distinct masks are disjoint, so their sum is their union.
-    down = subset_sums(by_mask, k)
-    return [down[full ^ mask] & ~(1 << i) for i, mask in enumerate(masks)]
+    """Bitset rows of the graph on `masks` in which i ~ j iff the masks are disjoint."""
+    near = disjoint_sets(masks, k)
+    return [near[mask] & ~(1 << i) for i, mask in enumerate(masks)]
 
 
 def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:

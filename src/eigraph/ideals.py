@@ -42,6 +42,19 @@ def subset_sums(values: list[int], k: int) -> list[int]:
     return out
 
 
+def disjoint_sets(masks: list[int], k: int) -> list[int]:
+    """out[a] = the bitset of the positions j whose mask masks[j] is disjoint from a.
+
+    Those masks are the subsets of full ^ a: subset_sums of the positions
+    grouped by mask, reversed.
+    """
+    by_mask = [0] * (1 << k)
+    for j, b in enumerate(masks):
+        by_mask[b] |= 1 << j
+    # The positions of distinct masks are disjoint, so their sum is their union.
+    return subset_sums(by_mask, k)[::-1]
+
+
 @dataclass(frozen=True, init=False)
 class Ideal:
     """A nonzero proper ideal of Z_n, represented by its generator's exponents.
@@ -87,8 +100,8 @@ def ideal_from_exponents(f: FactoredInteger, exponents) -> Ideal:
     if len(exps) != f.k:
         raise InputError(f"expected {f.k} exponents, got {len(exps)}")
     full = f.exponents
-    if any(r < 0 or r > m for r, m in zip(exps, full)):
-        raise InputError(f"exponents {exps} out of range for n = {f.n}")
+    if any(type(r) is not int or not 0 <= r <= m for r, m in zip(exps, full)):
+        raise InputError(f"exponents {exps} are not integers in range for n = {f.n}")
     if all(r == 0 for r in exps):
         raise InputError("the unit ideal is not a vertex")
     if exps == full:
@@ -101,8 +114,8 @@ def ideal_from_exponents(f: FactoredInteger, exponents) -> Ideal:
 
 def ideal_from_divisor(f: FactoredInteger, d: int) -> Ideal:
     """Build the Ideal <d> from a nontrivial proper divisor d of n."""
-    if d <= 1 or d >= f.n or f.n % d != 0:
-        raise InputError(f"{d} is not a nontrivial proper divisor of {f.n}")
+    if type(d) is not int or d <= 1 or d >= f.n or f.n % d != 0:
+        raise InputError(f"{d!r} is not a nontrivial proper divisor of {f.n}")
     exps = []
     rem = d
     for p, _ in f.factors:
@@ -225,22 +238,19 @@ class ClassPartition:
         return self._degree_table[full ^ mask] - (not mask)
 
     def similarity_blocks(self) -> list[tuple[int, ...]]:
-        """Distance-similar blocks of the essential ideal graph, essential block first.
+        """Distance-similar blocks of the essential ideal graph, universal block first.
 
-        Every class is a block, except for n = p^a * q (a >= 2): there the
-        full power p^a is alone in its class (mask {p}), which is joined to X
-        and to the {q}-class, so p^a is universal, a closed twin of every
-        essential vertex, and its class merges with X.  Defined for n with
-        an essential vertex (m >= 1).
+        Twin classes are cliques or independent sets (Hernando, Mora,
+        Pelayo, Seara and Wood, Electron. J. Combin. 17 (2010) R30).  The
+        universal vertices, X and every class of degree T - 1, are closed
+        twins of one another and form one block; every other nonempty class
+        is its own block.  A universal class outside X is the singleton
+        {p^a} of n = p^a * q, or either prime of n = pq.
         """
-        if self.m == 0:
-            raise InputError("no essential vertices: squarefree n has no class law")
-        blocks = dict(self.members)
-        exps = self.modulus.exponents
-        if self.modulus.k == 2 and min(exps) == 1:
-            heavy = 1 if exps[0] > 1 else 2  # the mask {p} of p^a
-            blocks[0] = tuple(sorted(blocks[0] + blocks.pop(heavy)))
-        return list(blocks.values())
+        top = self.T - 1
+        universal = [i for a, c in self.members.items() if self.class_degree(a) == top for i in c]
+        others = [c for a, c in self.members.items() if self.class_degree(a) != top]
+        return ([tuple(sorted(universal))] if universal else []) + others
 
     def mask_distance(self, a: int, b: int) -> int:
         """Distance in the essential ideal graph between two distinct vertices with masks a and b.
@@ -263,18 +273,16 @@ class ClassPartition:
         with mask a, near[a] holds the positions at distance 1 (mask
         disjoint from a) and far[a] those at distance 3 (m = 0, a | b full,
         a & b nonempty); every other position is at distance 2, but the
-        vertex's own.  near is subset_sums of the positions by mask, read at
-        full ^ a, the transform that builds the essential rows; far is the
-        same transform on complemented masks, read at a, less near[a].
+        vertex's own.  near is disjoint_sets of the masks, the transform
+        that builds the essential rows; far is disjoint_sets of the
+        complemented masks read reversed (a | b full), less near[a].
         """
         k = self.modulus.k
-        by_mask = [0] * (1 << k)
-        for j, b in enumerate(masks):
-            by_mask[b] |= 1 << j
-        near = subset_sums(by_mask, k)[::-1]
+        near = disjoint_sets(masks, k)
         if self.m:
             return near, [0] * len(near)
-        up = subset_sums(by_mask[::-1], k)
+        full = (1 << k) - 1
+        up = disjoint_sets([full ^ b for b in masks], k)[::-1]
         return near, [u & ~d for u, d in zip(up, near)]
 
     def distance_rows(self, sep: str = ""):

@@ -19,9 +19,10 @@ layers, and a branch is cut when its classes need more picks than are
 left: with distances at most D, one more pick splits a class into at
 most D parts.  The problem stays exponential in the number of blocks.
 The certificate builds no graph and lists no vertex: it takes a class
-partition.  Both routes drop a block's top, its largest vertex index:
-the class partition and the distance-similar partition hold index blocks
-in one format, and dim_lower_bound reads either.  One function checks
+partition.  Both routes read their blocks from similarity_blocks(), the
+distance-similar law for every composite n, and drop a block's top, its
+largest vertex index; the row grouping distance_similar_partition, in the
+same index format, is the oracle of that law.  One function checks
 every witness the module hands out, on the partition: one column per
 distinct witness mask, and the witness resolves iff the outside
 vertices' pairs of layer bitsets are pairwise distinct, so it holds no
@@ -229,7 +230,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
     part, verts = g.classes, g.vertices
-    blocks = g.distance_similar.blocks
+    blocks = part.similarity_blocks()
     tops = sorted(max(b) for b in blocks)
     fixed = sorted(set(range(t)).difference(tops))
     top_masks = [verts[v].xi_mask for v in tops]
@@ -416,7 +417,7 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
     w_idx = _witness_rule(f, part)
     reps = _checked_representations(part, w_idx)
-    lower = dim_lower_bound(part.similarity_blocks()) if part.m else 1
+    lower = dim_lower_bound(part.similarity_blocks())
     witness = tuple(verts[i].d for i in w_idx)
     expected = dim_formula(f)
     if expected.is_exact and len(witness) != expected.dim_value:

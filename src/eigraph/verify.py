@@ -135,7 +135,7 @@ def _check_adjacency(ctx: _VerifyContext):
     results.append((ok, "annihilating adjacency vs integer divisibility"))
 
     part = ctx.ess.classes
-    if part.m >= 1:
+    if part.m >= 1:  # m >= 1 only keeps the verify counts in perfbench/digests.json
         ok = all(ess.degrees[i] == t - 1 for i in part.members[0])
         results.append((ok, "essential vertices are universal"))
         # The universal vertices are exactly the closed twins of X, its block.
@@ -204,7 +204,7 @@ def _check_partition(ctx: _VerifyContext):
         ok = ok and len(part.members[mask]) == want
     ok = ok and sum(map(len, part.members.values())) == part.T
     results.append((ok, "class partition sizes"))
-    if part.m >= 1 and part.T >= 2:
+    if part.m >= 1 and part.T >= 2:  # m >= 1 only keeps the verify counts in perfbench/digests.json
         same = sorted(part.similarity_blocks()) == list(ctx.ess.distance_similar.blocks)
         results.append((same, "distance-similar blocks match the class structure"))
         ok = all(_block_mutually_similar(ctx, block) for block in part.members.values())

@@ -412,22 +412,25 @@ def test_dim_certificate_builds_no_graph(capsys, monkeypatch):
 
 
 def test_dim_search_runs_no_bfs(capsys, monkeypatch):
-    # the exact search reads the mask-distance law and checks its witness
-    # on the class partition: BFS and is_resolving are oracles only
+    # the certificate and the exact search read the mask-distance law, take
+    # their blocks from similarity_blocks() and check their witness on the
+    # class partition: BFS, is_resolving and the row grouping are oracles only
     import eigraph
 
-    def no_bfs(*args, **kwargs):
-        raise AssertionError("the dim search ran a BFS or the BFS witness check")
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("dim ran a BFS, the BFS witness check or the row grouping")
 
+    oracles = ("bfs_row", "all_pairs_distances", "is_resolving", "distance_similar_partition")
     for name, module in list(sys.modules.items()):
         if name == "eigraph" or name.startswith("eigraph."):
-            for attr in ("bfs_row", "all_pairs_distances", "is_resolving"):
+            for attr in oracles:
                 if getattr(module, attr, None) is getattr(eigraph, attr):
-                    monkeypatch.setattr(module, attr, no_bfs)
-    for n in ("12", "60", "2310", "2700", "1321091265351"):
-        for fmt in ("text", "json"):
-            argv = ("dim", n, "--method", "brute", "--format", fmt)
-            assert run_cli(capsys, *argv)[0] == 0, argv
+                    monkeypatch.setattr(module, attr, no_oracle)
+    for n in ("6", "12", "30", "60", "2310", "2700", "1321091265351"):
+        for method in ([], ["--method", "brute"]):
+            for fmt in ("text", "json"):
+                argv = ("dim", n, *method, "--format", fmt)
+                assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_zagreb_command(capsys):

@@ -334,26 +334,34 @@ def test_distance_similar_blocks_are_twin_classes(factored_100k):
         _assert_twin_blocks(build_aig(factor(n)))
 
 
+def _essential_graphs_of_every_shape(factored, hi):
+    # every composite n <= hi, squarefree included, then the primorials for
+    # k = 2..10 (T up to 1022) and both large-T n
+    yield from map(build_essential_graph, composites(factored, 4, hi))
+    yield from map(primorial_graph, range(2, 11))
+    yield from map(build_essential_graph, map(factor, LARGE_T))
+
+
 def test_distance_similar_blocks_vs_classes(factored_100k):
-    # classes are the blocks except n = p^a * q, where the heavy singleton
-    # class is universal and joins the essential class
-    for f in composites(factored_100k, 4, 2000, squarefree=False):
-        g = build_essential_graph(f)
-        part = class_partition(f, list(g.vertices))
+    # The row grouping is the oracle of the class law: the universal
+    # vertices (X, the heavy singleton of n = p^a * q, both primes of
+    # n = pq) form one block and every other class is a block.
+    for g in _essential_graphs_of_every_shape(factored_100k, 2000):
+        part = class_partition(g.factored, list(g.vertices))
         actual = list(distance_similar_partition(g).blocks)
-        assert actual == sorted(part.similarity_blocks()), f.n
+        assert actual == sorted(part.similarity_blocks()), g.factored.n
 
 
 def test_class_and_distance_similar_partitions_share_a_format(factored_100k):
     # Both partitions of one graph hold ascending tuples of vertex indices,
     # so the class law is compared block for block, without translation.
-    for f in composites(factored_100k, 4, 3000, squarefree=False):
-        g = build_essential_graph(f)
+    for g in _essential_graphs_of_every_shape(factored_100k, 3000):
+        n = g.factored.n
         blocks = g.classes.similarity_blocks()
         for block in [*blocks, *g.distance_similar.blocks]:
-            assert type(block) is tuple and list(block) == sorted(set(block)), f.n
-            assert all(type(i) is int for i in block), f.n
-        assert sorted(blocks) == list(g.distance_similar.blocks), f.n
+            assert type(block) is tuple and list(block) == sorted(set(block)), n
+            assert all(type(i) is int for i in block), n
+        assert sorted(blocks) == list(g.distance_similar.blocks), n
 
 
 def test_join_construction_equals_direct(factored_100k):

@@ -20,7 +20,7 @@ from eigraph import (
     is_essential,
     sum_is_essential_or_unit,
 )
-from eigraph.ideals import class_mask_order, intersects_every_ideal, subset_sums
+from eigraph.ideals import class_mask_order, disjoint_sets, intersects_every_ideal, subset_sums
 
 from conftest import K12_K13, LARGE_T, PRIMES, composites, partition_of
 
@@ -109,8 +109,11 @@ def test_class_partition_examples():
     assert part.m == 0 and part.members[0] == ()
     assert all(len(part.members[mask]) == 1 for mask in part.class_masks())
     assert len(part.class_masks()) == 6
-    with pytest.raises(InputError):
-        part.similarity_blocks()
+    # squarefree k >= 3: no vertex is universal, and each singleton class is a block
+    assert part.similarity_blocks() == [part.members[mask] for mask in part.class_masks()]
+    assert sorted(part.similarity_blocks()) == [(i,) for i in range(6)]
+    # n = pq: X is empty and both primes are universal, one block of closed twins
+    assert partition_of(factor(6)).similarity_blocks() == [(0, 1)]
 
 
 def test_class_partition_size_invariants(factored_100k):
@@ -176,6 +179,17 @@ def test_subset_sums_equal_the_direct_sum():
             assert values == before
 
 
+def test_disjoint_sets_equal_the_direct_scan():
+    rng = random.Random(2010)
+    for k in range(1, 7):
+        for size in (0, 1, 5, 40):
+            masks = [rng.randrange(1 << k) for _ in range(size)]
+            want = [
+                sum(1 << j for j, b in enumerate(masks) if not a & b) for a in range(1 << k)
+            ]
+            assert disjoint_sets(masks, k) == want, (k, masks)
+
+
 def _class_degree_by_scan(part, mask):
     # One scan over every class per mask: the sizes of the classes disjoint
     # from it, less the vertex itself in X, the one class disjoint from itself.
@@ -225,6 +239,14 @@ def test_ideal_validation():
         ideal_from_divisor(f12, 5)
     with pytest.raises(InputError):
         ideal_from_divisor(f12, 12)
+    # a float or a bool is no exponent and no generator, even one equal to
+    # an int (2.0 == 2, True == 1)
+    for exps in ((1.5, 0), (2.0, 0), (True, 0), (1, False)):
+        with pytest.raises(InputError):
+            ideal_from_exponents(f12, exps)
+    for d in (2.0, 6.0, True, "4"):
+        with pytest.raises(InputError):
+            ideal_from_divisor(f12, d)
 
 
 def test_ideal_keeps_the_frozen_dataclass_behaviour():

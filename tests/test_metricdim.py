@@ -62,10 +62,10 @@ def test_is_resolving_validation():
 
 
 def test_witness_lists_generators():
-    # a float or a string that reads as a generator names no vertex, and
-    # neither does an unhashable item
+    # a float or a string that reads as a generator names no vertex, not
+    # even a float equal to one (2.0 == 2), and neither does an unhashable item
     g12 = graph_of(12)
-    for witness in ([3.7, 4], ["3", "4"], [[3], 4]):
+    for witness in ([3.7, 4], ["3", "4"], [[3], 4], [2.0], [3, 4.0]):
         with pytest.raises(InputError, match="no vertex with key"):
             is_resolving(g12, witness)
 
