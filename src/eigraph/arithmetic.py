@@ -126,6 +126,8 @@ def _n_out_of_range(n: int) -> InputError:
 
 def factor(n: int) -> FactoredInteger:
     """Factor n into (prime, exponent) pairs; deterministic for a given n."""
+    if type(n) is not int:
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 2 or n >= MAX_N:
         raise _n_out_of_range(n)
     counts: dict[int, int] = {}

@@ -28,7 +28,7 @@ from .metricdim import (
     dim_bruteforce,
     dim_formula,
 )
-from .verify import CHECK_CATEGORIES, VERIFY_JSON_SCHEMA, run_verify  # noqa: F401
+from .verify import CHECK_CATEGORIES, run_verify
 from .zagreb import ZAGREB_CSV_HEADER, compute_zagreb_report
 
 EXIT_OK = 0

@@ -41,11 +41,6 @@ class IdealGraph:
         return {v.d: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def distance_similar(self) -> DistanceSimilarPartition:
-        """This graph's distance-similar partition, computed on first use."""
-        return distance_similar_partition(self)
-
-    @cached_property
     def classes(self) -> ClassPartition:
         """This graph's class partition by full-exponent mask, computed on first use."""
         return class_partition(self.factored, self.vertices)
@@ -131,17 +126,17 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     return _finish(KIND_ANNIHILATING, f, verts, rows)
 
 
-def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
-    """Rebuild the essential ideal graph as a join of class blocks.
+def build_join_construction(part: ClassPartition) -> IdealGraph:
+    """Rebuild the essential ideal graph as a join of the class blocks of part.
 
     The essential class X is a complete graph joined to every vertex; each
     class is an empty graph on its members, joined to X and to every class
-    whose index mask is disjoint from its own.  Must agree with
-    build_essential_graph edge for edge; with no essential vertices X is
-    empty and the construction is the plain generalized join.
+    whose index mask is disjoint from its own.  The rows are over
+    part.vertices, so the reference lists no vertices and takes no cap.
+    Must agree with build_essential_graph edge for edge; with no essential
+    vertices X is empty and the construction is the plain generalized join.
     """
-    verts = enumerate_vertices(f, max_t)
-    part = class_partition(f, verts)
+    verts = part.vertices
     class_bits = {mask: sum(1 << i for i in block) for mask, block in part.members.items()}
     x_bits = class_bits.pop(0)
     joined = {0: (1 << len(verts)) - 1}
@@ -151,7 +146,7 @@ def build_join_construction(f: FactoredInteger, max_t: int | None = None) -> Ide
             if not a & b:
                 joined[a] |= b_bits
     rows = [joined[v.xi_mask] & ~(1 << i) for i, v in enumerate(verts)]
-    return _finish(KIND_ESSENTIAL, f, verts, rows)
+    return _finish(KIND_ESSENTIAL, part.modulus, verts, rows)
 
 
 def bfs_row(g: IdealGraph, s: int) -> list[int]:

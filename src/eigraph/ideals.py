@@ -348,6 +348,8 @@ def gcd_lemma_check(n: int, d1: int, d2: int) -> bool:
     Returns whether the biconditional holds for this triple; it is expected
     to hold for every pair of distinct nontrivial proper divisors.
     """
+    if any(type(x) is not int for x in (n, d1, d2)):
+        raise InputError(f"n, d1 and d2 must be integers, got {n!r}, {d1!r}, {d2!r}")
     f = factor(n)
     if not f.is_squarefree():
         raise InputError(f"n = {n} is not squarefree")

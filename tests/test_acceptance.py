@@ -201,7 +201,7 @@ def test_criterion_7_structure(factored_100k):
     merge_values = []
     for f in composites(factored_100k, 4, 10_000, squarefree=False):
         g = build_essential_graph(f)
-        join = build_join_construction(f)
+        join = build_join_construction(partition_of(f))
         if g.adjacency != join.adjacency:
             join_failures.append(f.n)
             continue

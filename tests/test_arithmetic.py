@@ -40,6 +40,13 @@ def test_factor_rejects_out_of_range():
             factor(bad)
 
 
+def test_factor_refuses_a_non_int():
+    # 12.0 would otherwise factor, and its float n reach build_essential_graph
+    for bad in (12.0, 2.0**62, True, "12", None):
+        with pytest.raises(InputError, match="n must be an integer"):
+            factor(bad)
+
+
 def test_factor_accepts_extremes():
     assert factor(2).factors == ((2, 1),)
     top = 2**63 - 1

@@ -15,7 +15,6 @@ from eigraph import (
     all_pairs_distances,
     build_aig,
     build_essential_graph,
-    build_join_construction,
     compute_zagreb_report,
     constructive_resolving_set,
     dim_bruteforce,
@@ -27,12 +26,12 @@ from eigraph import cli
 from eigraph.cli import (
     CLASSES_JSON_SCHEMA,
     DISTANCES_JSON_SCHEMA,
-    VERIFY_JSON_SCHEMA,
     main,
     run_verify,
 )
 from eigraph.graph import GRAPH_JSON_SCHEMA
 from eigraph.metricdim import DIM_JSON_SCHEMA
+from eigraph.verify import VERIFY_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
 
 from conftest import LARGE_T, composites, partition_of
@@ -175,7 +174,6 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
 _LISTING_LIBRARY = {
     "build_essential_graph": build_essential_graph,
     "build_aig": build_aig,
-    "build_join_construction": build_join_construction,
 }
 _LISTING_CLI = [
     "classes",
@@ -411,26 +409,61 @@ def test_dim_certificate_builds_no_graph(capsys, monkeypatch):
                 assert run_cli(capsys, *argv)[0] == 0, argv
 
 
-def test_dim_search_runs_no_bfs(capsys, monkeypatch):
-    # the certificate and the exact search read the mask-distance law, take
-    # their blocks from similarity_blocks() and check their witness on the
-    # class partition: BFS, is_resolving and the row grouping are oracles only
-    import eigraph
+def test_production_commands_reach_no_oracle(capsys, monkeypatch):
+    # Every command but verify reads the laws: BFS, the row grouping, the
+    # join, the isomorphism checks, the pairwise ideal tests, the BFS witness
+    # check and the pairwise mask-distance law are oracles, for verify and
+    # the tests only.
+    import eigraph.graph
+    import eigraph.metricdim
 
     def no_oracle(*args, **kwargs):
-        raise AssertionError("dim ran a BFS, the BFS witness check or the row grouping")
+        raise AssertionError("a production command reached an oracle")
 
-    oracles = ("bfs_row", "all_pairs_distances", "is_resolving", "distance_similar_partition")
+    oracles = {
+        eigraph.graph: (
+            "to_json_dict",
+            "bfs_row",
+            "all_pairs_distances",
+            "distance_similar_partition",
+            "build_join_construction",
+            "check_divisor_conjugate_iso",
+            "check_field_product_iso",
+        ),
+        eigraph.metricdim: ("is_resolving",),
+        eigraph.ideals: (
+            "sum_is_essential_or_unit",
+            "intersects_every_ideal",
+            "ideal_sum",
+            "gcd_lemma_check",
+            "gcd_lemma_holds",
+        ),
+    }
+    originals = {getattr(home, attr): attr for home, attrs in oracles.items() for attr in attrs}
     for name, module in list(sys.modules.items()):
         if name == "eigraph" or name.startswith("eigraph."):
-            for attr in oracles:
-                if getattr(module, attr, None) is getattr(eigraph, attr):
+            for original, attr in originals.items():
+                if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, no_oracle)
+    monkeypatch.setattr(ClassPartition, "mask_distance", no_oracle)
+    formats = {
+        "factor": ("text", "json"),
+        "graph": ("text", "json", "dot"),
+        "aig": ("text", "json", "dot"),
+        "classes": ("text", "json"),
+        "distances": ("text", "json"),
+    }
     for n in ("6", "12", "30", "60", "2310", "2700", "1321091265351"):
-        for method in ([], ["--method", "brute"]):
-            for fmt in ("text", "json"):
-                argv = ("dim", n, *method, "--format", fmt)
-                assert run_cli(capsys, *argv)[0] == 0, argv
+        argvs = [(c, n, "--format", fmt) for c, fmts in formats.items() for fmt in fmts]
+        argvs += [
+            ("dim", n, "--method", method, "--format", fmt)
+            for method in ("auto", "formula", "constructive", "brute")
+            for fmt in ("text", "json")
+        ]
+        for window in ((n,), (n, str(int(n) + 10))):
+            argvs += [("zagreb", *window, "--format", fmt) for fmt in ("text", "json", "csv")]
+        for argv in argvs:
+            assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_zagreb_command(capsys):
@@ -771,17 +804,17 @@ def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
 
 def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
     calls = _calls_during_verify(monkeypatch, eigraph.ideals.class_partition, lambda f: f.n)
-    # Per n: the essential graph's own (verify, zagreb and the certificate
-    # share it) and the join reference's; 212 before sharing, 183 while the
-    # certificate partitioned on its own.
-    assert len(calls) == 148
+    # One per n: the essential graph's own, which verify, zagreb, the
+    # certificate and the join reference share; 212 before sharing, 183 while
+    # the certificate partitioned on its own, 148 while the join did.
+    assert len(calls) == 74
 
 
 def test_verify_lists_the_vertices_once_per_graph(monkeypatch):
     calls = _calls_during_verify(monkeypatch, eigraph.ideals.enumerate_vertices, lambda f: f.n)
-    # Per n: the essential graph, the join reference and, unless T = 1, the
-    # AIG; 253 while the certificate listed them again.
-    assert len(calls) == 218
+    # Per n: the essential graph and, unless T = 1, the AIG; 253 while the
+    # certificate listed them again, 218 while the join reference did.
+    assert len(calls) == 144
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):

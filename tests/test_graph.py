@@ -28,7 +28,7 @@ from eigraph import graph as graph_module
 from eigraph.cli import main
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import K12_K13, LARGE_T, composites, conjugate_check, primorial_graph
+from conftest import K12_K13, LARGE_T, composites, conjugate_check, partition_of, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -221,23 +221,6 @@ def test_diameter_examples(capsys):
         assert capsys.readouterr().out.endswith(f"\ndiameter = {diameter}\n"), n
 
 
-def test_distance_similar_is_computed_once(monkeypatch):
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return distance_similar_partition(g)
-
-    monkeypatch.setattr(graph_module, "distance_similar_partition", counting)
-    f = factor(2700)
-    for g in (build_essential_graph(f), build_aig(f), primorial_graph(5)):
-        calls.clear()
-        first = g.distance_similar
-        assert g.distance_similar is first
-        assert len(calls) == 1 and calls[0] is g, g.kind
-        assert first == distance_similar_partition(g), g.kind
-
-
 def _distance_similar_oracle(g: IdealGraph):
     # direct from the definition: d(u, x) = d(v, x) for every other vertex x,
     # on BFS rows from every source
@@ -358,16 +341,16 @@ def test_class_and_distance_similar_partitions_share_a_format(factored_100k):
     for g in _essential_graphs_of_every_shape(factored_100k, 3000):
         n = g.factored.n
         blocks = g.classes.similarity_blocks()
-        for block in [*blocks, *g.distance_similar.blocks]:
+        for block in [*blocks, *distance_similar_partition(g).blocks]:
             assert type(block) is tuple and list(block) == sorted(set(block)), n
             assert all(type(i) is int for i in block), n
-        assert sorted(blocks) == list(g.distance_similar.blocks), n
+        assert sorted(blocks) == list(distance_similar_partition(g).blocks), n
 
 
 def test_join_construction_equals_direct(factored_100k):
     for f in composites(factored_100k, 4, 10_000):
         direct = build_essential_graph(f)
-        join = build_join_construction(f)
+        join = build_join_construction(partition_of(f))
         assert direct.adjacency == join.adjacency, f.n
         assert [v.d for v in direct.vertices] == [v.d for v in join.vertices], f.n
 

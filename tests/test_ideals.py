@@ -219,6 +219,13 @@ def test_gcd_lemma_examples():
         gcd_lemma_check(30, 2, 2)
 
 
+def test_gcd_lemma_refuses_a_non_int():
+    # a float divisor used to reach math.gcd, and a float n to pass
+    for args in ((30, 2.0, 15), (30.0, 2, 15), (30, 2, 15.0), (30, True, 15)):
+        with pytest.raises(InputError, match="must be integers"):
+            gcd_lemma_check(*args)
+
+
 def test_gcd_lemma_sweep(factored_100k):
     for f in composites(factored_100k, 4, 2000, squarefree=True):
         divisors = [v.d for v in enumerate_vertices(f)]

@@ -334,7 +334,7 @@ def test_squarefree_certificate(factored_100k):
         rows = [bfs_row(g, s) for s in range(g.order)]
         check = is_resolving(g, report.witness, rows)
         assert check.resolves and check.representations == report.representations, f.n
-        assert report.lower_bound == dim_lower_bound(g.distance_similar.blocks), f.n
+        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g).blocks), f.n
     for n in (6, 30, 210, 2310):  # one n per k = 2..5
         report = constructive_resolving_set(partition_of(factor(n)))
         assert report.dim_value == dim_bruteforce(graph_of(n)).dim_value, n
@@ -378,7 +378,7 @@ def test_constructive_sweep(factored_100k):
         check = is_resolving(g, report.witness)
         assert check.resolves, f.n
         assert check.representations == report.representations, f.n
-        assert report.lower_bound == dim_lower_bound(g.distance_similar.blocks), f.n
+        assert report.lower_bound == dim_lower_bound(distance_similar_partition(g).blocks), f.n
 
 
 def test_constructive_catches_a_bad_witness(monkeypatch):
@@ -505,10 +505,10 @@ def test_certificate_decodes_only_when_read(monkeypatch):
 
 
 def test_dim_lower_bound_examples():
-    assert dim_lower_bound(graph_of(2700).distance_similar.blocks) == 27
-    assert dim_lower_bound(graph_of(60).distance_similar.blocks) == 3
-    assert dim_lower_bound(graph_of(30).distance_similar.blocks) == 1
-    assert dim_lower_bound(graph_of(4).distance_similar.blocks) == 0
+    assert dim_lower_bound(distance_similar_partition(graph_of(2700)).blocks) == 27
+    assert dim_lower_bound(distance_similar_partition(graph_of(60)).blocks) == 3
+    assert dim_lower_bound(distance_similar_partition(graph_of(30)).blocks) == 1
+    assert dim_lower_bound(distance_similar_partition(graph_of(4)).blocks) == 0
 
 
 def test_completeness_check():
