@@ -124,10 +124,15 @@ def _n_out_of_range(n: int) -> InputError:
     return InputError(f"n must satisfy 2 <= n < 2**63, got {n}")
 
 
+def require_int(name: str, value) -> None:
+    """Refuse anything but an int, bool and float included, as an InputError."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def factor(n: int) -> FactoredInteger:
     """Factor n into (prime, exponent) pairs; deterministic for a given n."""
-    if type(n) is not int:
-        raise InputError(f"n must be an integer, got {n!r}")
+    require_int("n", n)
     if n < 2 or n >= MAX_N:
         raise _n_out_of_range(n)
     counts: dict[int, int] = {}
@@ -181,6 +186,7 @@ def resolve_max_vertices(max_t: int | None = None) -> int:
             max_t = int(raw)
         except ValueError as exc:
             raise InputError(f"{MAX_VERTICES_ENV} must be an integer, got {raw!r}") from exc
+    require_int("vertex cap", max_t)
     if max_t < 1:
         raise InputError(f"vertex cap must be positive, got {max_t}")
     return max_t
@@ -225,6 +231,7 @@ def factor_range(limit: int):
     table spanning [0, limit], one floor division per prime factor counted
     with multiplicity, and a prime n (spf[n] == 0) is yielded without any.
     """
+    require_int("limit", limit)
     if limit >= MAX_N:
         raise _n_out_of_range(limit)
     spf = smallest_prime_factor_sieve(limit)
@@ -255,6 +262,8 @@ def factor_window(start: int, end: int):
     Each n is factored on its own, so memory does not grow with end; an end
     at or above 2**63 is refused before any n is factored.
     """
+    require_int("start", start)
+    require_int("end", end)
     if end >= MAX_N:
         raise _n_out_of_range(end)
     return map(factor, range(max(start, 2), end + 1))

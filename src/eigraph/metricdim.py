@@ -51,6 +51,12 @@ METHOD_BRUTE = "brute-force"
 METHOD_CONSTRUCTIVE = "constructive"
 
 
+def require_budget(budget) -> None:
+    """Refuse a search budget that is not a nonnegative int, as an InputError."""
+    if type(budget) is not int or budget < 0:
+        raise InputError(f"budget must be a nonnegative integer, got {budget!r}")
+
+
 @dataclass(frozen=True)
 class DimReport:
     """Outcome of a metric dimension computation.
@@ -225,6 +231,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     """
     if g.kind != KIND_ESSENTIAL:
         raise InputError(f"the exact search needs the essential graph, not the {g.kind} graph")
+    require_budget(budget)
     n = g.factored.n
     t = g.order
     if t == 1:

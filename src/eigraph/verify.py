@@ -1,12 +1,13 @@
 """Verification sweep: closed forms cross-checked against oracles over a range of n.
 
 Each check category is a function of a per-n context that builds the
-shared artifacts (essential graph, AIG, distances, row grouping) on first
-use.  The essential graph keeps its own class partition, which the dim
-certificate and the join reference read, and the Zagreb report reads that
-graph, so each n's vertices are listed once per graph and partitioned
-once.  Both partitions hold blocks of vertex indices, so the class law is
-compared with the distance-similar row grouping, an oracle, directly.
+shared artifacts (essential graph, AIG, distances, row grouping, dim
+formula) on first use.  The essential graph keeps its own class
+partition, which the dim certificate and the join reference read, and
+the Zagreb report reads that graph, so each n's vertices are listed once
+per graph and partitioned once.  Both partitions hold blocks of vertex
+indices, so the class law is compared with the distance-similar row
+grouping, an oracle, directly.
 A category returns (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
@@ -18,7 +19,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arithmetic import FactoredInteger, factor_range, factor_window, no_composite_in
+from .arithmetic import (
+    FactoredInteger,
+    factor_range,
+    factor_window,
+    no_composite_in,
+    require_int,
+)
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
@@ -43,6 +50,7 @@ from .metricdim import (
     dim_lower_bound,
     finiteness_bound_check,
     is_resolving,
+    require_budget,
 )
 from .zagreb import compute_zagreb_report, squarefree_level_degree, squarefree_within_level_sum
 
@@ -111,6 +119,10 @@ class _VerifyContext:
     @cached_property
     def similar(self):
         return distance_similar_partition(self.ess)
+
+    @cached_property
+    def formula(self):
+        return dim_formula(self.f)
 
 
 def _check_adjacency(ctx: _VerifyContext):
@@ -232,10 +244,16 @@ def _check_join(ctx: _VerifyContext):
     return [(join.adjacency == ctx.ess.adjacency, "join construction equals direct construction")]
 
 
+def _resolves_on_bfs(ctx: _VerifyContext, report) -> bool:
+    # The certificate and the search read the mask-distance law; BFS rows are the oracle.
+    check = is_resolving(ctx.ess, report.witness, ctx.distances)
+    return check.resolves and check.representations == report.representations
+
+
 def _check_dim(ctx: _VerifyContext):
     f = ctx.f
     results = []
-    formula = dim_formula(f)
+    formula = ctx.formula
     t = formula.T
     if t == 1:
         results.append((formula.dim_value == 0, "single-vertex dim is 0"))
@@ -261,9 +279,7 @@ def _check_dim(ctx: _VerifyContext):
     if not (f.is_squarefree() and f.k <= 5):
         try:
             cons = constructive_resolving_set(ctx.ess.classes)
-            # The certificate is checked on masks; BFS rows are the oracle.
-            check = is_resolving(ctx.ess, cons.witness, ctx.distances)
-            ok = check.resolves and check.representations == cons.representations
+            ok = _resolves_on_bfs(ctx, cons)
             if formula.is_exact and cons.is_exact:
                 ok = ok and cons.dim_value == formula.dim_value
             results.append((ok, "constructive witness resolves with expected size"))
@@ -271,9 +287,7 @@ def _check_dim(ctx: _VerifyContext):
             results.append((False, f"constructive witness failed: {exc}"))
     brute = dim_bruteforce(ctx.ess, budget=ctx.budget)
     if brute.is_exact:
-        # The search reads the mask-distance law; BFS rows are the oracle.
-        check = is_resolving(ctx.ess, brute.witness, ctx.distances)
-        ok = check.resolves and check.representations == brute.representations
+        ok = _resolves_on_bfs(ctx, brute)
         if formula.is_exact:
             ok = ok and brute.dim_value == formula.dim_value
             results.append((ok, "brute force equals formula"))
@@ -335,7 +349,7 @@ def _check_bounds(ctx: _VerifyContext):
             for d2 in divisors[i + 1 :]
         )
         results.append((ok, "gcd biconditional for all divisor pairs"))
-    formula = dim_formula(f)
+    formula = ctx.formula
     if formula.is_exact and formula.T >= 2:
         results.append(
             (
@@ -421,6 +435,9 @@ def run_verify(
     A range holding no composite n has nothing to check and is an input
     error, not a pass.
     """
+    require_int("start", start)
+    require_int("end", end)
+    require_budget(budget)
     checks = tuple(checks)
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:

@@ -1,11 +1,11 @@
 """First and second Zagreb indices of the essential ideal graph.
 
-Definition-level sums over the built graph are the arbiter; the closed
-forms (prime power, squarefree by level counts, general by class counts)
-are computed independently and compared against them.  For squarefree n
-two second-index values are exposed: the edge-once evaluation, which
-matches the definition, and the published worked-example evaluation,
-which double-counts edges inside a level and is reported separately.
+Definition-level sums over the built graph are the arbiter; the report
+compares them with one closed form from the class counts, which holds
+for every composite n.  The paper's forms by the shape of n (prime
+power, squarefree by level counts, two primes) are references the tests
+compare with it.  For squarefree n the report also carries the published
+worked-example M2, which double-counts edges inside a level.
 """
 
 from __future__ import annotations
@@ -219,18 +219,13 @@ ZAGREB_JSON_SCHEMA = {
 
 
 def compute_zagreb_report(g: IdealGraph) -> ZagrebReport:
-    """Definition values on the essential ideal graph g of Z_n, plus the closed form for n."""
+    """Definition values on the essential ideal graph g of Z_n, plus the class-count closed form."""
     f = g.factored
     if g.kind != KIND_ESSENTIAL:
         raise InputError(f"the Zagreb closed forms are for the essential ideal graph, not {g.kind}")
     m1_def, m2_def = zagreb_by_definition(g)
-    published = None
-    if f.k == 1:
-        m1_closed, m2_closed = zagreb_prime_power(f.exponents[0])
-    elif f.is_squarefree():
-        m1_closed, m2_closed, published = zagreb_squarefree_closed(f.k)
-    else:
-        m1_closed, m2_closed = zagreb_general_closed(g.classes)
+    m1_closed, m2_closed = zagreb_general_closed(g.classes)
+    published = zagreb_squarefree_closed(f.k)[2] if f.is_squarefree() else None
     return ZagrebReport(
         n=f.n,
         k=f.k,

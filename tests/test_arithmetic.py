@@ -277,6 +277,22 @@ def test_caps():
         resolve_max_vertices(0)
 
 
+def test_resolve_max_vertices_refuses_a_non_int():
+    # True would be a cap of 1, and "7" fail on the comparison
+    for bad in (True, "7", 7.0):
+        with pytest.raises(InputError, match="vertex cap must be an integer"):
+            resolve_max_vertices(bad)
+
+
+def test_factor_range_and_window_refuse_a_non_int():
+    # a float would otherwise fail inside the sieve or range as a TypeError
+    with pytest.raises(InputError, match="limit must be an integer"):
+        next(factor_range(10.0))
+    for start, end in ((4.0, 6), (4, 6.0), (4, True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            factor_window(start, end)
+
+
 def test_max_t_env_override(monkeypatch):
     monkeypatch.setenv("EIG_MAX_T", "5")
     with pytest.raises(InputError):

@@ -416,6 +416,7 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
     # the tests only.
     import eigraph.graph
     import eigraph.metricdim
+    import eigraph.zagreb
 
     def no_oracle(*args, **kwargs):
         raise AssertionError("a production command reached an oracle")
@@ -438,6 +439,8 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
             "gcd_lemma_check",
             "gcd_lemma_holds",
         ),
+        # the paper's Zagreb forms by the shape of n are references
+        eigraph.zagreb: ("zagreb_prime_power", "zagreb_two_prime"),
     }
     originals = {getattr(home, attr): attr for home, attrs in oracles.items() for attr in attrs}
     for name, module in list(sys.modules.items()):
@@ -453,7 +456,7 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
         "classes": ("text", "json"),
         "distances": ("text", "json"),
     }
-    for n in ("6", "12", "30", "60", "2310", "2700", "1321091265351"):
+    for n in ("6", "12", "30", "60", "1024", "2310", "2700", "1321091265351"):
         argvs = [(c, n, "--format", fmt) for c, fmts in formats.items() for fmt in fmts]
         argvs += [
             ("dim", n, "--method", method, "--format", fmt)
@@ -578,9 +581,9 @@ def test_zagreb_exits_2_when_a_closed_form_disagrees(capsys, monkeypatch):
     ]
     flags = {int(line.split(",")[0]): line.split(",")[-1] for line in out.splitlines()[1:]}
     assert flags[12].startswith("m1_agree=false;m2_agree=true")
-    assert flags[8].startswith("m1_agree=true")  # a prime power takes another form
-    # A sweep that never reaches the general form still agrees.
-    assert run_cli(capsys, "zagreb", "30", "32", "--format", "json")[0] == 0
+    # One law for every composite n: prime powers and squarefree n read it too.
+    assert all(flag.startswith("m1_agree=false;m2_agree=true") for flag in flags.values())
+    assert run_cli(capsys, "zagreb", "30", "32", "--format", "json")[0] == 2
 
 
 def test_verify_bounds_factors_n_once(monkeypatch):
@@ -800,6 +803,54 @@ def test_verify_builds_one_distance_similar_partition_per_n(monkeypatch):
     assert len(composite) == 74
     # a prime square has one vertex, and no check reads its partition
     assert calls == [n for n in composite if n not in (4, 9, 25, 49)]
+
+
+def test_verify_reaches_no_paper_zagreb_shape_form(monkeypatch):
+    import eigraph.zagreb
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("verify reached a paper shape form")
+
+    for attr in ("zagreb_prime_power", "zagreb_two_prime"):
+        monkeypatch.setattr(eigraph.zagreb, attr, no_reference)
+    # 1000 = 2^3 * 5^3, 1001 = 7 * 11 * 13 and 1024 = 2^10
+    assert run_verify(1000, 1030, checks=("zagreb",)).passed
+
+
+def test_verify_computes_the_dim_formula_once_per_n(monkeypatch):
+    import eigraph.verify
+
+    original = eigraph.verify.dim_formula
+    calls = []
+
+    def counting(f):
+        calls.append(f.n)
+        return original(f)
+
+    # only verify's own calls: the certificate reads the formula for itself
+    monkeypatch.setattr(eigraph.verify, "dim_formula", counting)
+    assert run_verify(4, 100).passed
+    # dim and bounds share one per n
+    assert len(calls) == len(set(calls)) == 74
+
+
+def test_run_verify_refuses_a_non_int_range_or_a_bad_budget():
+    # a float start would reach the JSON summary, against its schema
+    for start, end in ((60.0, 60), (60, 60.0), (True, 60)):
+        with pytest.raises(InputError, match="must be an integer"):
+            run_verify(start, end)
+    # a negative budget would drop the search's result unseen: dim run=4, not 5
+    for budget in (-1, 1.5, None, True):
+        with pytest.raises(InputError, match="budget must be a nonnegative integer"):
+            run_verify(60, 60, checks=("dim",), budget=budget)
+    assert run_verify(60, 60, checks=("dim",), budget=0).categories["dim"][0] == 4
+    assert run_verify(60, 60, checks=("dim",)).categories["dim"][0] == 5
+
+
+def test_cli_refuses_a_negative_budget_in_its_parser(capsys):
+    for command in (("dim", "60", "--method", "brute"), ("verify", "60", "60")):
+        code, _, err = run_cli(capsys, *command, "--budget", "-1")
+        assert (code, err) == (1, "error: argument --budget: budget must be nonnegative, got -1\n")
 
 
 def test_verify_keeps_one_class_partition_per_graph(monkeypatch):

@@ -184,6 +184,15 @@ def _block_choice_scan(g, budget=10_000_000):
     raise AssertionError("no resolving set")
 
 
+def test_search_refuses_a_budget_that_is_not_a_nonnegative_int():
+    # -1 would report the lower bound as a search out of budget
+    g = build_essential_graph(factor(60))
+    for bad in (-1, 1.5, True, None):
+        with pytest.raises(InputError, match="budget must be a nonnegative integer"):
+            dim_bruteforce(g, budget=bad)
+    assert not dim_bruteforce(g, budget=0).is_exact
+
+
 def test_pruned_search_equals_block_choice_scan(factored_100k):
     # the depth-first scan on the mask-distance layers returns the BFS
     # reference's report field for field, representations included, at

@@ -148,6 +148,23 @@ def test_two_prime_corollary_wraps_general():
         zagreb_two_prime(factor(60))
 
 
+def test_paper_forms_equal_the_class_law(factored_100k):
+    # The report reads only the class law; the paper's shape forms are
+    # references, compared with it over their whole parameter ranges.
+    for k, n in {**PRIMORIALS, 13: 304250263527210}.items():
+        assert zagreb_squarefree_closed(k)[:2] == zagreb_general_closed(partition_of(factor(n))), k
+    for p in (2, 3, 5):
+        m = 2
+        while p**m < 2**63:
+            f = factor(p**m)
+            assert zagreb_prime_power(m) == zagreb_general_closed(partition_of(f)), f.n
+            m += 1
+    two_prime = [f for f in composites(factored_100k, 4, 10_000, squarefree=False) if f.k == 2]
+    assert len(two_prime) > 1000
+    for f in two_prime:
+        assert zagreb_two_prime(f) == zagreb_general_closed(partition_of(f)), f.n
+
+
 def test_general_closed_matches_definition_sweep(factored_100k):
     # every composite n <= 3000: prime powers and squarefree n included
     for f in composites(factored_100k, 4, 3000):
