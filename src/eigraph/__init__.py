@@ -38,6 +38,7 @@ from .graph import (
 )
 from .ideals import (
     ClassPartition,
+    ClassQuotient,
     Ideal,
     class_partition,
     enumerate_vertices,
@@ -93,6 +94,7 @@ __all__ = [
     "to_dot",
     "to_json_dict",
     "ClassPartition",
+    "ClassQuotient",
     "Ideal",
     "class_partition",
     "enumerate_vertices",

@@ -188,9 +188,7 @@ def cmd_graph(args) -> int:
         _emit(_graph_json(g), args.output)
         return EXIT_OK
     part = g.classes
-    sizes = " ".join(
-        f"{_mask_label(mask)}:{len(part.members[mask])}" for mask in part.class_masks()
-    )
+    sizes = " ".join(f"{_mask_label(mask)}:{part.sizes[mask]}" for mask in part.class_masks())
     lines = [
         f"n = {f.n}",
         f"kind = {g.kind}",
@@ -220,7 +218,7 @@ def cmd_classes(args) -> int:
             "classes": [
                 {
                     "xi": list(mask_indices(mask)),
-                    "size": len(part.members[mask]),
+                    "size": part.sizes[mask],
                     "members": [verts[i].d for i in part.members[mask]],
                 }
                 for mask in part.class_masks()

@@ -5,9 +5,10 @@ generator d over the prime factorization of n.  The set of indices where
 the generator carries the full exponent of n (stored as a bitmask) drives
 every adjacency, class, and resolving-set computation downstream: two
 vertices are adjacent in the essential ideal graph exactly when those
-index sets are disjoint.  The class partition groups the indices of the
-vertex list by mask, with the essential class X at mask 0: the format of
-the graph's distance-similar blocks.
+index sets are disjoint.  The class quotient counts the vertices of each
+mask from the exponents alone and owns every law of those counts; the
+class partition adds the vertex indices grouped by mask, X at mask 0:
+the format of the graph's distance-similar blocks.
 """
 
 from __future__ import annotations
@@ -199,58 +200,46 @@ def class_mask_order(k: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class ClassPartition:
-    """Vertex indices grouped by full-exponent index set.
+class ClassQuotient:
+    """The class law of Z_n from the exponents alone; it lists no vertex.
 
-    vertices is the ordered vertex list the partition was built from;
-    members maps each proper bitmask to the ascending indices of its
-    vertices: the essential class X at mask 0 first, then the classes in
-    class_mask_order.  m = prod(m_i) - 1 counts the essential vertices and
-    T is the total vertex count.
+    sizes[a] counts the vertices of mask a, for each of the 2^k masks:
+    prod_{i not in a} m_i, one less for X at mask 0, and 0 for the full
+    mask.  m = sizes[0] counts the essential vertices and T all of them.
     """
 
     modulus: FactoredInteger
-    vertices: tuple[Ideal, ...]
-    members: dict[int, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        require_composite(self.modulus)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        sizes = [1]
+        for m in self.modulus.exponents:  # bit i clear: times m_i; set: times 1
+            sizes = [s * m for s in sizes] + sizes
+        return (sizes[0] - 1, *sizes[1:-1], 0)
 
     @property
     def m(self) -> int:
-        return len(self.members[0])
+        return self.sizes[0]
 
-    @property
+    @cached_property
     def T(self) -> int:
-        return len(self.vertices)
-
-    def class_masks(self) -> list[int]:
-        return list(self.members)[1:]
+        return sum(self.sizes)
 
     @cached_property
     def _degree_table(self) -> list[int]:
-        # subset_sums of the class sizes indexed by mask value; members
-        # iterates in canonical order, not mask order
-        full = (1 << self.modulus.k) - 1
-        sizes = [len(self.members[s]) for s in range(full)] + [0]
-        return subset_sums(sizes, self.modulus.k)
+        return subset_sums(self.sizes, self.modulus.k)
 
     def class_degree(self, mask: int) -> int:
         """Degree of every vertex in the class: the disjoint class sizes, less itself in X."""
         full = (1 << self.modulus.k) - 1
         return self._degree_table[full ^ mask] - (not mask)
 
-    def similarity_blocks(self) -> list[tuple[int, ...]]:
-        """Distance-similar blocks of the essential ideal graph, universal block first.
-
-        Twin classes are cliques or independent sets (Hernando, Mora,
-        Pelayo, Seara and Wood, Electron. J. Combin. 17 (2010) R30).  The
-        universal vertices, X and every class of degree T - 1, are closed
-        twins of one another and form one block; every other nonempty class
-        is its own block.  A universal class outside X is the singleton
-        {p^a} of n = p^a * q, or either prime of n = pq.
-        """
-        top = self.T - 1
-        universal = [i for a, c in self.members.items() if self.class_degree(a) == top for i in c]
-        others = [c for a, c in self.members.items() if self.class_degree(a) != top]
-        return ([tuple(sorted(universal))] if universal else []) + others
+    def universal_masks(self) -> list[int]:
+        """The proper masks of degree T - 1, ascending: X, even when empty, first."""
+        return [a for a in range((1 << self.modulus.k) - 1) if self.class_degree(a) == self.T - 1]
 
     def mask_distance(self, a: int, b: int) -> int:
         """Distance in the essential ideal graph between two distinct vertices with masks a and b.
@@ -285,6 +274,35 @@ class ClassPartition:
         up = disjoint_sets([full ^ b for b in masks], k)[::-1]
         return near, [u & ~d for u, d in zip(up, near)]
 
+
+@dataclass(frozen=True)
+class ClassPartition(ClassQuotient):
+    """The class quotient with its vertex list; members[a] holds class a's ascending indices.
+
+    members lists the essential class X at mask 0 first, then class_mask_order.
+    """
+
+    vertices: tuple[Ideal, ...]
+    members: dict[int, tuple[int, ...]]
+
+    def class_masks(self) -> list[int]:
+        return list(self.members)[1:]
+
+    def similarity_blocks(self) -> list[tuple[int, ...]]:
+        """Distance-similar blocks of the essential ideal graph, universal block first.
+
+        Twin classes are cliques or independent sets (Hernando, Mora,
+        Pelayo, Seara and Wood, Electron. J. Combin. 17 (2010) R30).  The
+        universal vertices, those of universal_masks(), are closed twins
+        of one another and form one block; every other nonempty class is
+        its own block.  A universal class outside X is the singleton {p^a}
+        of n = p^a * q, or either prime of n = pq.
+        """
+        masks = self.universal_masks()
+        universal = sorted(i for a in masks for i in self.members[a])
+        others = [c for a, c in self.members.items() if a not in masks]
+        return ([tuple(universal)] if universal else []) + others
+
     def distance_rows(self, sep: str = ""):
         """Yield each vertex's distances to every vertex, in vertex order, joined by sep.
 
@@ -305,7 +323,7 @@ class ClassPartition:
             digits = shared.get(a)
             if digits is None:
                 digits = distance_digits(near[a], far[a], len(masks)).encode()
-                if len(self.members[a]) > 1:
+                if self.sizes[a] > 1:
                     shared[a] = digits
             row[::step] = digits
             row[i * step] = ord("0")
@@ -332,14 +350,14 @@ def class_partition(
     """Partition the vertex list of enumerate_vertices(f) by full-exponent index mask."""
     members: dict[int, list[int]] = {mask: [] for mask in [0, *class_mask_order(f.k)]}
     for i, v in enumerate(vertices):
+        if v.modulus.n != f.n:
+            raise InputError(f"<{v.d}> is an ideal of Z_{v.modulus.n}, not of Z_{f.n}")
         members[v.xi_mask].append(i)
-    expected_m = math.prod(f.exponents) - 1
-    if len(members[0]) != expected_m:
-        raise InconsistencyError(
-            f"{len(members[0])} essential vertices for n = {f.n}, expected {expected_m}"
-        )
-    frozen = {mask: tuple(indices) for mask, indices in members.items()}
-    return ClassPartition(f, tuple(vertices), frozen)
+    part = ClassPartition(f, tuple(vertices), {a: tuple(c) for a, c in members.items()})
+    for a, c in members.items():
+        if len(c) != part.sizes[a]:
+            raise InconsistencyError(f"class {a} of {f.n} lists {len(c)}, not {part.sizes[a]}")
+    return part
 
 
 def gcd_lemma_check(n: int, d1: int, d2: int) -> bool:

@@ -5,8 +5,8 @@ on the factorization shape, a search-free certificate for every
 composite n (the minimal ideals for squarefree n, every class less its
 top otherwise), and an exact search.  Both the certificate and the
 search read one distance law: the distance between two vertices depends
-only on their full-exponent masks (ClassPartition.mask_distance), and
-ClassPartition.distance_layers gives every mask the positions at
+only on their full-exponent masks (ClassQuotient.mask_distance), and
+ClassQuotient.distance_layers gives every mask the positions at
 distance 1 and at distance 3 as two bitsets, read off one subset-sum
 transform.  The search rests on the twin argument: the vertices of a
 distance-similar block are pairwise twins, a transposition of two twins
@@ -20,15 +20,15 @@ left: with distances at most D, one more pick splits a class into at
 most D parts.  The problem stays exponential in the number of blocks.
 The certificate builds no graph and lists no vertex: it takes a class
 partition.  Both routes read their blocks from similarity_blocks(), the
-distance-similar law for every composite n, and drop a block's top, its
-largest vertex index; the row grouping distance_similar_partition, in the
-same index format, is the oracle of that law.  One function checks
-every witness the module hands out, on the partition: one column per
-distinct witness mask, and the witness resolves iff the outside
-vertices' pairs of layer bitsets are pairwise distinct, so it holds no
-(T - dim) x dim table; the representations are read off each outside
-mask's digit text when first used.  Neither route runs a BFS:
-is_resolving on BFS rows is the oracle for both.
+distance-similar law for every composite n (universal_masks() as masks),
+and drop a block's top, its largest vertex index; the row grouping
+distance_similar_partition, in the same index format, is its oracle.
+One function checks every witness the module hands out, on the
+partition: one column per distinct witness mask, and the witness
+resolves iff the outside vertices' pairs of layer bitsets are pairwise
+distinct, so it holds no (T - dim) x dim table; the representations are
+read off each outside mask's digit text when first used.  Neither route
+runs a BFS: is_resolving on BFS rows is the oracle for both.
 """
 
 from __future__ import annotations
@@ -382,9 +382,9 @@ def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Represe
     """The representations of the vertices outside a witness, checked on the partition.
 
     w_idx lists the witness's vertex indices.  A vertex's distance to a
-    witness depends only on the two masks (ClassPartition.mask_distance),
+    witness depends only on the two masks (ClassQuotient.mask_distance),
     so the witness has one column per distinct witness mask, and
-    ClassPartition.distance_layers gives each mask a its code, the columns
+    ClassQuotient.distance_layers gives each mask a its code, the columns
     at distance 1 and at distance 3.  The witness resolves iff the vertices
     outside it have pairwise distinct codes: no class keeps two of them,
     and no two of their masks share a code.  Otherwise InconsistencyError

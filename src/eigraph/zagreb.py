@@ -16,7 +16,7 @@ from math import comb
 from .arithmetic import FactoredInteger
 from .errors import InputError
 from .graph import KIND_ESSENTIAL, IdealGraph
-from .ideals import ClassPartition, subset_sums
+from .ideals import ClassQuotient, subset_sums
 
 
 def zagreb_by_definition(g: IdealGraph) -> tuple[int, int]:
@@ -97,8 +97,8 @@ def squarefree_within_level_sum(k: int) -> int:
     return total
 
 
-def zagreb_general_closed(partition: ClassPartition) -> tuple[int, int]:
-    """Closed forms from the class partition, for every composite n.
+def zagreb_general_closed(quotient: ClassQuotient) -> tuple[int, int]:
+    """Closed forms from the class sizes, for every composite n.
 
     Every vertex of class a has degree class_degree(a), so M1 is the sum
     of size * degree^2.  With w[a] = size * degree of class a, the sum over
@@ -106,16 +106,13 @@ def zagreb_general_closed(partition: ClassPartition) -> tuple[int, int]:
     twice, plus each essential vertex once with itself, as X is disjoint
     from itself: 2 * M2 is that sum less m * (T - 1)^2.
     """
-    full = (1 << partition.modulus.k) - 1
-    w = [0] * (full + 1)
-    m1 = 0
-    for a, members in partition.members.items():
-        degree = partition.class_degree(a)
-        w[a] = len(members) * degree
-        m1 += w[a] * degree
-    disjoint_w = subset_sums(w, partition.modulus.k)
+    full = (1 << quotient.modulus.k) - 1
+    degrees = [quotient.class_degree(a) for a in range(full + 1)]
+    w = [size * degree for size, degree in zip(quotient.sizes, degrees)]
+    m1 = sum(wa * degree for wa, degree in zip(w, degrees))
+    disjoint_w = subset_sums(w, quotient.modulus.k)
     twice_m2 = sum(wa * disjoint_w[full ^ a] for a, wa in enumerate(w))
-    return m1, (twice_m2 - partition.m * (partition.T - 1) ** 2) // 2
+    return m1, (twice_m2 - quotient.m * (quotient.T - 1) ** 2) // 2
 
 
 def zagreb_two_prime(f: FactoredInteger) -> tuple[int, int]:

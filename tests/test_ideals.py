@@ -7,10 +7,12 @@ import pytest
 
 import eigraph.ideals
 from eigraph import (
+    ClassQuotient,
     InconsistencyError,
     Ideal,
     InputError,
     class_partition,
+    divisor_count,
     enumerate_vertices,
     factor,
     gcd_lemma_check,
@@ -19,6 +21,7 @@ from eigraph import (
     ideal_sum,
     is_essential,
     sum_is_essential_or_unit,
+    zagreb_general_closed,
 )
 from eigraph.ideals import class_mask_order, disjoint_sets, intersects_every_ideal, subset_sums
 
@@ -46,6 +49,9 @@ def test_enumerate_rejects_bad_n():
         enumerate_vertices(factor(7))
     with pytest.raises(InputError):
         enumerate_vertices(factor(3))
+    for n in (7, 3):
+        with pytest.raises(InputError):
+            ClassQuotient(factor(n))
 
 
 def test_broken_invariants_raise_inconsistency(monkeypatch):
@@ -54,6 +60,12 @@ def test_broken_invariants_raise_inconsistency(monkeypatch):
     verts = enumerate_vertices(f12)
     with pytest.raises(InconsistencyError):
         class_partition(f12, verts[1:])  # <2>, the one essential vertex, is missing
+    # a vertex missing outside X: every class's listed size is checked, not X's alone
+    with pytest.raises(InconsistencyError):
+        class_partition(f12, [v for v in verts if v.d != 3])
+    f2700 = factor(2700)
+    with pytest.raises(InconsistencyError):
+        class_partition(f2700, enumerate_vertices(f2700)[:-1])
     monkeypatch.setattr(eigraph.ideals, "divisor_count", lambda f: 7)
     with pytest.raises(InconsistencyError):
         enumerate_vertices(f12)
@@ -87,6 +99,10 @@ def test_ideal_sum_examples():
 def test_mixed_rings_rejected():
     with pytest.raises(InputError):
         ideal_sum(ideal_from_divisor(factor(12), 2), ideal_from_divisor(factor(30), 2))
+    # the vertices of n = 18 pass the size check of X for n = 12, and the
+    # certificate on such a partition failed as an inconsistency
+    with pytest.raises(InputError, match="Z_18, not of Z_12"):
+        class_partition(factor(12), enumerate_vertices(factor(18)))
 
 
 def test_class_partition_examples():
@@ -197,16 +213,72 @@ def _class_degree_by_scan(part, mask):
     return disjoint - (mask == 0)
 
 
-def test_class_degree_matches_the_per_class_scan(factored_100k):
-    # Every class, X included, of every composite n <= 10^4, the two large-T
-    # n of the benchmark, k = 12 and k = 13.
+def _submasks(c):
+    # every submask of c, from c down to 0
+    b = c
+    while True:
+        yield b
+        if not b:
+            return
+        b = (b - 1) & c
+
+
+def _law_by_submasks(k, sizes):
+    # Class degrees, M1 and M2 from sizes (mask -> count), walking the
+    # masks disjoint from each class as the submasks of its complement, not
+    # by subset_sums.  X is disjoint from itself: its vertices pair with
+    # one another in the walk, and once each with themselves.
+    full = (1 << k) - 1
+    degree = {a: sum(sizes.get(b, 0) for b in _submasks(full ^ a)) - (a == 0) for a in sizes}
+    w = {a: sizes[a] * degree[a] for a in sizes}
+    twice_m2 = sum(w[a] * sum(w.get(b, 0) for b in _submasks(full ^ a)) for a in sizes)
+    m1 = sum(w[a] * degree[a] for a in sizes)
+    return degree, m1, (twice_m2 - sizes[0] * degree[0] ** 2) // 2
+
+
+def test_quotient_matches_the_listed_partition(factored_100k):
+    # ClassQuotient(f) reads the exponents only; the partition's members are
+    # the listing.  Every composite n <= 10^4, the two large-T n of the
+    # benchmark, k = 12 and k = 13.
     for f in [*composites(factored_100k, 4, 10_000), *map(factor, LARGE_T + K12_K13)]:
-        part = partition_of(f)
-        for mask in part.members:
-            assert part.class_degree(mask) == _class_degree_by_scan(part, mask), (f.n, mask)
-        # the essential vertices are universal
-        assert part.class_degree(0) == part.T - 1, f.n
+        quotient, part = ClassQuotient(f), partition_of(f)
+        listed = {a: len(c) for a, c in part.members.items()}
+        assert quotient.sizes == tuple(listed.get(a, 0) for a in range(1 << f.k)), f.n
+        assert (quotient.m, quotient.T) == (len(part.members[0]), len(part.vertices)), f.n
+        scanned = {a: _class_degree_by_scan(part, a) for a in part.members}
+        assert {a: quotient.class_degree(a) for a in part.members} == scanned, f.n
+        # the essential vertices are universal, and so is any other class of
+        # degree T - 1: the class {p^a} of n = p^a * q, or both primes of pq
+        universal = sorted(a for a, d in scanned.items() if d == part.T - 1)
+        assert quotient.universal_masks() == universal and universal[0] == 0, f.n
+        if f.k == 2 and 1 in f.exponents:
+            members = tuple(sorted(i for a in universal for i in part.members[a]))
+            assert len(universal) > 1 and members == part.similarity_blocks()[0], f.n
+        else:
+            assert universal == [0], f.n
+        _, m1, m2 = _law_by_submasks(f.k, listed)
+        assert zagreb_general_closed(quotient) == (m1, m2) == zagreb_general_closed(part), f.n
     assert [factor(n).k for n in K12_K13] == [12, 13]
+
+
+def test_quotient_lists_no_vertex_above_the_cap(monkeypatch):
+    # T = 103,678 is over the default cap; nothing here may list a vertex
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quotient listed a vertex")
+
+    monkeypatch.setattr(eigraph.ideals, "enumerate_vertices", refuse)
+    monkeypatch.setattr(eigraph.ideals, "product", refuse)
+    f = factor(897612484786617600)
+    quotient = ClassQuotient(f)
+    assert quotient.T == divisor_count(f) - 2 == 103_678
+    full = (1 << f.k) - 1
+    want = [math.prod(m for i, m in enumerate(f.exponents) if not a >> i & 1) for a in range(full)]
+    want[0] -= 1
+    assert quotient.sizes == (*want, 0)
+    degree, m1, m2 = _law_by_submasks(f.k, dict(enumerate(want)))
+    assert all(quotient.class_degree(a) == d for a, d in degree.items())
+    assert quotient.universal_masks() == [0]
+    assert zagreb_general_closed(quotient) == (m1, m2)
 
 
 def test_gcd_lemma_examples():
