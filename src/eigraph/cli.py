@@ -20,7 +20,13 @@ from . import __version__
 from .arithmetic import divisor_count, factor, factor_window, no_composite_in
 from .errors import InconsistencyError, InputError
 from .graph import KIND_ESSENTIAL, build_aig, build_essential_graph, to_dot
-from .ideals import class_partition, enumerate_vertices, mask_indices
+from .ideals import (
+    ClassQuotient,
+    class_mask_order,
+    class_partition,
+    enumerate_vertices,
+    mask_indices,
+)
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
     DimReport,
@@ -187,15 +193,15 @@ def cmd_graph(args) -> int:
     if args.format == "json":
         _emit(_graph_json(g), args.output)
         return EXIT_OK
-    part = g.classes
-    sizes = " ".join(f"{_mask_label(mask)}:{part.sizes[mask]}" for mask in part.class_masks())
+    q = ClassQuotient(f)
+    sizes = " ".join(f"{_mask_label(mask)}:{q.sizes[mask]}" for mask in class_mask_order(f.k))
     lines = [
         f"n = {f.n}",
         f"kind = {g.kind}",
         f"factors = {f.format_factorization()}",
         f"k = {f.k}",
         f"T = {g.order}",
-        f"m = {part.m}",
+        f"m = {q.m}",
         f"classes = {sizes}" if sizes else "classes =",
         f"edges = {g.edge_count}",
     ]
@@ -221,7 +227,7 @@ def cmd_classes(args) -> int:
                     "size": part.sizes[mask],
                     "members": [verts[i].d for i in part.members[mask]],
                 }
-                for mask in part.class_masks()
+                for mask in class_mask_order(f.k)
             ],
         }
         _emit([json.dumps(payload, indent=2), "\n"], args.output)
@@ -232,7 +238,7 @@ def cmd_classes(args) -> int:
         f"m = {part.m}",
         "X = " + " ".join(str(verts[i].d) for i in part.members[0]),
     ]
-    for mask in part.class_masks():
+    for mask in class_mask_order(f.k):
         members = " ".join(str(verts[i].d) for i in part.members[mask])
         lines.append(f"X_{_mask_label(mask)} = {members}")
     _emit(["\n".join(lines), "\n"], args.output)

@@ -285,9 +285,6 @@ class ClassPartition(ClassQuotient):
     vertices: tuple[Ideal, ...]
     members: dict[int, tuple[int, ...]]
 
-    def class_masks(self) -> list[int]:
-        return list(self.members)[1:]
-
     def similarity_blocks(self) -> list[tuple[int, ...]]:
         """Distance-similar blocks of the essential ideal graph, universal block first.
 
@@ -349,9 +346,15 @@ def class_partition(
 ) -> ClassPartition:
     """Partition the vertex list of enumerate_vertices(f) by full-exponent index mask."""
     members: dict[int, list[int]] = {mask: [] for mask in [0, *class_mask_order(f.k)]}
+    last = 0
     for i, v in enumerate(vertices):
         if v.modulus.n != f.n:
             raise InputError(f"<{v.d}> is an ideal of Z_{v.modulus.n}, not of Z_{f.n}")
+        if v.d <= last:  # as enumerate_vertices lists them, so none is listed twice
+            raise InputError(f"<{v.d}> is listed after <{last}>: generators must strictly ascend")
+        if v.xi_mask not in members:
+            raise InputError(f"<{v.d}> has every exponent full: the zero ideal is not a vertex")
+        last = v.d
         members[v.xi_mask].append(i)
     part = ClassPartition(f, tuple(vertices), {a: tuple(c) for a, c in members.items()})
     for a, c in members.items():

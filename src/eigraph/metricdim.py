@@ -1,23 +1,22 @@
 """Metric dimension of the essential ideal graph.
 
-Three routes are provided and cross-checked: a closed-form case analysis
-on the factorization shape, a search-free certificate for every
-composite n (the minimal ideals for squarefree n, every class less its
-top otherwise), and an exact search.  Both the certificate and the
-search read one distance law: the distance between two vertices depends
-only on their full-exponent masks (ClassQuotient.mask_distance), and
-ClassQuotient.distance_layers gives every mask the positions at
+Three routes are provided and cross-checked: one closed-form law on the
+class quotient (_dim_law; unless n is squarefree, the twin-block count
+T - (2^k - 1), plus one when exactly one of k >= 2 exponents exceeds 1),
+a search-free certificate for every composite n (the minimal ideals for
+squarefree n, every class less its top otherwise) whose size must equal
+the law where it is exact, and an exact search.  Both the certificate
+and the search read one distance law: the distance between two vertices
+depends only on their full-exponent masks (ClassQuotient.mask_distance),
+and ClassQuotient.distance_layers gives every mask the positions at
 distance 1 and at distance 3 as two bitsets, read off one subset-sum
 transform.  The search rests on the twin argument: the vertices of a
 distance-similar block are pairwise twins, a transposition of two twins
 is a graph automorphism, so a resolving set keeps all but at most one
 vertex of each block and whether it resolves depends only on which
 blocks lose a vertex.  The search therefore walks choices of blocks, not
-choices of members, depth first in lexicographic order.  Each kept block
-top splits the classes of tops not yet told apart by its distance
-layers, and a branch is cut when its classes need more picks than are
-left: with distances at most D, one more pick splits a class into at
-most D parts.  The problem stays exponential in the number of blocks.
+choices of members, pruned as dim_bruteforce states; the problem stays
+exponential in the number of blocks.
 The certificate builds no graph and lists no vertex: it takes a class
 partition.  Both routes read their blocks from similarity_blocks(), the
 distance-similar law for every composite n (universal_masks() as masks),
@@ -39,10 +38,10 @@ from functools import cached_property
 from math import comb
 from operator import itemgetter
 
-from .arithmetic import FactoredInteger, divisor_count, require_composite
+from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
 from .graph import KIND_ESSENTIAL, IdealGraph, bfs_row
-from .ideals import ClassPartition, distance_digits
+from .ideals import ClassPartition, ClassQuotient, distance_digits
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -285,43 +284,39 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
 
 
-def dim_formula(f: FactoredInteger) -> DimReport:
-    """Closed-form metric dimension from the factorization shape.
+def _dim_law(q: ClassQuotient) -> tuple[int, bool, int]:
+    """(dim, exact, lower bound) of the essential ideal graph from its class quotient.
 
-    Prime powers and products of two primes give T - 1 (complete graph);
-    squarefree n gives k - 1 for k <= 4, exactly 5 for k = 5, and only the
-    upper bound k for k >= 6; otherwise the value is T - (2^k - 1) when at
-    least two exponents exceed 1 and T - (2^k - 2) when exactly one does.
+    Squarefree n gives k - 1 for k <= 4, exactly 5 for k = 5, and only the
+    upper bound k for k >= 6.  For every other n each proper class is
+    nonempty, and the twin-block bound B = T - (2^k - 1) is exact, plus one
+    when k >= 2 and exactly one exponent exceeds 1.
     """
-    require_composite(f)
-    t = divisor_count(f) - 2
-    k = f.k
-    if t == 1:
-        return DimReport(f.n, 1, 0, True, METHOD_FORMULA, 0)
-    if k == 1:
-        return DimReport(f.n, t, t - 1, True, METHOD_FORMULA, t - 1)
-    if f.is_squarefree():
-        if k == 2:
-            return DimReport(f.n, t, t - 1, True, METHOD_FORMULA, 1)
-        if k <= 4:
-            return DimReport(f.n, t, k - 1, True, METHOD_FORMULA, 1)
-        if k == 5:
-            return DimReport(f.n, t, 5, True, METHOD_FORMULA, 1)
-        return DimReport(f.n, t, k, False, METHOD_FORMULA, 1)
-    heavy = sum(1 for m in f.exponents if m > 1)
-    lower = max(t - (2**k - 1), 1)
-    if heavy >= 2:
-        return DimReport(f.n, t, t - (2**k - 1), True, METHOD_FORMULA, lower)
-    return DimReport(f.n, t, t - (2**k - 2), True, METHOD_FORMULA, lower)
+    if q.T == 1:
+        return 0, True, 0
+    k = q.modulus.k
+    if q.modulus.is_squarefree():
+        return k - (k <= 4), k <= 5, 1
+    bound = q.T - (2**k - 1)
+    heavy = sum(m > 1 for m in q.modulus.exponents)
+    return bound + (k >= 2 and heavy == 1), True, max(bound, 1)
 
 
-def _witness_rule(f: FactoredInteger, part: ClassPartition) -> list[int]:
+def dim_formula(f: FactoredInteger) -> DimReport:
+    """Closed-form metric dimension from the class quotient of n (see _dim_law)."""
+    q = ClassQuotient(f)
+    dim, exact, lower = _dim_law(q)
+    return DimReport(f.n, q.T, dim, exact, METHOD_FORMULA, lower)
+
+
+def _witness_rule(part: ClassPartition) -> list[int]:
     # Vertex indices.  Squarefree n: the minimal ideals <n/p_i>, each alone
     # in the class of every prime but p_i, less the largest <n/p_1> for k <= 4.
     # Otherwise every class drops its top, its largest index: the vertices
     # ascend by generator, so the top has exponent m_i on the class mask and
     # m_i - 1 elsewhere.  When exactly one exponent exceeds 1 the dropped
     # singleton <p^m> is appended back at the end.
+    f = part.modulus
     if f.is_squarefree():
         full = (1 << f.k) - 1
         minimal = sorted(part.members[full ^ (1 << i)][0] for i in range(f.k))
@@ -417,21 +412,18 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
 
     The witness comes from the class partition (see _witness_rule) and is
     checked there by _checked_representations.  The report is exact iff
-    the closed form is, and then the witness size must equal it.
+    the dim law (_dim_law) is, and then the witness size must equal it.
     """
     f, verts, t = part.modulus, part.vertices, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
-    w_idx = _witness_rule(f, part)
+    w_idx = _witness_rule(part)
     reps = _checked_representations(part, w_idx)
     lower = dim_lower_bound(part.similarity_blocks())
     witness = tuple(verts[i].d for i in w_idx)
-    expected = dim_formula(f)
-    if expected.is_exact and len(witness) != expected.dim_value:
+    dim, exact, _ = _dim_law(part)
+    if exact and len(witness) != dim:
         raise InconsistencyError(
-            f"constructed witness for n = {f.n} has size {len(witness)}, "
-            f"closed form gives {expected.dim_value}"
+            f"constructed witness for n = {f.n} has size {len(witness)}, closed form gives {dim}"
         )
-    return DimReport(
-        f.n, t, len(witness), expected.is_exact, METHOD_CONSTRUCTIVE, lower, witness, reps
-    )
+    return DimReport(f.n, t, len(witness), exact, METHOD_CONSTRUCTIVE, lower, witness, reps)

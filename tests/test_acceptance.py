@@ -30,6 +30,7 @@ from eigraph import (
     zagreb_prime_power,
     zagreb_squarefree_closed,
 )
+from eigraph.ideals import class_mask_order
 from eigraph.zagreb import squarefree_level_degree
 
 from conftest import composites, conjugate_check, partition_of
@@ -64,13 +65,14 @@ def test_criterion_2_general_zagreb_2700():
     failures = []
     if part.T != 34 or part.m != 11:
         failures.append(f"T={part.T} m={part.m}")
-    sizes = [len(part.members[mask]) for mask in part.class_masks()]
+    masks = class_mask_order(f.k)
+    sizes = [len(part.members[mask]) for mask in masks]
     if sizes != [6, 4, 6, 2, 3, 2]:
         failures.append(f"sizes={sizes}")
-    degrees = [part.class_degree(mask) for mask in part.class_masks()]
+    degrees = [part.class_degree(mask) for mask in masks]
     if degrees != [23, 26, 23, 17, 15, 17]:
         failures.append(f"degrees={degrees}")
-    counted = [g.degrees[part.members[mask][0]] for mask in part.class_masks()]
+    counted = [g.degrees[part.members[mask][0]] for mask in masks]
     if counted != degrees:
         failures.append(f"counted degrees={counted}")
     definition = zagreb_by_definition(g)
@@ -313,7 +315,7 @@ def test_criterion_9_property_suite(factored_100k):
         for f in composites(factored_100k, 4, 10_000, squarefree=False):
             g = build_essential_graph(f)
             part = class_partition(f, list(g.vertices))
-            for mask in part.class_masks():
+            for mask in class_mask_order(f.k):
                 want = part.class_degree(mask)
                 if any(g.degrees[i] != want for i in part.members[mask]):
                     failures.append(f"class degree law fails at n={f.n}")

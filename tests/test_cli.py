@@ -817,21 +817,81 @@ def test_verify_reaches_no_paper_zagreb_shape_form(monkeypatch):
     assert run_verify(1000, 1030, checks=("zagreb",)).passed
 
 
-def test_verify_computes_the_dim_formula_once_per_n(monkeypatch):
-    import eigraph.verify
+def _patch_every_alias(monkeypatch, module, name, replacement):
+    """Set name to replacement in every eigraph module that holds module.name; return those."""
+    original = getattr(module, name)
+    holders = [
+        held
+        for key, held in list(sys.modules.items())
+        if key.split(".")[0] == "eigraph" and getattr(held, name, None) is original
+    ]
+    for held in holders:
+        monkeypatch.setattr(held, name, replacement)
+    return holders
 
-    original = eigraph.verify.dim_formula
+
+def test_verify_computes_the_dim_formula_once_per_n(monkeypatch):
+    import eigraph.metricdim
+
+    original = eigraph.metricdim.dim_formula
     calls = []
 
     def counting(f):
         calls.append(f.n)
         return original(f)
 
-    # only verify's own calls: the certificate reads the formula for itself
-    monkeypatch.setattr(eigraph.verify, "dim_formula", counting)
+    # every alias, the certificate's module included: the certificate reads
+    # the dim law off its partition and makes no call of its own (it made
+    # 35 here, one per n it certified)
+    aliases = _patch_every_alias(monkeypatch, eigraph.metricdim, "dim_formula", counting)
+    assert eigraph.metricdim in aliases and eigraph.verify in aliases
     assert run_verify(4, 100).passed
     # dim and bounds share one per n
     assert len(calls) == len(set(calls)) == 74
+
+
+def test_scalar_commands_list_no_class_partition(capsys, monkeypatch):
+    # graph and aig in text and zagreb in every format read the class
+    # quotient: with class_partition refusing, each prints the bytes it
+    # printed when it partitioned the vertex list (SHA-256 of stdout)
+    def refuse(*args, **kwargs):
+        raise AssertionError("partitioned the vertex list")
+
+    assert _patch_every_alias(monkeypatch, eigraph.ideals, "class_partition", refuse)
+    for argv, digest in (
+        ("graph 2700", "2684b57bcd7513d2f6656746f7ed22de4305d039509a6171e3d1d9bdcdcd360f"),
+        ("aig 2700", "d7605adf4aa25c16e05568203d286fdab00f01876091f8e2c632f2b6b7e1910a"),
+        ("graph 30", "61abdbc6f3c93ddf15be339be9078991866e6b52ca0a1b27658924fc9b8ca867"),
+        (
+            "graph 203903066266900",
+            "dc3a566774d102dd3f29c592eb419a83120b502139e6225e1e84b416fbd3c361",
+        ),
+        ("aig 203903066266900", "2b247b15290d8f30a744329f2d9521574c4451f29513b1648c091366e63d3ea6"),
+        ("zagreb 2700", "ebae2e10ed6b3d92d931a643eef300324b03d38126f8d71e2dd9dd26a5b2a80d"),
+        (
+            "zagreb 2700 --format json",
+            "269dd186c4a4738de87da130e1874010be8048f8b80ebadc9b9012bc8943cb29",
+        ),
+        (
+            "zagreb 2700 --format csv",
+            "e0cb0ccf4ba8735fa73496825ac018448f63cf2172a64b2e90ee33c079d4c90f",
+        ),
+        ("zagreb 4 500", "40463eb23d182da2458e13063ec3882767f29e577974029c803c1d1905afbe54"),
+        (
+            "zagreb 4 500 --format json",
+            "7071a390b48ef63d2656c5b8988b0b43ebd4620b911b007bfc60390e31a68feb",
+        ),
+        (
+            "zagreb 4 500 --format csv",
+            "263cfd1d3814a67e4a2888994701470614b4e006fb5019b53fc7f89cd15f17fe",
+        ),
+        (
+            "zagreb 1321091265351 --format json",
+            "9ad15edff8b248009cc8e46e1e98f9d43f2f4ff5db06a1e235ae686bbcbfae52",
+        ),
+    ):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest), argv
 
 
 def test_run_verify_refuses_a_non_int_range_or_a_bad_budget():

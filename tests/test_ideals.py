@@ -11,6 +11,8 @@ from eigraph import (
     InconsistencyError,
     Ideal,
     InputError,
+    bfs_row,
+    build_essential_graph,
     class_partition,
     divisor_count,
     enumerate_vertices,
@@ -71,6 +73,23 @@ def test_broken_invariants_raise_inconsistency(monkeypatch):
         enumerate_vertices(f12)
 
 
+def test_class_partition_refuses_a_repeated_vertex_or_the_zero_ideal():
+    f12 = factor(12)
+    two, three, four, six = enumerate_vertices(f12)
+    # <3> again in place of <6>, of the same class: every class size matches,
+    # and the certificate held <3> in both its witness and its representations
+    with pytest.raises(InputError, match="strictly ascend"):
+        class_partition(f12, [two, three, four, three])
+    with pytest.raises(InputError, match="strictly ascend"):
+        class_partition(f12, [two, three, three, four])
+    with pytest.raises(InputError, match="strictly ascend"):
+        class_partition(f12, [two, four, three, six])
+    # the zero ideal, built with the raw constructor, has the full mask
+    zero = Ideal(f12, (2, 1), 12, 0b11)
+    with pytest.raises(InputError, match="zero ideal"):
+        class_partition(f12, [two, three, four, six, zero])
+
+
 def test_is_essential_examples():
     f12 = factor(12)
     assert is_essential(ideal_from_divisor(f12, 2))
@@ -117,16 +136,17 @@ def test_class_partition_examples():
 
     part = partition_of(factor(2700))
     assert part.m == 11
-    assert list(part.members) == [0, *part.class_masks()]
-    assert [len(part.members[mask]) for mask in part.class_masks()] == [6, 4, 6, 2, 3, 2]
+    masks = class_mask_order(3)
+    assert list(part.members) == [0, *masks]
+    assert [len(part.members[mask]) for mask in masks] == [6, 4, 6, 2, 3, 2]
     assert [part.vertices[i].d for i in part.members[0b110]] == [675, 1350]
 
     part = partition_of(factor(30))
     assert part.m == 0 and part.members[0] == ()
-    assert all(len(part.members[mask]) == 1 for mask in part.class_masks())
-    assert len(part.class_masks()) == 6
+    assert all(len(part.members[mask]) == 1 for mask in masks)
+    assert list(part.members) == [0, *masks] and len(masks) == 6
     # squarefree k >= 3: no vertex is universal, and each singleton class is a block
-    assert part.similarity_blocks() == [part.members[mask] for mask in part.class_masks()]
+    assert part.similarity_blocks() == [part.members[mask] for mask in masks]
     assert sorted(part.similarity_blocks()) == [(i,) for i in range(6)]
     # n = pq: X is empty and both primes are universal, one block of closed twins
     assert partition_of(factor(6)).similarity_blocks() == [(0, 1)]
@@ -137,7 +157,7 @@ def test_class_partition_size_invariants(factored_100k):
         part = partition_of(f)
         assert part.m == math.prod(f.exponents) - 1
         total = part.m
-        for mask in part.class_masks():
+        for mask in class_mask_order(f.k):
             want = math.prod(
                 m for i, m in enumerate(f.exponents) if not mask >> i & 1
             )
@@ -236,10 +256,25 @@ def _law_by_submasks(k, sizes):
     return degree, m1, (twice_m2 - sizes[0] * degree[0] ** 2) // 2
 
 
+def _layers_by_bfs(part):
+    # near[a] and far[a] of distance_layers over the listing, for each
+    # nonempty class a, read off one BFS row of the essential graph from
+    # the class's first member; that member's own position is left out
+    g = build_essential_graph(part.modulus)
+    layers = {}
+    for a, members in part.members.items():
+        if members:
+            row = bfs_row(g, members[0])
+            near, far = (sum(1 << j for j, d in enumerate(row) if d == want) for want in (1, 3))
+            layers[a] = near, far
+    return layers
+
+
 def test_quotient_matches_the_listed_partition(factored_100k):
     # ClassQuotient(f) reads the exponents only; the partition's members are
     # the listing.  Every composite n <= 10^4, the two large-T n of the
-    # benchmark, k = 12 and k = 13.
+    # benchmark, k = 12 and k = 13; the distance layers against BFS on all
+    # but k = 12 and 13, where a BFS per class is too slow.
     for f in [*composites(factored_100k, 4, 10_000), *map(factor, LARGE_T + K12_K13)]:
         quotient, part = ClassQuotient(f), partition_of(f)
         listed = {a: len(c) for a, c in part.members.items()}
@@ -258,6 +293,10 @@ def test_quotient_matches_the_listed_partition(factored_100k):
             assert universal == [0], f.n
         _, m1, m2 = _law_by_submasks(f.k, listed)
         assert zagreb_general_closed(quotient) == (m1, m2) == zagreb_general_closed(part), f.n
+        if f.k < 12:
+            near, far = quotient.distance_layers([v.xi_mask for v in part.vertices])
+            layers = {a: (near[a] & ~(1 << c[0]), far[a]) for a, c in part.members.items() if c}
+            assert layers == _layers_by_bfs(part), f.n
     assert [factor(n).k for n in K12_K13] == [12, 13]
 
 

@@ -355,18 +355,17 @@ def test_squarefree_certificate(factored_100k):
 
 
 def test_constructive_size_mismatch_is_inconsistent(monkeypatch):
-    # an exact certificate whose size differs from the closed form raises
-    from dataclasses import replace
-
+    # an exact certificate whose size differs from the closed form raises:
+    # the certificate reads the dim law off its own partition
     import eigraph.metricdim as metricdim
 
-    real = metricdim.dim_formula
+    real = metricdim._dim_law
 
-    def off_by_one(f):
-        report = real(f)
-        return replace(report, dim_value=report.dim_value + 1)
+    def off_by_one(quotient):
+        dim, exact, lower = real(quotient)
+        return dim + 1, exact, lower
 
-    monkeypatch.setattr(metricdim, "dim_formula", off_by_one)
+    monkeypatch.setattr(metricdim, "_dim_law", off_by_one)
     for n in (30, 60):
         with pytest.raises(InconsistencyError):
             constructive_resolving_set(partition_of(factor(n)))
@@ -396,13 +395,13 @@ def test_constructive_catches_a_bad_witness(monkeypatch):
     import eigraph.metricdim as metricdim
 
     real = metricdim._witness_rule
-    monkeypatch.setattr(metricdim, "_witness_rule", lambda f, part: real(f, part)[:-1])
+    monkeypatch.setattr(metricdim, "_witness_rule", lambda part: real(part)[:-1])
     for n in (12, 60, 360, 2700):
         f = factor(n)
         with pytest.raises(InconsistencyError, match="does not resolve"):
             constructive_resolving_set(partition_of(f))
         part = partition_of(f)
-        short = [part.vertices[i].d for i in real(f, part)[:-1]]
+        short = [part.vertices[i].d for i in real(part)[:-1]]
         assert not is_resolving(build_essential_graph(f), short).resolves, n
 
 
@@ -448,20 +447,20 @@ def test_certificate_equals_the_pairwise_law(factored_100k, monkeypatch):
     for f in fs:
         part = partition_of(f)
         if part.T > 1:
-            _assert_certificate_matches_law(part, metricdim._witness_rule(f, part))
+            _assert_certificate_matches_law(part, metricdim._witness_rule(part))
     # the same witnesses with one entry swapped for an outside vertex: some
     # resolve and some do not, and both sides agree on which
     real = metricdim._witness_rule
     seen = set()
     for f in composites(factored_100k, 4, 2000):
         part = partition_of(f)
-        w_idx = real(f, part)
+        w_idx = real(part)
         outside = sorted(set(range(part.T)).difference(w_idx))
         for pos in range(0, len(w_idx), max(1, len(w_idx) // 3)):
             for o in outside[:2]:
                 swapped = w_idx[:pos] + [o] + w_idx[pos + 1 :]
                 seen.add(_certificate_by_law(part, swapped)[0])
-                monkeypatch.setattr(metricdim, "_witness_rule", lambda f, part: swapped)
+                monkeypatch.setattr(metricdim, "_witness_rule", lambda part: swapped)
                 _assert_certificate_matches_law(part, swapped)
                 monkeypatch.undo()
     assert seen == {True, False}
@@ -474,8 +473,8 @@ def test_certificate_rejects_two_outside_members_of_one_class(monkeypatch):
 
     real = metricdim._witness_rule
 
-    def one_short(f, part):
-        w_idx = real(f, part)
+    def one_short(part):
+        w_idx = real(part)
         outside = set(range(part.T)).difference(w_idx)
         masks = [v.xi_mask for v in part.vertices]
         drop = next(i for i in w_idx if outside.intersection(part.members[masks[i]]))
@@ -485,7 +484,7 @@ def test_certificate_rejects_two_outside_members_of_one_class(monkeypatch):
     for n in (12, 60, 360, 2700, *LARGE_T):
         f = factor(n)
         part = partition_of(f)
-        assert not _certificate_by_law(part, one_short(f, part))[0], n
+        assert not _certificate_by_law(part, one_short(part))[0], n
         with pytest.raises(InconsistencyError, match="does not resolve"):
             constructive_resolving_set(part)
 
