@@ -3,7 +3,8 @@
 Everything downstream (ideal enumeration, graph construction) consumes a
 FactoredInteger rather than a bare int, so each modulus is factored once.
 Trial division up to 10**6 covers desk-scale inputs; a deterministic
-Miller-Rabin test plus Pollard rho handles the leftover cofactor.
+Miller-Rabin test plus Pollard rho handles the leftover cofactor.  The
+cap's value is resolved here; ideals.ClassQuotient owns T and n's rule.
 """
 
 from __future__ import annotations
@@ -165,12 +166,6 @@ def divisor_count(f: FactoredInteger) -> int:
     return out
 
 
-def require_composite(f: FactoredInteger) -> None:
-    """Reject n below 4 or prime: Z_n then has no nonzero proper ideal to graph."""
-    if f.n < 4 or f.is_prime():
-        raise InputError(f"n must be composite and at least 4, got {f.n}")
-
-
 def no_composite_in(start: int, end: int) -> InputError:
     """The error for a range that holds no composite n, so nothing to graph; stated here only."""
     return InputError(f"no composite n in [{start}, {end}]")
@@ -190,14 +185,6 @@ def resolve_max_vertices(max_t: int | None = None) -> int:
     if max_t < 1:
         raise InputError(f"vertex cap must be positive, got {max_t}")
     return max_t
-
-
-def check_caps(f: FactoredInteger, max_t: int | None = None) -> None:
-    """Reject n whose graph would have more vertices than the cap."""
-    cap = resolve_max_vertices(max_t)
-    t = divisor_count(f) - 2
-    if t > cap:
-        raise InputError(f"n = {f.n} yields T = {t} vertices, cap is {cap}")
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:

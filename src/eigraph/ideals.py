@@ -6,9 +6,9 @@ the generator carries the full exponent of n (stored as a bitmask) drives
 every adjacency, class, and resolving-set computation downstream: two
 vertices are adjacent in the essential ideal graph exactly when those
 index sets are disjoint.  The class quotient counts the vertices of each
-mask from the exponents alone and owns every law of those counts; the
-class partition adds the vertex indices grouped by mask, X at mask 0:
-the format of the graph's distance-similar blocks.
+mask from the exponents alone and owns every law of those counts: the
+composite rule, and T for the cap check; the class partition adds the
+vertex indices by mask, X at mask 0, the format of the similarity blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .arithmetic import FactoredInteger, check_caps, divisor_count, factor, require_composite
+from .arithmetic import FactoredInteger, factor, resolve_max_vertices
 from .errors import InconsistencyError, InputError
 
 
@@ -130,8 +130,9 @@ def ideal_from_divisor(f: FactoredInteger, d: int) -> Ideal:
 
 def enumerate_vertices(f: FactoredInteger, max_t: int | None = None) -> list[Ideal]:
     """All nonzero proper ideals of Z_n, ascending by generator; refuses T over the cap."""
-    require_composite(f)
-    check_caps(f, max_t)
+    t, cap = ClassQuotient(f).T, resolve_max_vertices(max_t)  # before any vertex is listed
+    if t > cap:
+        raise InputError(f"n = {f.n} yields T = {t} vertices, cap is {cap}")
     # product() only yields exponents in range, so nothing is validated per
     # vertex: prime i contributes r, p_i^r and its full bit, d is a product
     # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.
@@ -139,10 +140,8 @@ def enumerate_vertices(f: FactoredInteger, max_t: int | None = None) -> list[Ide
     ds = map(math.prod, product(*([p**r for r in range(m + 1)] for p, m in f.factors)))
     masks = map(sum, product(*([0] * m + [1 << i] for i, m in enumerate(f.exponents))))
     verts = [Ideal(f, e, d, mask) for d, e, mask in sorted(zip(ds, exps, masks))[1:-1]]
-    if len(verts) != divisor_count(f) - 2:
-        raise InconsistencyError(
-            f"{len(verts)} vertices for n = {f.n}, expected {divisor_count(f) - 2}"
-        )
+    if len(verts) != t:
+        raise InconsistencyError(f"{len(verts)} vertices for n = {f.n}, expected {t}")
     return verts
 
 
@@ -211,7 +210,8 @@ class ClassQuotient:
     modulus: FactoredInteger
 
     def __post_init__(self) -> None:
-        require_composite(self.modulus)
+        if self.modulus.n < 4 or self.modulus.is_prime():  # no nonzero proper ideal to graph
+            raise InputError(f"n must be composite and at least 4, got {self.modulus.n}")
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:

@@ -331,46 +331,38 @@ def _witness_rule(part: ClassPartition) -> list[int]:
 class _Representations(Mapping):
     """A certificate's representations, read off per-mask digit text on first use.
 
-    keys and masks list the vertices outside the witness; digits(a) is the
-    text of mask a's distances to the witness, a digit per witness vertex
-    in witness order, made once per distinct mask.  Text `dim` reads none,
-    and the JSON writer reads only the text, so neither builds the
-    (T - dim) x dim table of tuples.
+    mask_of maps the key of each vertex outside the witness, ascending, to
+    its mask; digits(a) is the text of mask a's distances to the witness, a
+    digit per witness vertex in witness order, made once per distinct mask.
+    Text `dim` reads none, and the JSON writer reads only the text.  An item
+    is its key's text decoded on each read, so no (T - dim) x dim table of
+    tuples is held; equality is Mapping's, item by item.
     """
 
-    def __init__(self, keys: list[int], masks: list[int], digits):
-        self._keys = keys
-        self._masks = masks
+    def __init__(self, mask_of: dict[int, int], digits):
+        self._mask_of = mask_of
         self._digits = digits
 
     @cached_property
     def _text(self) -> dict[int, str]:
-        return {a: self._digits(a) for a in dict.fromkeys(self._masks)}
-
-    @cached_property
-    def _table(self) -> dict:
-        decoded = {a: tuple(map(int, text)) for a, text in self._text.items()}
-        return dict(zip(self._keys, map(decoded.__getitem__, self._masks)))
+        return {a: self._digits(a) for a in dict.fromkeys(self._mask_of.values())}
 
     def joined(self, sep: str):
         """Yield (key, the representation's digits joined by sep) in key order."""
         texts = {a: sep.join(text) for a, text in self._text.items()}
-        return zip(self._keys, map(texts.__getitem__, self._masks))
+        return zip(self._mask_of, map(texts.__getitem__, self._mask_of.values()))
 
     def __getitem__(self, key):
-        return self._table[key]
+        return tuple(map(int, self._text[self._mask_of[key]]))
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._mask_of)
 
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def __eq__(self, other) -> bool:
-        return self._table == other
+        return len(self._mask_of)
 
     def __repr__(self) -> str:
-        return repr(self._table)
+        return repr(dict(self.items()))
 
 
 def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Representations:
@@ -404,7 +396,7 @@ def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Represe
     def digits(a: int) -> str:
         return "".join(by_witness(distance_digits(near[a], far[a], len(columns))))
 
-    return _Representations([verts[i].d for i in outside], o_masks, digits)
+    return _Representations(dict(zip((verts[i].d for i in outside), o_masks)), digits)
 
 
 def constructive_resolving_set(part: ClassPartition) -> DimReport:

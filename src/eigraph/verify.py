@@ -2,12 +2,13 @@
 
 Each check category is a function of a per-n context that builds the
 shared artifacts (essential graph, AIG, distances, row grouping, dim
-formula) on first use.  The essential graph keeps its own class
-partition, which the dim certificate and the join reference read, and
-the Zagreb report reads that graph, so each n's vertices are listed once
-per graph and partitioned once.  Both partitions hold blocks of vertex
-indices, so the class law is compared with the distance-similar row
-grouping, an oracle, directly.
+formula) on first use; the dim oracle's BFS rows run only outside its
+witnesses.  The essential graph keeps its own class partition, which the
+dim certificate and the join reference read, and the Zagreb report reads
+that graph, so each n's vertices are listed once per graph and
+partitioned once.  Both partitions hold blocks of vertex indices, so the
+class law is compared with the distance-similar row grouping, an oracle,
+directly.
 A category returns (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
@@ -29,6 +30,7 @@ from .arithmetic import (
 from .errors import InconsistencyError, InputError
 from .graph import (
     all_pairs_distances,
+    bfs_row,
     build_aig,
     build_essential_graph,
     build_join_construction,
@@ -96,6 +98,17 @@ VERIFY_JSON_SCHEMA = {
 SIEVE_LIMIT = 1_000_000
 
 
+class _BfsRows(dict):
+    """A graph's BFS rows keyed by source vertex, each run on first read."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def __missing__(self, s: int) -> list[int]:
+        row = self[s] = bfs_row(self.g, s)
+        return row
+
+
 class _VerifyContext:
     """Lazily built per-n artifacts shared by the check categories."""
 
@@ -114,7 +127,14 @@ class _VerifyContext:
 
     @cached_property
     def distances(self):
-        return all_pairs_distances(self.ess)
+        rows = self.__dict__.get("bfs_rows")  # the rows a dim oracle already ran
+        if rows is None:
+            return all_pairs_distances(self.ess)
+        return [rows[s] for s in range(self.ess.order)]
+
+    @cached_property
+    def bfs_rows(self):  # the matrix if the distances category built it
+        return self.__dict__["distances"] if "distances" in self.__dict__ else _BfsRows(self.ess)
 
     @cached_property
     def similar(self):
@@ -243,7 +263,7 @@ def _check_join(ctx: _VerifyContext):
 
 def _resolves_on_bfs(ctx: _VerifyContext, report) -> bool:
     # The certificate and the search read the mask-distance law; BFS rows are the oracle.
-    check = is_resolving(ctx.ess, report.witness, ctx.distances)
+    check = is_resolving(ctx.ess, report.witness, ctx.bfs_rows)
     return check.resolves and check.representations == report.representations
 
 

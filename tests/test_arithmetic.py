@@ -7,8 +7,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigraph import FactoredInteger, InputError, divisor_count, factor, factor_range, factor_window
-from eigraph.arithmetic import check_caps, resolve_max_vertices, smallest_prime_factor_sieve
+from eigraph import (
+    FactoredInteger,
+    InputError,
+    divisor_count,
+    enumerate_vertices,
+    factor,
+    factor_range,
+    factor_window,
+)
+from eigraph.arithmetic import resolve_max_vertices, smallest_prime_factor_sieve
 
 
 def test_factor_examples():
@@ -268,9 +276,11 @@ def test_factor_prime_square_near_2_63(p):
 
 
 def test_caps():
-    check_caps(factor(2700))
-    with pytest.raises(InputError):
-        check_caps(factor(2700), max_t=10)
+    # enumerate_vertices compares T, read off the class quotient, with the cap
+    assert len(enumerate_vertices(factor(2700))) == 34
+    assert len(enumerate_vertices(factor(2700), max_t=34)) == 34
+    with pytest.raises(InputError, match="n = 2700 yields T = 34 vertices, cap is 10"):
+        enumerate_vertices(factor(2700), max_t=10)
     assert resolve_max_vertices(None) == 20000
     assert resolve_max_vertices(50) == 50
     with pytest.raises(InputError):
@@ -295,8 +305,8 @@ def test_factor_range_and_window_refuse_a_non_int():
 
 def test_max_t_env_override(monkeypatch):
     monkeypatch.setenv("EIG_MAX_T", "5")
-    with pytest.raises(InputError):
-        check_caps(factor(2700))
+    with pytest.raises(InputError, match="n = 2700 yields T = 34 vertices, cap is 5"):
+        enumerate_vertices(factor(2700))
     monkeypatch.setenv("EIG_MAX_T", "bogus")
     with pytest.raises(InputError):
         resolve_max_vertices(None)

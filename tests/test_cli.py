@@ -31,7 +31,7 @@ from eigraph.cli import (
 )
 from eigraph.graph import GRAPH_JSON_SCHEMA
 from eigraph.metricdim import DIM_JSON_SCHEMA
-from eigraph.verify import VERIFY_JSON_SCHEMA
+from eigraph.verify import CHECK_CATEGORIES, VERIFY_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
 
 from conftest import LARGE_T, composites, partition_of
@@ -848,6 +848,32 @@ def test_verify_computes_the_dim_formula_once_per_n(monkeypatch):
     assert run_verify(4, 100).passed
     # dim and bounds share one per n
     assert len(calls) == len(set(calls)) == 74
+
+
+def test_verify_dim_runs_bfs_only_outside_its_witnesses(monkeypatch):
+    import eigraph.graph
+    import eigraph.verify
+
+    original = eigraph.graph.bfs_row
+    calls = []
+
+    def counting(g, s):
+        calls.append(s)
+        return original(g, s)
+
+    assert eigraph.verify in _patch_every_alias(monkeypatch, eigraph.graph, "bfs_row", counting)
+    n = 1321091265351  # T = 358
+    dim_only = run_verify(n, n, checks=("dim",))
+    # one BFS per vertex outside the certificate's or the search's witness,
+    # each run once: 63 rows, where the whole matrix took 358
+    assert dim_only.passed and len(calls) == len(set(calls)) == 63
+    # with the distances category, in either order, the oracle reads its
+    # matrix and no row runs twice
+    for checks in (CHECK_CATEGORIES, ("dim", *CHECK_CATEGORIES[:4], *CHECK_CATEGORIES[5:])):
+        calls.clear()
+        summary = run_verify(n, n, checks=checks)
+        assert summary.passed and sorted(calls) == list(range(358)), checks
+        assert summary.categories["dim"] == dim_only.categories["dim"]
 
 
 def test_scalar_commands_list_no_class_partition(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 import eigraph.ideals
 from eigraph import (
     ClassQuotient,
+    FactoredInteger,
     InconsistencyError,
     Ideal,
     InputError,
@@ -47,13 +48,14 @@ def test_enumerate_vertices_matches_validated_constructor(factored_100k):
 
 
 def test_enumerate_rejects_bad_n():
-    with pytest.raises(InputError):
-        enumerate_vertices(factor(7))
-    with pytest.raises(InputError):
-        enumerate_vertices(factor(3))
+    # the quotient holds the composite rule, checked before the cap
     for n in (7, 3):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"n must be composite and at least 4, got {n}"):
+            enumerate_vertices(factor(n), max_t=0)
+        with pytest.raises(InputError, match=f"n must be composite and at least 4, got {n}"):
             ClassQuotient(factor(n))
+    with pytest.raises(InputError, match="n must be composite and at least 4, got 1"):
+        ClassQuotient(FactoredInteger(1, ()))
 
 
 def test_broken_invariants_raise_inconsistency(monkeypatch):
@@ -68,8 +70,9 @@ def test_broken_invariants_raise_inconsistency(monkeypatch):
     f2700 = factor(2700)
     with pytest.raises(InconsistencyError):
         class_partition(f2700, enumerate_vertices(f2700)[:-1])
-    monkeypatch.setattr(eigraph.ideals, "divisor_count", lambda f: 7)
-    with pytest.raises(InconsistencyError):
+    # the listing is checked against the quotient's T, which a wrong law breaks
+    monkeypatch.setattr(ClassQuotient, "T", property(lambda q: 7))
+    with pytest.raises(InconsistencyError, match="4 vertices for n = 12, expected 7"):
         enumerate_vertices(f12)
 
 
@@ -318,6 +321,10 @@ def test_quotient_lists_no_vertex_above_the_cap(monkeypatch):
     assert all(quotient.class_degree(a) == d for a, d in degree.items())
     assert quotient.universal_masks() == [0]
     assert zagreb_general_closed(quotient) == (m1, m2)
+    # the listing reads the quotient's T and refuses it at the default cap, listing nothing
+    monkeypatch.delenv("EIG_MAX_T", raising=False)
+    with pytest.raises(InputError, match="n = 897612484786617600 yields T = 103678 vertices"):
+        enumerate_vertices(f)
 
 
 def test_gcd_lemma_examples():
