@@ -20,13 +20,7 @@ from . import __version__
 from .arithmetic import divisor_count, factor, factor_window, no_composite_in
 from .errors import InconsistencyError, InputError
 from .graph import KIND_ESSENTIAL, build_aig, build_essential_graph, to_dot
-from .ideals import (
-    ClassQuotient,
-    class_mask_order,
-    class_partition,
-    enumerate_vertices,
-    mask_indices,
-)
+from .ideals import class_mask_order, class_partition, mask_indices
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
     DimReport,
@@ -193,7 +187,7 @@ def cmd_graph(args) -> int:
     if args.format == "json":
         _emit(_graph_json(g), args.output)
         return EXIT_OK
-    q = ClassQuotient(f)
+    q = g.classes
     sizes = " ".join(f"{_mask_label(mask)}:{q.sizes[mask]}" for mask in class_mask_order(f.k))
     lines = [
         f"n = {f.n}",
@@ -211,7 +205,7 @@ def cmd_graph(args) -> int:
 
 def cmd_classes(args) -> int:
     f = factor(args.n)
-    part = class_partition(f, enumerate_vertices(f, args.max_t))
+    part = class_partition(f, args.max_t)
     verts = part.vertices
     if args.format == "json":
         payload = {
@@ -247,7 +241,7 @@ def cmd_classes(args) -> int:
 
 def cmd_distances(args) -> int:
     f = factor(args.n)
-    part = class_partition(f, enumerate_vertices(f, args.max_t))
+    part = class_partition(f, args.max_t)
     _emit((_distances_json if args.format == "json" else _distances_text)(part), args.output)
     return EXIT_OK
 
@@ -294,7 +288,7 @@ def cmd_dim(args) -> int:
         g = build_essential_graph(f, args.max_t)
         report = dim_bruteforce(g, budget=args.budget)
     else:
-        report = constructive_resolving_set(class_partition(f, enumerate_vertices(f, args.max_t)))
+        report = constructive_resolving_set(class_partition(f, args.max_t))
     if args.format == "json":
         _emit(_dim_json(report), args.output)
     else:

@@ -1,13 +1,13 @@
 """Graph construction and structural analysis.
 
 Builds the essential ideal graph and the annihilating ideal graph of Z_n
-over the canonical (ascending generator) vertex order.  Every graph is a
-graph of the ideals of one factored n, each vertex keyed by its
-generator d.  The essential graph of a product of k fields is that of
-the k-th primorial 2 * 3 * ... * p_k, read through xi_mask (the zero
-slots of each ideal).  Adjacency lives in bitset rows (one Python int per
-vertex), which makes neighborhood comparisons and BFS frontiers cheap at
-desk scale.
+over the canonical (ascending generator) vertex order.  Every graph keeps
+the class partition of one factored n that listed its vertices, each
+vertex keyed by its generator d.  The essential graph of a product of k
+fields is that of the k-th primorial 2 * 3 * ... * p_k, read through
+xi_mask (the zero slots of each ideal).  Adjacency lives in bitset rows
+(one Python int per vertex), which makes neighborhood comparisons and BFS
+frontiers cheap at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import compress
 
 from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
-from .ideals import ClassPartition, class_partition, disjoint_sets, enumerate_vertices
+from .ideals import ClassPartition, Ideal, class_partition, disjoint_sets
 
 KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
@@ -28,22 +28,24 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 @dataclass(frozen=True)
 class IdealGraph:
-    """Immutable graph on the ideals of one n, with bitset adjacency rows."""
+    """Immutable graph on the vertices of its class partition, with bitset adjacency rows."""
 
     kind: str
-    factored: FactoredInteger
-    vertices: tuple
+    classes: ClassPartition
     adjacency: tuple[int, ...]
     degrees: tuple[int, ...]
+
+    @property
+    def factored(self) -> FactoredInteger:
+        return self.classes.modulus
+
+    @property
+    def vertices(self) -> tuple[Ideal, ...]:
+        return self.classes.vertices
 
     @cached_property
     def _index(self) -> dict:
         return {v.d: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def classes(self) -> ClassPartition:
-        """This graph's class partition by full-exponent mask, computed on first use."""
-        return class_partition(self.factored, self.vertices)
 
     @property
     def order(self) -> int:
@@ -83,9 +85,8 @@ class IdealGraph:
         return all(d == t - 1 for d in self.degrees)
 
 
-def _finish(kind, factored, vertices, rows) -> IdealGraph:
-    degrees = tuple(r.bit_count() for r in rows)
-    return IdealGraph(kind, factored, tuple(vertices), tuple(rows), degrees)
+def _finish(kind, part, rows) -> IdealGraph:
+    return IdealGraph(kind, part, tuple(rows), tuple(r.bit_count() for r in rows))
 
 
 def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
@@ -96,9 +97,9 @@ def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
 
 def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     """Essential ideal graph: vertices adjacent iff their full-exponent masks are disjoint."""
-    verts = enumerate_vertices(f, max_t)
-    rows = _disjoint_mask_rows([v.xi_mask for v in verts], f.k)
-    return _finish(KIND_ESSENTIAL, f, verts, rows)
+    part = class_partition(f, max_t)
+    rows = _disjoint_mask_rows([v.xi_mask for v in part.vertices], f.k)
+    return _finish(KIND_ESSENTIAL, part, rows)
 
 
 def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
@@ -108,7 +109,8 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     r; vertex j with exponents r_i is adjacent to the AND over i of
     at_least[i][m_i - r_i], itself excluded.
     """
-    verts = enumerate_vertices(f, max_t)
+    part = class_partition(f, max_t)
+    verts = part.vertices
     at_least = []
     for i, m in enumerate(f.exponents):
         sets = [0] * (m + 1)
@@ -123,7 +125,7 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
         for sets, m, r in zip(at_least, f.exponents, v.exponents):
             row &= sets[m - r]
         rows.append(row)
-    return _finish(KIND_ANNIHILATING, f, verts, rows)
+    return _finish(KIND_ANNIHILATING, part, rows)
 
 
 def build_join_construction(part: ClassPartition) -> IdealGraph:
@@ -146,7 +148,7 @@ def build_join_construction(part: ClassPartition) -> IdealGraph:
             if not a & b:
                 joined[a] |= b_bits
     rows = [joined[v.xi_mask] & ~(1 << i) for i, v in enumerate(verts)]
-    return _finish(KIND_ESSENTIAL, part.modulus, verts, rows)
+    return _finish(KIND_ESSENTIAL, part, rows)
 
 
 def bfs_row(g: IdealGraph, s: int) -> list[int]:

@@ -7,8 +7,9 @@ every adjacency, class, and resolving-set computation downstream: two
 vertices are adjacent in the essential ideal graph exactly when those
 index sets are disjoint.  The class quotient counts the vertices of each
 mask from the exponents alone and owns every law of those counts: the
-composite rule, and T for the cap check; the class partition adds the
-vertex indices by mask, X at mask 0, the format of the similarity blocks.
+composite rule, and T for the cap check.  The class partition lists the
+vertices and groups their indices by mask, X at mask 0, the format of the
+similarity blocks.
 """
 
 from __future__ import annotations
@@ -130,19 +131,7 @@ def ideal_from_divisor(f: FactoredInteger, d: int) -> Ideal:
 
 def enumerate_vertices(f: FactoredInteger, max_t: int | None = None) -> list[Ideal]:
     """All nonzero proper ideals of Z_n, ascending by generator; refuses T over the cap."""
-    t, cap = ClassQuotient(f).T, resolve_max_vertices(max_t)  # before any vertex is listed
-    if t > cap:
-        raise InputError(f"n = {f.n} yields T = {t} vertices, cap is {cap}")
-    # product() only yields exponents in range, so nothing is validated per
-    # vertex: prime i contributes r, p_i^r and its full bit, d is a product
-    # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.
-    exps = product(*(range(m + 1) for m in f.exponents))
-    ds = map(math.prod, product(*([p**r for r in range(m + 1)] for p, m in f.factors)))
-    masks = map(sum, product(*([0] * m + [1 << i] for i, m in enumerate(f.exponents))))
-    verts = [Ideal(f, e, d, mask) for d, e, mask in sorted(zip(ds, exps, masks))[1:-1]]
-    if len(verts) != t:
-        raise InconsistencyError(f"{len(verts)} vertices for n = {f.n}, expected {t}")
-    return verts
+    return list(class_partition(f, max_t).vertices)
 
 
 def is_essential(ideal: Ideal) -> bool:
@@ -277,13 +266,37 @@ class ClassQuotient:
 
 @dataclass(frozen=True)
 class ClassPartition(ClassQuotient):
-    """The class quotient with its vertex list; members[a] holds class a's ascending indices.
+    """The class quotient with its vertices, listed and grouped on first read.
 
-    members lists the essential class X at mask 0 first, then class_mask_order.
+    vertices ascend by generator; members[a] holds class a's ascending
+    indices, X at mask 0 first, then class_mask_order.  Both are checked
+    against the class law.  Built directly it lists without a cap.
     """
 
-    vertices: tuple[Ideal, ...]
-    members: dict[int, tuple[int, ...]]
+    @cached_property
+    def vertices(self) -> tuple[Ideal, ...]:
+        f = self.modulus
+        # product() only yields exponents in range, so nothing is validated per
+        # vertex: prime i contributes r, p_i^r and its full bit, d is a product
+        # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.
+        exps = product(*(range(m + 1) for m in f.exponents))
+        ds = map(math.prod, product(*([p**r for r in range(m + 1)] for p, m in f.factors)))
+        masks = map(sum, product(*([0] * m + [1 << i] for i, m in enumerate(f.exponents))))
+        verts = tuple(Ideal(f, e, d, mask) for d, e, mask in sorted(zip(ds, exps, masks))[1:-1])
+        if len(verts) != self.T:
+            raise InconsistencyError(f"{len(verts)} vertices for n = {f.n}, expected {self.T}")
+        return verts
+
+    @cached_property
+    def members(self) -> dict[int, tuple[int, ...]]:
+        f, sizes = self.modulus, self.sizes
+        members: dict[int, list[int]] = {a: [] for a in [0, *class_mask_order(f.k)]}
+        for i, v in enumerate(self.vertices):
+            members[v.xi_mask].append(i)
+        for a, c in members.items():
+            if len(c) != sizes[a]:
+                raise InconsistencyError(f"class {a} of {f.n} lists {len(c)}, not {sizes[a]}")
+        return {a: tuple(c) for a, c in members.items()}
 
     def similarity_blocks(self) -> list[tuple[int, ...]]:
         """Distance-similar blocks of the essential ideal graph, universal block first.
@@ -341,25 +354,13 @@ def distance_digits(near: int, far: int, width: int) -> str:
     return format(twos - spread_near + spread_far, "x")[::-1]
 
 
-def class_partition(
-    f: FactoredInteger, vertices: list[Ideal] | tuple[Ideal, ...]
-) -> ClassPartition:
-    """Partition the vertex list of enumerate_vertices(f) by full-exponent index mask."""
-    members: dict[int, list[int]] = {mask: [] for mask in [0, *class_mask_order(f.k)]}
-    last = 0
-    for i, v in enumerate(vertices):
-        if v.modulus.n != f.n:
-            raise InputError(f"<{v.d}> is an ideal of Z_{v.modulus.n}, not of Z_{f.n}")
-        if v.d <= last:  # as enumerate_vertices lists them, so none is listed twice
-            raise InputError(f"<{v.d}> is listed after <{last}>: generators must strictly ascend")
-        if v.xi_mask not in members:
-            raise InputError(f"<{v.d}> has every exponent full: the zero ideal is not a vertex")
-        last = v.d
-        members[v.xi_mask].append(i)
-    part = ClassPartition(f, tuple(vertices), {a: tuple(c) for a, c in members.items()})
-    for a, c in members.items():
-        if len(c) != part.sizes[a]:
-            raise InconsistencyError(f"class {a} of {f.n} lists {len(c)}, not {part.sizes[a]}")
+def class_partition(f: FactoredInteger, max_t: int | None = None) -> ClassPartition:
+    """The class partition of Z_n with its vertices listed; refuses T over the cap."""
+    part = ClassPartition(f)
+    t, cap = part.T, resolve_max_vertices(max_t)  # before any vertex is listed
+    if t > cap:
+        raise InputError(f"n = {f.n} yields T = {t} vertices, cap is {cap}")
+    part.vertices  # listed here, after the cap check, for every caller
     return part
 
 

@@ -3,12 +3,12 @@
 Each check category is a function of a per-n context that builds the
 shared artifacts (essential graph, AIG, distances, row grouping, dim
 formula) on first use; the dim oracle's BFS rows run only outside its
-witnesses.  The essential graph keeps its own class partition, which the
-dim certificate and the join reference read, and the Zagreb report reads
-that graph, so each n's vertices are listed once per graph and
-partitioned once.  Both partitions hold blocks of vertex indices, so the
-class law is compared with the distance-similar row grouping, an oracle,
-directly.
+witnesses.  Each graph keeps the class partition that listed its
+vertices; the dim certificate, the join reference and the Zagreb report
+read the essential graph's, so each n's vertices are listed once per
+graph, with one class quotient per listing.  Both partitions hold blocks
+of vertex indices, so the class law is compared with the distance-similar
+row grouping, an oracle, directly.
 A category returns (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
@@ -234,7 +234,7 @@ def _check_partition(ctx: _VerifyContext):
     f = ctx.f
     part = ctx.ess.classes
     results = []
-    # the quotient against a product per mask; class_partition checked the listing against it
+    # the quotient against a product per mask; the partition checked its listing against it
     full = (1 << f.k) - 1
     want = [math.prod(m for i, m in enumerate(f.exponents) if not a >> i & 1) for a in range(full)]
     results.append((list(part.sizes) == [want[0] - 1, *want[1:], 0], "class partition sizes"))

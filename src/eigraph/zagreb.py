@@ -221,7 +221,7 @@ def compute_zagreb_report(g: IdealGraph) -> ZagrebReport:
     if g.kind != KIND_ESSENTIAL:
         raise InputError(f"the Zagreb closed forms are for the essential ideal graph, not {g.kind}")
     m1_def, m2_def = zagreb_by_definition(g)
-    m1_closed, m2_closed = zagreb_general_closed(ClassQuotient(f))
+    m1_closed, m2_closed = zagreb_general_closed(g.classes)
     published = zagreb_squarefree_closed(f.k)[2] if f.is_squarefree() else None
     return ZagrebReport(
         n=f.n,

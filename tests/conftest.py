@@ -6,8 +6,6 @@ from eigraph import (
     build_aig,
     build_essential_graph,
     check_divisor_conjugate_iso,
-    class_partition,
-    enumerate_vertices,
     factor,
     factor_range,
 )
@@ -31,11 +29,6 @@ def composites(factored, lo, hi, squarefree=None):
         if squarefree is not None and f.is_squarefree() != squarefree:
             continue
         yield f
-
-
-def partition_of(f):
-    """Class partition of every vertex of Z_n, listed under the default cap."""
-    return class_partition(f, enumerate_vertices(f))
 
 
 def conjugate_check(f):

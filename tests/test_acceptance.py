@@ -33,7 +33,7 @@ from eigraph import (
 from eigraph.ideals import class_mask_order
 from eigraph.zagreb import squarefree_level_degree
 
-from conftest import composites, conjugate_check, partition_of
+from conftest import composites, conjugate_check
 
 
 def _report(number, ok, elapsed, target, detail=""):
@@ -61,7 +61,7 @@ def test_criterion_2_general_zagreb_2700():
     start = time.time()
     f = factor(2700)
     g = build_essential_graph(f)
-    part = class_partition(f, list(g.vertices))
+    part = g.classes
     failures = []
     if part.T != 34 or part.m != 11:
         failures.append(f"T={part.T} m={part.m}")
@@ -116,7 +116,7 @@ def test_criterion_4_metric_dimension_exact_cases():
     f = factor(2700)
     g = build_essential_graph(f)
     lower = dim_lower_bound(distance_similar_partition(g).blocks)
-    witness_report = constructive_resolving_set(partition_of(f))
+    witness_report = constructive_resolving_set(class_partition(f))
     if not (lower == witness_report.dim_value == 27 == dim_formula(f).dim_value):
         failures.append(
             f"n=2700: lower={lower} witness={witness_report.dim_value}"
@@ -137,7 +137,7 @@ def test_criterion_5_constructive_witnesses(factored_100k):
     start = time.time()
     failures = []
     for f in composites(factored_100k, 4, 2000, squarefree=False):
-        report = constructive_resolving_set(partition_of(f))
+        report = constructive_resolving_set(class_partition(f))
         expected = dim_formula(f)
         if report.degenerate:
             # n = p^2 has a single vertex: dim 0 by convention, no witness
@@ -154,7 +154,7 @@ def test_criterion_5_constructive_witnesses(factored_100k):
     check = is_resolving(g, minimal)
     if not check.resolves:
         failures.append("n=30030: minimal ideals do not resolve")
-    cons = constructive_resolving_set(partition_of(f))
+    cons = constructive_resolving_set(class_partition(f))
     if cons.dim_value != 6 or cons.is_exact:
         failures.append(f"n=30030: dim bound {cons.dim_value} exact={cons.is_exact}")
     _report(5, not failures, time.time() - start, 120, "; ".join(failures))
@@ -203,11 +203,11 @@ def test_criterion_7_structure(factored_100k):
     merge_values = []
     for f in composites(factored_100k, 4, 10_000, squarefree=False):
         g = build_essential_graph(f)
-        join = build_join_construction(partition_of(f))
+        join = build_join_construction(class_partition(f))
         if g.adjacency != join.adjacency:
             join_failures.append(f.n)
             continue
-        part = class_partition(f, list(g.vertices))
+        part = g.classes
         actual = list(distance_similar_partition(g).blocks)
         if f.k == 2 and min(f.exponents) == 1:  # n = p^a*q, a >= 2 in this sweep
             merge_values.append(f.n)
@@ -251,7 +251,7 @@ def test_criterion_8_distances(factored_100k):
         dist = all_pairs_distances(g)
         t = g.order
         verts = g.vertices
-        law = class_partition(f, list(verts)).mask_distance
+        law = g.classes.mask_distance
         for i in range(t):
             row = dist[i]
             vi = verts[i]
@@ -314,7 +314,7 @@ def test_criterion_9_property_suite(factored_100k):
         # class degree law over the non-squarefree range
         for f in composites(factored_100k, 4, 10_000, squarefree=False):
             g = build_essential_graph(f)
-            part = class_partition(f, list(g.vertices))
+            part = g.classes
             for mask in class_mask_order(f.k):
                 want = part.class_degree(mask)
                 if any(g.degrees[i] != want for i in part.members[mask]):
@@ -352,7 +352,7 @@ def test_criterion_7_corrected_structure_law(factored_100k):
     detail = ""
     for f in composites(factored_100k, 4, 10_000, squarefree=False):
         g = build_essential_graph(f)
-        part = class_partition(f, list(g.vertices))
+        part = g.classes
         if list(distance_similar_partition(g).blocks) != sorted(part.similarity_blocks()):
             ok = False
             detail = f"corrected law fails at n={f.n}"

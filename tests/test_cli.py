@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from functools import cached_property
 
 import jsonschema
 import pytest
@@ -11,10 +12,12 @@ import eigraph.arithmetic
 import eigraph.ideals
 from eigraph import (
     ClassPartition,
+    ClassQuotient,
     InputError,
     all_pairs_distances,
     build_aig,
     build_essential_graph,
+    class_partition,
     compute_zagreb_report,
     constructive_resolving_set,
     dim_bruteforce,
@@ -34,7 +37,7 @@ from eigraph.metricdim import DIM_JSON_SCHEMA
 from eigraph.verify import CHECK_CATEGORIES, VERIFY_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
 
-from conftest import LARGE_T, composites, partition_of
+from conftest import LARGE_T, composites
 
 
 def run_cli(capsys, *argv):
@@ -878,12 +881,12 @@ def test_verify_dim_runs_bfs_only_outside_its_witnesses(monkeypatch):
 
 def test_scalar_commands_list_no_class_partition(capsys, monkeypatch):
     # graph and aig in text and zagreb in every format read the class
-    # quotient: with class_partition refusing, each prints the bytes it
-    # printed when it partitioned the vertex list (SHA-256 of stdout)
-    def refuse(*args, **kwargs):
-        raise AssertionError("partitioned the vertex list")
+    # quotient: with the grouping by class refusing, each prints the bytes
+    # it printed when it partitioned the vertex list (SHA-256 of stdout)
+    def refuse(part):
+        raise AssertionError("grouped the vertices by class")
 
-    assert _patch_every_alias(monkeypatch, eigraph.ideals, "class_partition", refuse)
+    monkeypatch.setattr(ClassPartition, "members", property(refuse))
     for argv, digest in (
         ("graph 2700", "2684b57bcd7513d2f6656746f7ed22de4305d039509a6171e3d1d9bdcdcd360f"),
         ("aig 2700", "d7605adf4aa25c16e05568203d286fdab00f01876091f8e2c632f2b6b7e1910a"),
@@ -941,17 +944,57 @@ def test_cli_refuses_a_negative_budget_in_its_parser(capsys):
 
 def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
     calls = _calls_during_verify(monkeypatch, eigraph.ideals.class_partition, lambda f: f.n)
-    # One per n: the essential graph's own, which verify, zagreb, the
-    # certificate and the join reference share; 212 before sharing, 183 while
-    # the certificate partitioned on its own, 148 while the join did.
-    assert len(calls) == 74
+    # One per graph, the essential graph's and, unless T = 1, the AIG's:
+    # verify, zagreb, the certificate and the join reference share the
+    # essential graph's.
+    assert len(calls) == 144
 
 
 def test_verify_lists_the_vertices_once_per_graph(monkeypatch):
-    calls = _calls_during_verify(monkeypatch, eigraph.ideals.enumerate_vertices, lambda f: f.n)
+    calls = []
+    listing = ClassPartition.vertices.func
+
+    def counting(part):
+        calls.append(part.modulus.n)
+        return listing(part)
+
+    counted = cached_property(counting)
+    counted.__set_name__(ClassPartition, "vertices")
+    monkeypatch.setattr(ClassPartition, "vertices", counted)
+    assert run_verify(4, 100).passed
     # Per n: the essential graph and, unless T = 1, the AIG; 253 while the
     # certificate listed them again, 218 while the join reference did.
     assert len(calls) == 144
+
+
+def test_each_n_builds_one_class_quotient_per_listing(capsys, monkeypatch):
+    calls = []
+    check = ClassQuotient.__post_init__
+
+    def counting(q):
+        calls.append(q.modulus.n)
+        check(q)
+
+    monkeypatch.setattr(ClassQuotient, "__post_init__", counting)
+    assert run_verify(4, 100).passed
+    # the two graphs' partitions (144) and dim_formula's quotient (74); 366
+    # while the listing, the graph's classes and the Zagreb report each
+    # built their own
+    assert len(calls) == 218
+    for argv in (
+        "graph 2700",
+        "aig 2700",
+        "classes 2700",
+        "distances 2700",
+        "zagreb 2700",
+        "dim 2700",
+        "dim 2700 --method constructive",
+        "dim 2700 --method brute",
+        "dim 2700 --method formula",
+    ):
+        calls.clear()
+        assert run_cli(capsys, *argv.split())[0] == 0, argv
+        assert calls == [2700], argv
 
 
 def test_inconsistency_exit_2(capsys, monkeypatch):
@@ -1031,11 +1074,11 @@ def test_dim_json_equals_json_dumps_of_the_report(capsys, factored_100k):
     # it does, and for both LARGE_T n, where the representations are long;
     # main for the rest
     for f in [*composites(factored_100k, 4, 3000), *map(factor, LARGE_T)]:
-        for report in (constructive_resolving_set(partition_of(f)), dim_formula(f)):
+        for report in (constructive_resolving_set(class_partition(f)), dim_formula(f)):
             got = "".join(cli._dim_json(report))
             assert got == json.dumps(report.to_json_dict(), indent=2) + "\n", (f.n, report.method)
     cases = [(n, "brute", dim_bruteforce(build_essential_graph(factor(n)))) for n in (1680, 30030)]
-    cases += [(n, "auto", constructive_resolving_set(partition_of(factor(n)))) for n in LARGE_T]
+    cases += [(n, "auto", constructive_resolving_set(class_partition(factor(n)))) for n in LARGE_T]
     for n, method, report in cases:
         want = json.dumps(report.to_json_dict(), indent=2) + "\n"
         got = run_cli(capsys, "dim", str(n), "--method", method, "--format", "json")

@@ -28,7 +28,7 @@ from eigraph import graph as graph_module
 from eigraph.cli import main
 from eigraph.graph import GRAPH_JSON_SCHEMA, KIND_ANNIHILATING, IdealGraph
 
-from conftest import K12_K13, LARGE_T, composites, conjugate_check, partition_of, primorial_graph
+from conftest import K12_K13, LARGE_T, composites, conjugate_check, primorial_graph
 
 composite_n = st.integers(min_value=4, max_value=3000).filter(
     lambda n: not factor(n).is_prime()
@@ -144,22 +144,24 @@ def test_field_product_model():
 
 
 def test_graph_keeps_its_class_partition(monkeypatch):
-    calls = []
+    built = []
     original = graph_module.class_partition
 
-    def counting(f, vertices):
-        calls.append(f.n)
-        return original(f, vertices)
+    def recording(f, max_t=None):
+        built.append(original(f, max_t))
+        return built[-1]
 
-    monkeypatch.setattr(graph_module, "class_partition", counting)
+    monkeypatch.setattr(graph_module, "class_partition", recording)
     for n in (12, 30, 360, 2700):
         f = factor(n)
-        for g in (build_essential_graph(f), build_aig(f)):
-            part = g.classes
-            assert g.classes is part
+        for build in (build_essential_graph, build_aig):
+            g = build(f)
+            part = built[-1]
+            assert g.classes is part and g.factored is f
             assert part.vertices is g.vertices and part.T == g.order
-            assert part == original(f, list(g.vertices))
-    assert calls == [12, 12, 30, 30, 360, 360, 2700, 2700]
+            assert part == original(f)
+            assert build_join_construction(part).classes is part
+    assert [part.modulus.n for part in built] == [12, 12, 30, 30, 360, 360, 2700, 2700]
 
 
 def test_field_product_requires_squarefree():
@@ -183,9 +185,8 @@ def test_distances_examples():
 def _law(n):
     """Distance by ClassPartition.mask_distance between two generators of n."""
     f = factor(n)
-    verts = enumerate_vertices(f)
-    part = class_partition(f, verts)
-    masks = {v.d: v.xi_mask for v in verts}
+    part = class_partition(f)
+    masks = {v.d: v.xi_mask for v in part.vertices}
     return lambda a, b: part.mask_distance(masks[a], masks[b])
 
 
@@ -206,7 +207,7 @@ def test_squarefree_distance_matches_bfs(factored_100k):
     # the mask law equals BFS on every pair of every composite n <= 10^4
     for f in composites(factored_100k, 4, 10_000):
         g = build_essential_graph(f)
-        law = class_partition(f, list(g.vertices)).mask_distance
+        law = g.classes.mask_distance
         masks = [v.xi_mask for v in g.vertices]
         for i in range(g.order):
             row = bfs_row(g, i)
@@ -330,7 +331,7 @@ def test_distance_similar_blocks_vs_classes(factored_100k):
     # vertices (X, the heavy singleton of n = p^a * q, both primes of
     # n = pq) form one block and every other class is a block.
     for g in _essential_graphs_of_every_shape(factored_100k, 2000):
-        part = class_partition(g.factored, list(g.vertices))
+        part = g.classes
         actual = list(distance_similar_partition(g).blocks)
         assert actual == sorted(part.similarity_blocks()), g.factored.n
 
@@ -350,7 +351,7 @@ def test_class_and_distance_similar_partitions_share_a_format(factored_100k):
 def test_join_construction_equals_direct(factored_100k):
     for f in composites(factored_100k, 4, 10_000):
         direct = build_essential_graph(f)
-        join = build_join_construction(partition_of(f))
+        join = build_join_construction(class_partition(f))
         assert direct.adjacency == join.adjacency, f.n
         assert [v.d for v in direct.vertices] == [v.d for v in join.vertices], f.n
 
@@ -417,7 +418,7 @@ def test_iso_checks_name_a_flipped_edge_as_the_pair_loop_does(n):
             rows[a] ^= 1 << b
             rows[b] ^= 1 << a
             degrees = tuple(bin(r).count("1") for r in rows)
-            broken = IdealGraph(KIND_ANNIHILATING, f, aig.vertices, tuple(rows), degrees)
+            broken = IdealGraph(KIND_ANNIHILATING, aig.classes, tuple(rows), degrees)
             pair = _first_mismatch(ess, broken, conj_image)
             want = None if pair is None else tuple(ess.vertices[i].d for i in pair)
             check = check_divisor_conjugate_iso(ess, broken)
@@ -497,7 +498,7 @@ def test_essential_vertices_universal(factored_100k):
             if v.xi_mask == 0:
                 assert g.degrees[i] == t - 1
             elif g.degrees[i] == t - 1:
-                part = class_partition(f, list(g.vertices))
+                part = g.classes
                 assert f.k == 2 and part.members[v.xi_mask] == (i,)
 
 
@@ -525,7 +526,7 @@ def test_essential_graph_properties(n):
 
 def test_disconnected_is_structural_error():
     g = build_essential_graph(factor(12))
-    broken = IdealGraph(g.kind, g.factored, g.vertices, (0,) * g.order, (0,) * g.order)
+    broken = IdealGraph(g.kind, g.classes, (0,) * g.order, (0,) * g.order)
     with pytest.raises(InconsistencyError):
         all_pairs_distances(broken)
 

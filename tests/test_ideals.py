@@ -28,7 +28,7 @@ from eigraph import (
 )
 from eigraph.ideals import class_mask_order, disjoint_sets, intersects_every_ideal, subset_sums
 
-from conftest import K12_K13, LARGE_T, PRIMES, composites, partition_of
+from conftest import K12_K13, LARGE_T, PRIMES, composites
 
 
 def test_enumerate_vertices_examples():
@@ -61,36 +61,17 @@ def test_enumerate_rejects_bad_n():
 def test_broken_invariants_raise_inconsistency(monkeypatch):
     # Not asserts: these checks must still run under python -O.
     f12 = factor(12)
-    verts = enumerate_vertices(f12)
-    with pytest.raises(InconsistencyError):
-        class_partition(f12, verts[1:])  # <2>, the one essential vertex, is missing
-    # a vertex missing outside X: every class's listed size is checked, not X's alone
-    with pytest.raises(InconsistencyError):
-        class_partition(f12, [v for v in verts if v.d != 3])
-    f2700 = factor(2700)
-    with pytest.raises(InconsistencyError):
-        class_partition(f2700, enumerate_vertices(f2700)[:-1])
     # the listing is checked against the quotient's T, which a wrong law breaks
-    monkeypatch.setattr(ClassQuotient, "T", property(lambda q: 7))
-    with pytest.raises(InconsistencyError, match="4 vertices for n = 12, expected 7"):
-        enumerate_vertices(f12)
-
-
-def test_class_partition_refuses_a_repeated_vertex_or_the_zero_ideal():
-    f12 = factor(12)
-    two, three, four, six = enumerate_vertices(f12)
-    # <3> again in place of <6>, of the same class: every class size matches,
-    # and the certificate held <3> in both its witness and its representations
-    with pytest.raises(InputError, match="strictly ascend"):
-        class_partition(f12, [two, three, four, three])
-    with pytest.raises(InputError, match="strictly ascend"):
-        class_partition(f12, [two, three, three, four])
-    with pytest.raises(InputError, match="strictly ascend"):
-        class_partition(f12, [two, four, three, six])
-    # the zero ideal, built with the raw constructor, has the full mask
-    zero = Ideal(f12, (2, 1), 12, 0b11)
-    with pytest.raises(InputError, match="zero ideal"):
-        class_partition(f12, [two, three, four, six, zero])
+    with monkeypatch.context() as patch:
+        patch.setattr(ClassQuotient, "T", property(lambda q: 7))
+        with pytest.raises(InconsistencyError, match="4 vertices for n = 12, expected 7"):
+            enumerate_vertices(f12)
+    # sizes of {p} and {q} swapped: T holds, so only the per-class check sees it
+    monkeypatch.setattr(ClassQuotient, "sizes", property(lambda q: (1, 2, 1, 0)))
+    part = class_partition(f12)
+    assert part.T == len(part.vertices) == 4
+    with pytest.raises(InconsistencyError, match="class 1 of 12 lists 1, not 2"):
+        part.members
 
 
 def test_is_essential_examples():
@@ -121,15 +102,11 @@ def test_ideal_sum_examples():
 def test_mixed_rings_rejected():
     with pytest.raises(InputError):
         ideal_sum(ideal_from_divisor(factor(12), 2), ideal_from_divisor(factor(30), 2))
-    # the vertices of n = 18 pass the size check of X for n = 12, and the
-    # certificate on such a partition failed as an inconsistency
-    with pytest.raises(InputError, match="Z_18, not of Z_12"):
-        class_partition(factor(12), enumerate_vertices(factor(18)))
 
 
 def test_class_partition_examples():
     f12 = factor(12)
-    part = partition_of(f12)
+    part = class_partition(f12)
     # vertices 2, 3, 4, 6 at indices 0..3; X = {2} at mask 0 comes first
     assert part.members == {0: (0,), 0b01: (2,), 0b10: (1, 3)}
     assert list(part.members) == [0, 0b01, 0b10]
@@ -137,14 +114,14 @@ def test_class_partition_examples():
     # n = p^a*q: the class {4} merges with X = {2}, and the block stays sorted
     assert part.similarity_blocks() == [(0, 2), (1, 3)]
 
-    part = partition_of(factor(2700))
+    part = class_partition(factor(2700))
     assert part.m == 11
     masks = class_mask_order(3)
     assert list(part.members) == [0, *masks]
     assert [len(part.members[mask]) for mask in masks] == [6, 4, 6, 2, 3, 2]
     assert [part.vertices[i].d for i in part.members[0b110]] == [675, 1350]
 
-    part = partition_of(factor(30))
+    part = class_partition(factor(30))
     assert part.m == 0 and part.members[0] == ()
     assert all(len(part.members[mask]) == 1 for mask in masks)
     assert list(part.members) == [0, *masks] and len(masks) == 6
@@ -152,12 +129,12 @@ def test_class_partition_examples():
     assert part.similarity_blocks() == [part.members[mask] for mask in masks]
     assert sorted(part.similarity_blocks()) == [(i,) for i in range(6)]
     # n = pq: X is empty and both primes are universal, one block of closed twins
-    assert partition_of(factor(6)).similarity_blocks() == [(0, 1)]
+    assert class_partition(factor(6)).similarity_blocks() == [(0, 1)]
 
 
 def test_class_partition_size_invariants(factored_100k):
     for f in composites(factored_100k, 4, 3000):
-        part = partition_of(f)
+        part = class_partition(f)
         assert part.m == math.prod(f.exponents) - 1
         total = part.m
         for mask in class_mask_order(f.k):
@@ -183,12 +160,12 @@ def test_class_mask_order_matches_subset_listing():
 def test_class_top_is_the_componentwise_largest_member(factored_100k):
     # The certificate drops each class's top, its largest index: exponent m_i
     # on the mask and m_i - 1 elsewhere, for every nonempty class.
-    part = partition_of(factor(2700))
+    part = class_partition(factor(2700))
     assert part.vertices[part.members[0][-1]].d == 2 * 9 * 5  # one below every exponent
     assert part.vertices[part.members[0b001][-1]].d == 4 * 9 * 5
     tops = 0
     for f in composites(factored_100k, 4, 10_000):
-        part = partition_of(f)
+        part = class_partition(f)
         for mask, block in part.members.items():
             if not block:
                 continue
@@ -279,7 +256,7 @@ def test_quotient_matches_the_listed_partition(factored_100k):
     # benchmark, k = 12 and k = 13; the distance layers against BFS on all
     # but k = 12 and 13, where a BFS per class is too slow.
     for f in [*composites(factored_100k, 4, 10_000), *map(factor, LARGE_T + K12_K13)]:
-        quotient, part = ClassQuotient(f), partition_of(f)
+        quotient, part = ClassQuotient(f), class_partition(f)
         listed = {a: len(c) for a, c in part.members.items()}
         assert quotient.sizes == tuple(listed.get(a, 0) for a in range(1 << f.k)), f.n
         assert (quotient.m, quotient.T) == (len(part.members[0]), len(part.vertices)), f.n
@@ -406,8 +383,8 @@ def test_distance_rows_equal_the_pairwise_law(factored_100k):
     # the rows read off the distance layers equal the scalar law on every
     # composite n <= 3000, and on the primorials k <= 10, where m = 0 and
     # complementary masks sit at distance 3
-    parts = [partition_of(f) for f in composites(factored_100k, 4, 3000)]
-    parts += [partition_of(factor(math.prod(PRIMES[:k]))) for k in range(2, 11)]
+    parts = [class_partition(f) for f in composites(factored_100k, 4, 3000)]
+    parts += [class_partition(factor(math.prod(PRIMES[:k]))) for k in range(2, 11)]
     for part in parts:
         want = _pairwise_rows(part)
         assert list(part.distance_rows()) == want, part.modulus.n

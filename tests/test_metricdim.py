@@ -8,6 +8,7 @@ from eigraph import (
     bfs_row,
     build_aig,
     build_essential_graph,
+    class_partition,
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
@@ -21,7 +22,7 @@ from eigraph.metricdim import DIM_JSON_SCHEMA
 
 import jsonschema
 
-from conftest import LARGE_T, composites, partition_of
+from conftest import LARGE_T, composites
 
 composite_n = st.integers(min_value=4, max_value=1000).filter(
     lambda n: not factor(n).is_prime()
@@ -251,7 +252,7 @@ def test_degenerate_iff_single_vertex():
         f = factor(n)
         for report in (
             dim_formula(f),
-            constructive_resolving_set(partition_of(f)),
+            constructive_resolving_set(class_partition(f)),
             dim_bruteforce(build_essential_graph(f)),
         ):
             assert report.T == t, (n, report.method)
@@ -310,22 +311,22 @@ def test_pruned_search_agrees_with_unpruned(factored_100k):
 
 
 def test_constructive_examples():
-    r2700 = constructive_resolving_set(partition_of(factor(2700)))
+    r2700 = constructive_resolving_set(class_partition(factor(2700)))
     assert r2700.dim_value == 27 and r2700.is_exact
     assert r2700.method == "constructive"
     assert len(r2700.witness) == 27
 
-    r60 = constructive_resolving_set(partition_of(factor(60)))
+    r60 = constructive_resolving_set(class_partition(factor(60)))
     assert r60.dim_value == 4
     assert 4 in r60.witness  # the adjoined heavy power <p1^m1>
     assert r60.witness[-1] == 4
 
-    r30030 = constructive_resolving_set(partition_of(factor(30030)))
+    r30030 = constructive_resolving_set(class_partition(factor(30030)))
     assert r30030.dim_value == 6 and not r30030.is_exact
     assert r30030.witness == (2310, 2730, 4290, 6006, 10010, 15015)
 
     # squarefree k <= 4: the minimal ideals without the largest, <n/p_1>
-    r30 = constructive_resolving_set(partition_of(factor(30)))
+    r30 = constructive_resolving_set(class_partition(factor(30)))
     assert r30.dim_value == 2 and r30.is_exact and r30.method == "constructive"
     assert r30.witness == (6, 10)
 
@@ -334,7 +335,7 @@ def test_squarefree_certificate(factored_100k):
     # the minimal ideals <n/p_i>, less <n/p_1> for k <= 4, certify the exact
     # value for every squarefree n <= 10^4 (k <= 5), with no search
     for f in composites(factored_100k, 4, 10_000, squarefree=True):
-        report = constructive_resolving_set(partition_of(f))
+        report = constructive_resolving_set(class_partition(f))
         assert report.is_exact and report.method == "constructive", f.n
         assert report.dim_value == dim_formula(f).dim_value, f.n
         minimal = sorted(f.n // p for p in f.primes)
@@ -345,11 +346,11 @@ def test_squarefree_certificate(factored_100k):
         assert check.resolves and check.representations == report.representations, f.n
         assert report.lower_bound == dim_lower_bound(distance_similar_partition(g).blocks), f.n
     for n in (6, 30, 210, 2310):  # one n per k = 2..5
-        report = constructive_resolving_set(partition_of(factor(n)))
+        report = constructive_resolving_set(class_partition(factor(n)))
         assert report.dim_value == dim_bruteforce(graph_of(n)).dim_value, n
     for n in (30030, 510510, 9699690):  # k = 6, 7, 8: the upper bound k
         f = factor(n)
-        report = constructive_resolving_set(partition_of(f))
+        report = constructive_resolving_set(class_partition(f))
         assert not report.is_exact and report.dim_value == f.k
         assert report.witness == tuple(sorted(n // p for p in f.primes))
 
@@ -368,7 +369,7 @@ def test_constructive_size_mismatch_is_inconsistent(monkeypatch):
     monkeypatch.setattr(metricdim, "_dim_law", off_by_one)
     for n in (30, 60):
         with pytest.raises(InconsistencyError):
-            constructive_resolving_set(partition_of(factor(n)))
+            constructive_resolving_set(class_partition(factor(n)))
 
 
 def test_constructive_sweep(factored_100k):
@@ -376,7 +377,7 @@ def test_constructive_sweep(factored_100k):
     # composite n <= 10^4 and one n of each large-t signature (T = 358, 1438)
     fs = list(composites(factored_100k, 4, 10_000, squarefree=False))
     for f in fs + [factor(1321091265351), factor(203903066266900)]:
-        report = constructive_resolving_set(partition_of(f))
+        report = constructive_resolving_set(class_partition(f))
         expected = dim_formula(f)
         assert report.dim_value == expected.dim_value
         if report.degenerate:
@@ -399,8 +400,8 @@ def test_constructive_catches_a_bad_witness(monkeypatch):
     for n in (12, 60, 360, 2700):
         f = factor(n)
         with pytest.raises(InconsistencyError, match="does not resolve"):
-            constructive_resolving_set(partition_of(f))
-        part = partition_of(f)
+            constructive_resolving_set(class_partition(f))
+        part = class_partition(f)
         short = [part.vertices[i].d for i in real(part)[:-1]]
         assert not is_resolving(build_essential_graph(f), short).resolves, n
 
@@ -445,7 +446,7 @@ def test_certificate_equals_the_pairwise_law(factored_100k, monkeypatch):
     fs = list(composites(factored_100k, 4, 10_000))
     fs += [factor(n) for n in LARGE_T]
     for f in fs:
-        part = partition_of(f)
+        part = class_partition(f)
         if part.T > 1:
             _assert_certificate_matches_law(part, metricdim._witness_rule(part))
     # the same witnesses with one entry swapped for an outside vertex: some
@@ -453,7 +454,7 @@ def test_certificate_equals_the_pairwise_law(factored_100k, monkeypatch):
     real = metricdim._witness_rule
     seen = set()
     for f in composites(factored_100k, 4, 2000):
-        part = partition_of(f)
+        part = class_partition(f)
         w_idx = real(part)
         outside = sorted(set(range(part.T)).difference(w_idx))
         for pos in range(0, len(w_idx), max(1, len(w_idx) // 3)):
@@ -483,7 +484,7 @@ def test_certificate_rejects_two_outside_members_of_one_class(monkeypatch):
     monkeypatch.setattr(metricdim, "_witness_rule", one_short)
     for n in (12, 60, 360, 2700, *LARGE_T):
         f = factor(n)
-        part = partition_of(f)
+        part = class_partition(f)
         assert not _certificate_by_law(part, one_short(part))[0], n
         with pytest.raises(InconsistencyError, match="does not resolve"):
             constructive_resolving_set(part)
@@ -574,7 +575,7 @@ def test_adding_vertex_keeps_resolving(n, data):
 
 
 def test_dim_report_json_schema():
-    payload = constructive_resolving_set(partition_of(factor(60))).to_json_dict()
+    payload = constructive_resolving_set(class_partition(factor(60))).to_json_dict()
     jsonschema.validate(payload, DIM_JSON_SCHEMA)
     payload = dim_formula(factor(30)).to_json_dict()
     jsonschema.validate(payload, DIM_JSON_SCHEMA)

@@ -7,6 +7,7 @@ from eigraph import (
     InputError,
     build_aig,
     build_essential_graph,
+    class_partition,
     compute_zagreb_report,
     factor,
     zagreb_by_definition,
@@ -22,7 +23,7 @@ from eigraph.zagreb import (
     squarefree_within_level_sum,
 )
 
-from conftest import LARGE_T, composites, partition_of, primorial_graph
+from conftest import LARGE_T, composites, primorial_graph
 
 
 def graph_of(n):
@@ -123,24 +124,24 @@ def test_level_partition_degree_law():
 
 def test_general_closed_examples():
     f2700 = factor(2700)
-    part = partition_of(f2700)
+    part = class_partition(f2700)
     assert zagreb_general_closed(part) == (22862, 300666)
 
     f36 = factor(36)
-    m1, m2 = zagreb_general_closed(partition_of(f36))
+    m1, m2 = zagreb_general_closed(class_partition(f36))
     assert m1 == 208
     assert (m1, m2) == zagreb_by_definition(graph_of(36))
 
     # squarefree n has no essential vertex, and the class sum holds there too
     m1, m2_once, _ = zagreb_squarefree_closed(3)
-    assert zagreb_general_closed(partition_of(factor(30))) == (m1, m2_once)
+    assert zagreb_general_closed(class_partition(factor(30))) == (m1, m2_once)
     assert (m1, m2_once) == zagreb_by_definition(graph_of(30))
 
 
 def test_two_prime_corollary_wraps_general():
     for n in (36, 24, 12, 72, 675, 50):
         f = factor(n)
-        assert zagreb_two_prime(f) == zagreb_general_closed(partition_of(f))
+        assert zagreb_two_prime(f) == zagreb_general_closed(class_partition(f))
         assert zagreb_two_prime(f) == zagreb_by_definition(graph_of(n))
     with pytest.raises(InputError):
         zagreb_two_prime(factor(30))
@@ -152,23 +153,24 @@ def test_paper_forms_equal_the_class_law(factored_100k):
     # The report reads only the class law; the paper's shape forms are
     # references, compared with it over their whole parameter ranges.
     for k, n in {**PRIMORIALS, 13: 304250263527210}.items():
-        assert zagreb_squarefree_closed(k)[:2] == zagreb_general_closed(partition_of(factor(n))), k
+        law = zagreb_general_closed(class_partition(factor(n)))
+        assert zagreb_squarefree_closed(k)[:2] == law, k
     for p in (2, 3, 5):
         m = 2
         while p**m < 2**63:
             f = factor(p**m)
-            assert zagreb_prime_power(m) == zagreb_general_closed(partition_of(f)), f.n
+            assert zagreb_prime_power(m) == zagreb_general_closed(class_partition(f)), f.n
             m += 1
     two_prime = [f for f in composites(factored_100k, 4, 10_000, squarefree=False) if f.k == 2]
     assert len(two_prime) > 1000
     for f in two_prime:
-        assert zagreb_two_prime(f) == zagreb_general_closed(partition_of(f)), f.n
+        assert zagreb_two_prime(f) == zagreb_general_closed(class_partition(f)), f.n
 
 
 def test_general_closed_matches_definition_sweep(factored_100k):
     # every composite n <= 3000: prime powers and squarefree n included
     for f in composites(factored_100k, 4, 3000):
-        part = partition_of(f)
+        part = class_partition(f)
         assert zagreb_general_closed(part) == zagreb_by_definition(
             build_essential_graph(f)
         ), f.n
