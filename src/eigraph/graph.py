@@ -13,8 +13,9 @@ frontiers cheap at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 
 from .arithmetic import FactoredInteger
 from .errors import InconsistencyError, InputError
@@ -24,6 +25,11 @@ KIND_ESSENTIAL = "essential"
 KIND_ANNIHILATING = "annihilating"
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(row: int) -> bytes:
+    """The bits of a bitset row, lowest first, as the bytes 0 and 1 (up to its top bit)."""
+    return bin(row)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,7 @@ class IdealGraph:
         first, as the bytes 0 and 1 select from labels.
         """
         for i, row in enumerate(self.adjacency):
-            above = row >> (i + 1) << (i + 1)
-            yield compress(labels, bin(above)[:1:-1].encode().translate(_BIT_BYTES))
+            yield compress(labels, _bits(row >> (i + 1) << (i + 1)))
 
     def edges(self):
         """Yield edges as index pairs (i, j) with i < j."""
@@ -152,29 +157,23 @@ def build_join_construction(part: ClassPartition) -> IdealGraph:
 
 
 def bfs_row(g: IdealGraph, s: int) -> list[int]:
-    """Distances from vertex s by bitset BFS; raises if the graph is disconnected."""
+    """Distances from vertex s by bitset BFS; raises if the graph is disconnected.
+
+    Each level's frontier is read once as bytes: they select its vertices,
+    which take the level's distance, and their rows, whose union less the
+    vertices seen is the next frontier.
+    """
     t = g.order
     dist = [-1] * t
-    dist[s] = 0
-    seen = 1 << s
-    frontier = 1 << s
+    seen = frontier = 1 << s
     d = 0
     while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            nxt |= g.adjacency[b.bit_length() - 1]
-        nxt &= ~seen
+        bits = _bits(frontier)
+        for j in compress(range(t), bits):
+            dist[j] = d
+        frontier = reduce(or_, compress(g.adjacency, bits), 0) & ~seen
+        seen |= frontier
         d += 1
-        seen |= nxt
-        frontier = nxt
-        rest = nxt
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            dist[b.bit_length() - 1] = d
     if seen != (1 << t) - 1:
         raise InconsistencyError(
             f"graph on {t} vertices is disconnected (source index {s})"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 from .arithmetic import FactoredInteger, factor, resolve_max_vertices
 from .errors import InconsistencyError, InputError
@@ -139,23 +139,17 @@ def is_essential(ideal: Ideal) -> bool:
     return ideal.xi_mask == 0
 
 
-def intersects_every_ideal(ideal: Ideal) -> bool:
-    """Ring-definition essentiality oracle: <d> meets every nonzero ideal.
+def essential_generators(f: FactoredInteger) -> frozenset[int]:
+    """Ring-definition essentiality oracle: the generators d of the essential <d>.
 
-    Checks lcm(d, e) < n for every proper divisor e > 1 of n, staying in
-    plain integer arithmetic so it is independent of the xi_mask route.
+    <d> meets every nonzero ideal iff lcm(d, e) < n for every proper divisor
+    e > 1 of n.  The divisors are listed once from the factors, in plain
+    integer arithmetic, so the oracle is independent of the xi_mask route.
     """
-    n = ideal.modulus.n
-    d = ideal.d
-    for exps in product(*(range(m + 1) for m in ideal.modulus.exponents)):
-        e = 1
-        for (p, _), r in zip(ideal.modulus.factors, exps):
-            e *= p**r
-        if e <= 1 or e >= n:
-            continue
-        if d * e // math.gcd(d, e) == n:
-            return False
-    return True
+    n = f.n
+    powers = ([p**r for r in range(m + 1)] for p, m in f.factors)
+    divisors = [e for e in map(math.prod, product(*powers)) if 1 < e < n]
+    return frozenset(d for d in divisors if n not in map(math.lcm, repeat(d), divisors))
 
 
 def _require_same_modulus(a: Ideal, b: Ideal) -> None:

@@ -19,6 +19,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import mod, mul, not_
 
 from .arithmetic import (
     FactoredInteger,
@@ -29,6 +31,7 @@ from .arithmetic import (
 )
 from .errors import InconsistencyError, InputError
 from .graph import (
+    _bits,
     all_pairs_distances,
     bfs_row,
     build_aig,
@@ -38,12 +41,7 @@ from .graph import (
     check_field_product_iso,
     distance_similar_partition,
 )
-from .ideals import (
-    gcd_lemma_holds,
-    intersects_every_ideal,
-    is_essential,
-    sum_is_essential_or_unit,
-)
+from .ideals import essential_generators, gcd_lemma_holds, is_essential
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
     constructive_resolving_set,
@@ -147,30 +145,41 @@ class _VerifyContext:
         return dim_formula(self.f)
 
 
+def _rows_match(g, oracle_rows) -> bool:
+    """Each built row, read as T bytes, equals its oracle row of T truths, diagonal cleared.
+
+    Full rows, one at a time, so a self-loop or a one-sided edge shows too.
+    """
+    t = g.order
+    for i, (row, want) in enumerate(zip(g.adjacency, oracle_rows)):
+        want = bytearray(want)
+        want[i] = 0
+        if want != _bits(row).ljust(t, b"\0"):
+            return False
+    return True
+
+
 def _check_adjacency(ctx: _VerifyContext):
     f = ctx.f
     ess = ctx.ess
     results = []
     verts = ess.vertices
     t = ess.order
-
-    ok = all(
-        ess.adjacent(i, j) == sum_is_essential_or_unit(a, verts[j])
-        for i, a in enumerate(verts)
-        for j in range(i + 1, t)
-    )
-    results.append((ok, "essential adjacency vs ideal-sum oracle"))
-
-    ok = all(is_essential(v) == intersects_every_ideal(v) for v in verts)
-    results.append((ok, "full-exponent mask vs ring-definition essentiality"))
-
     n = f.n
     ds = [v.d for v in verts]
-    ok = all(
-        ctx.aig.adjacent(i, j) == (d * ds[j] % n == 0)
-        for i, d in enumerate(ds)
-        for j in range(i + 1, t)
-    )
+    essential = essential_generators(f)
+
+    # <a> + <b> = <gcd(a, b)>; the unit ideal counts as essential
+    sums = essential | {1}
+    oracle = (map(sums.__contains__, map(math.gcd, repeat(d), ds)) for d in ds)
+    results.append((_rows_match(ess, oracle), "essential adjacency vs ideal-sum oracle"))
+
+    ok = essential == {v.d for v in verts if is_essential(v)}
+    results.append((ok, "full-exponent mask vs ring-definition essentiality"))
+
+    # <a><b> = <ab> is zero iff n divides ab; a single vertex builds no AIG
+    oracle = (map(not_, map(mod, map(mul, repeat(d), ds), repeat(n))) for d in ds)
+    ok = t < 2 or _rows_match(ctx.aig, oracle)
     results.append((ok, "annihilating adjacency vs integer divisibility"))
 
     part = ctx.ess.classes

@@ -33,7 +33,7 @@ from eigraph.cli import (
     main,
     run_verify,
 )
-from eigraph.graph import GRAPH_JSON_SCHEMA
+from eigraph.graph import GRAPH_JSON_SCHEMA, IdealGraph
 from eigraph.metricdim import DIM_JSON_SCHEMA
 from eigraph.verify import CHECK_CATEGORIES, VERIFY_JSON_SCHEMA
 from eigraph.zagreb import ZAGREB_JSON_SCHEMA
@@ -438,7 +438,7 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
         eigraph.metricdim: ("is_resolving",),
         eigraph.ideals: (
             "sum_is_essential_or_unit",
-            "intersects_every_ideal",
+            "essential_generators",
             "ideal_sum",
             "gcd_lemma_check",
             "gcd_lemma_holds",
@@ -648,6 +648,42 @@ def test_verify_checks_the_printed_distance_rows(monkeypatch):
         assert summary.categories == {"distances": (run, passed - 1)}, n
         detail = "distance matrix symmetric with entries in 1..3"
         assert summary.failures == [{"n": n, "category": "distances", "detail": detail}]
+
+
+# cells (i, j) of the adjacency rows flipped: an edge flips both of its
+# cells; a self-loop and a one-sided entry below the diagonal, which a walk
+# over the pairs i < j never reads, flip one
+WRONG_ENTRIES = {
+    "edge-0-1": ((0, 1), (1, 0)),
+    "edge-0-2": ((0, 2), (2, 0)),
+    "edge-1-3": ((1, 3), (3, 1)),
+    "self-loop-1": ((1, 1),),
+    "one-sided-3-1": ((3, 1),),
+}
+ADJACENCY_DETAILS = {
+    "build_essential_graph": "essential adjacency vs ideal-sum oracle",
+    "build_aig": "annihilating adjacency vs integer divisibility",
+}
+
+
+@pytest.mark.parametrize("cells", WRONG_ENTRIES.values(), ids=WRONG_ENTRIES)
+@pytest.mark.parametrize("builder", ADJACENCY_DETAILS)
+def test_verify_adjacency_finds_one_wrong_entry(monkeypatch, builder, cells):
+    build = getattr(eigraph.verify, builder)
+
+    def wrong(f, max_t=None):
+        g = build(f, max_t)
+        rows = list(g.adjacency)
+        for i, j in cells:
+            rows[i] ^= 1 << j
+        return IdealGraph(g.kind, g.classes, tuple(rows), tuple(map(int.bit_count, rows)))
+
+    monkeypatch.setattr(eigraph.verify, builder, wrong)
+    detail = ADJACENCY_DETAILS[builder]
+    (other,) = set(ADJACENCY_DETAILS.values()) - {detail}  # the other graph's oracle passes
+    for n in (12, 30, 72, 210, 2700):
+        details = {f["detail"] for f in run_verify(n, n, checks=("adjacency",)).failures}
+        assert detail in details and other not in details, n
 
 
 def test_verify_iso_category(capsys):

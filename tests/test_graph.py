@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from collections import deque
 
 import jsonschema
 import pytest
@@ -529,6 +531,52 @@ def test_disconnected_is_structural_error():
     broken = IdealGraph(g.kind, g.classes, (0,) * g.order, (0,) * g.order)
     with pytest.raises(InconsistencyError):
         all_pairs_distances(broken)
+
+
+def _queue_bfs_rows(g: IdealGraph) -> list[list[int]]:
+    # a plain queue over neighbour lists from every source; -1 marks a vertex never reached
+    neighbours = [[j for j in range(g.order) if row >> j & 1] for row in g.adjacency]
+    rows = []
+    for s in range(g.order):
+        dist = [-1] * g.order
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(dist)
+    return rows
+
+
+def _with_rows(g: IdealGraph, rows) -> IdealGraph:
+    return IdealGraph(g.kind, g.classes, tuple(rows), tuple(map(int.bit_count, rows)))
+
+
+def test_bfs_row_matches_a_queue_bfs(factored_100k):
+    fs = [*composites(factored_100k, 4, 2000), factor(LARGE_T[0])]
+    graphs = [build(f) for f in fs for build in (build_essential_graph, build_aig)]
+    # a path 0 - 1 - ... - 33 on the vertices of 2700: distances up to 33
+    g = build_essential_graph(factor(2700))
+    t = g.order
+    path = _with_rows(g, [(1 << i >> 1) | (1 << i + 1) & ~(1 << t) for i in range(t)])
+    for g in [*graphs, path]:
+        want = _queue_bfs_rows(g)
+        for s in range(g.order):
+            assert bfs_row(g, s) == want[s], (g.factored.n, g.kind, s)
+    assert bfs_row(path, 0) == list(range(t))
+    # the path cut between 16 and 17: from either side, the same error
+    rows = list(path.adjacency)
+    rows[16] ^= 1 << 17
+    rows[17] ^= 1 << 16
+    cut = _with_rows(path, rows)
+    assert _queue_bfs_rows(cut)[0][16:18] == [16, -1]
+    for s in (0, 16, 17, 33):
+        message = f"graph on 34 vertices is disconnected (source index {s})"
+        with pytest.raises(InconsistencyError, match=re.escape(message)):
+            bfs_row(cut, s)
 
 
 def test_dot_export():

@@ -26,7 +26,7 @@ from eigraph import (
     sum_is_essential_or_unit,
     zagreb_general_closed,
 )
-from eigraph.ideals import class_mask_order, disjoint_sets, intersects_every_ideal, subset_sums
+from eigraph.ideals import class_mask_order, disjoint_sets, essential_generators, subset_sums
 
 from conftest import K12_K13, LARGE_T, PRIMES, composites
 
@@ -84,9 +84,16 @@ def test_is_essential_examples():
 
 
 def test_essential_matches_ring_definition_oracle():
-    for n in (12, 30, 60, 72, 2700):
-        for v in enumerate_vertices(factor(n)):
-            assert is_essential(v) == intersects_every_ideal(v)
+    for n in (4, 8, 12, 30, 60, 72, 2700):
+        f = factor(n)
+        verts = enumerate_vertices(f)
+        essential = essential_generators(f)
+        assert essential <= {v.d for v in verts}, n
+        for v in verts:
+            assert is_essential(v) == (v.d in essential), (n, v.d)
+    # in Z_12, <2> meets <3>, <4> and <6>, but <6> misses <4>: lcm(6, 4) = 12
+    assert essential_generators(factor(12)) == {2}
+    assert essential_generators(factor(72)) == {2, 3, 4, 6, 12}
 
 
 def test_ideal_sum_examples():
@@ -176,12 +183,15 @@ def test_class_top_is_the_componentwise_largest_member(factored_100k):
 
 
 def test_adjacency_characterizations_agree(factored_100k):
-    # mask disjointness vs essential-or-unit ideal sum, exhaustively for n <= 2000
+    # mask disjointness vs essential-or-unit ideal sum, exhaustively for n <= 2000,
+    # the sum read both off the exponents and as <gcd(a, b)>, as verify reads it
     for f in composites(factored_100k, 4, 2000):
         verts = enumerate_vertices(f)
+        sums = essential_generators(f) | {1}
         for i, a in enumerate(verts):
             for b in verts[i + 1 :]:
-                assert (not a.xi_mask & b.xi_mask) == sum_is_essential_or_unit(a, b)
+                disjoint = not a.xi_mask & b.xi_mask
+                assert disjoint == sum_is_essential_or_unit(a, b) == (math.gcd(a.d, b.d) in sums)
 
 
 def test_subset_sums_equal_the_direct_sum():

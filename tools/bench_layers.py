@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_layers.py --out BENCH_36.json
+    python3 tools/bench_layers.py --out BENCH_37.json
     python3 tools/bench_layers.py --sizes 34 --out t34.json
     python3 tools/bench_layers.py --compare BENCH_OLD.json BENCH_NEW.json
 
@@ -13,7 +13,9 @@ vertex count T = 34, 358, 2878 and 11518, and the window 200000..200049
 (the first `far-window` slot of perfbench), on which `factor_range(END)`
 with the n below START skipped, as `verify` reads it, is timed against
 `factor_window(START, END)`.  The graph builds list the vertices
-themselves, so their time includes the listing.
+themselves, so their time includes the listing.  The `bfs_row` cell runs
+BFS from the first BFS_SOURCES vertices (all of them at T = 34), one row
+at a time, as `verify`'s distance oracle reads them.
 
 Per cell the file records the minimum and median of REPEATS repeats
 (`time.perf_counter_ns`, in ms), the peak RSS of a fresh child process that
@@ -49,6 +51,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from eigraph import (  # noqa: E402
     ClassPartition,
     ClassQuotient,
+    bfs_row,
     build_aig,
     build_essential_graph,
     build_join_construction,
@@ -68,6 +71,7 @@ FORMAT = "eigraph-bench-layers/1"
 SIZES = {34: 1260, 358: 1321091265351, 2878: 24443218800, 11518: 113193752752080}
 WINDOW = (200000, 200049)
 REPEATS = 11
+BFS_SOURCES = 64
 SIZE_NAMES = [*map(str, SIZES), "window"]
 
 
@@ -94,6 +98,10 @@ def _graph(n):
 def _range_window(bounds):
     start, end = bounds
     return [f for f in factor_range(end) if f.n >= start]
+
+
+def _bfs_rows(g):
+    return (bfs_row(g, s) for s in range(min(BFS_SOURCES, g.order)))
 
 
 def _consume(rows) -> None:
@@ -143,6 +151,11 @@ LAYERS = {
         _listed,
         lambda part: _consume(part.distance_rows()),
         lambda part, _: part.distance_rows(),
+    ),
+    "bfs_row": (
+        _graph,
+        lambda g: _consume(_bfs_rows(g)),
+        lambda g, _: ("".join(map(str, row)) for row in _bfs_rows(g)),
     ),
     "distance_similar_partition": (_graph, distance_similar_partition, lambda g, p: _text(p.blocks)),
     "zagreb_general_closed": (
