@@ -145,10 +145,12 @@ def essential_generators(f: FactoredInteger) -> frozenset[int]:
     <d> meets every nonzero ideal iff lcm(d, e) < n for every proper divisor
     e > 1 of n.  The divisors are listed once from the factors, in plain
     integer arithmetic, so the oracle is independent of the xi_mask route.
+    Each d is tested against the divisors in descending order: an e with
+    lcm(d, e) = n, if there is one, carries most of n and comes early.
     """
     n = f.n
     powers = ([p**r for r in range(m + 1)] for p, m in f.factors)
-    divisors = [e for e in map(math.prod, product(*powers)) if 1 < e < n]
+    divisors = sorted((e for e in map(math.prod, product(*powers)) if 1 < e < n), reverse=True)
     return frozenset(d for d in divisors if n not in map(math.lcm, repeat(d), divisors))
 
 

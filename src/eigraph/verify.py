@@ -19,8 +19,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import mod, mul, not_
+from itertools import repeat, starmap, zip_longest
+from operator import eq, mod, mul, not_
 
 from .arithmetic import (
     FactoredInteger,
@@ -208,6 +208,14 @@ def _check_adjacency(ctx: _VerifyContext):
     return results
 
 
+_DIGIT_VALUES = bytes.maketrans(b"0123", bytes(range(4)))
+
+
+def _rows_equal(a, b) -> bool:
+    """a == b for two sequences of rows, read one pair at a time so neither is held whole."""
+    return all(starmap(eq, zip_longest(a, b)))
+
+
 def _check_distances(ctx: _VerifyContext):
     results = []
     try:
@@ -215,13 +223,12 @@ def _check_distances(ctx: _VerifyContext):
     except InconsistencyError:
         return [(False, "essential graph is disconnected")]
     t = ctx.ess.order
-    ok = all(dist[i][i] == 0 for i in range(t)) and all(
-        dist[i][j] == dist[j][i] and 1 <= dist[i][j] <= 3
-        for i in range(t)
-        for j in range(i + 1, t)
-    )
-    # The rows `eigraph distances` prints, from the class law, must equal BFS.
-    ok = ok and list(ctx.ess.classes.distance_rows()) == ["".join(map(str, r)) for r in dist]
+    # Symmetric: the matrix equals its transpose.  The rows `eigraph
+    # distances` prints, from the class law, must equal BFS; read digit by
+    # digit, 0 on the diagonal and 1..3 off it, they bound every entry.
+    ok = _rows_equal(dist, map(list, zip(*dist)))
+    rows = ctx.ess.classes.distance_rows()
+    ok = ok and _rows_equal((list(row.encode().translate(_DIGIT_VALUES)) for row in rows), dist)
     results.append((ok, "distance matrix symmetric with entries in 1..3"))
     if t >= 2:
         diam = max(max(row) for row in dist)
@@ -233,9 +240,8 @@ def _check_distances(ctx: _VerifyContext):
         masks = [v.xi_mask for v in ctx.ess.vertices]
         law = ctx.ess.classes.mask_distance
         ok = all(
-            law(masks[i], masks[j]) == dist[i][j]
+            list(map(law, repeat(masks[i]), masks[i + 1 :])) == dist[i][i + 1 :]
             for i in range(t)
-            for j in range(i + 1, t)
         )
         results.append((ok, "squarefree mask-distance law vs BFS"))
     return results
