@@ -108,17 +108,18 @@ _VERTEX_JSON = (
 
 def _graph_json(g):
     """json.dumps(to_json_dict(g), indent=2) and a newline, a chunk per vertex and edge row."""
-    f = g.factored
+    f, part = g.factored, g.classes
     yield _json_open({"n": f.n, "kind": g.kind, "factors": [[p, m] for p, m in f.factors]})
     xi = {
         mask: json.dumps(mask_indices(mask), indent=2).replace("\n", "\n      ")
-        for mask in {v.xi_mask for v in g.vertices}
+        for mask in set(part.masks)
     }
     sep = ',\n  "vertices": [\n    '
-    for v, degree in zip(g.vertices, g.degrees):
-        exponents = ",\n        ".join(map(str, v.exponents))
-        essential = "false" if v.xi_mask else "true"
-        yield sep + _VERTEX_JSON.format(v.d, exponents, xi[v.xi_mask], essential, degree)
+    columns = zip(part.generators, part.exponent_vectors, part.masks, g.degrees)
+    for d, exps, mask, degree in columns:
+        exponents = ",\n        ".join(map(str, exps))
+        essential = "false" if mask else "true"
+        yield sep + _VERTEX_JSON.format(d, exponents, xi[mask], essential, degree)
         sep = ",\n    "
     sep = '\n  ],\n  "edges": [\n    '
     for i, above in enumerate(g.neighbours_above(list(map(str, range(g.order))))):
@@ -132,7 +133,7 @@ def _graph_json(g):
 
 def _distances_json(part):
     """The text of the distance matrix's JSON payload and a newline: a chunk per row."""
-    vertices = [v.d for v in part.vertices]
+    vertices = list(part.generators)
     yield _json_open({"n": part.modulus.n, "kind": KIND_ESSENTIAL, "vertices": vertices})
     sep = ',\n  "distances": [\n    [\n      '
     for row in part.distance_rows(",\n      "):
@@ -143,7 +144,7 @@ def _distances_json(part):
 
 def _distances_text(part):
     """The distance table, a row per vertex, and its diameter: the largest entry written."""
-    labels = [str(v.d) for v in part.vertices]
+    labels = list(map(str, part.generators))
     yield "d " + " ".join(labels)
     top = "0"
     for label, row in zip(labels, part.distance_rows(" ")):
@@ -206,7 +207,7 @@ def cmd_graph(args) -> int:
 def cmd_classes(args) -> int:
     f = factor(args.n)
     part = class_partition(f, args.max_t)
-    verts = part.vertices
+    ds = part.generators
     if args.format == "json":
         payload = {
             "n": f.n,
@@ -214,12 +215,12 @@ def cmd_classes(args) -> int:
             "k": f.k,
             "T": part.T,
             "m": part.m,
-            "essential": [verts[i].d for i in part.members[0]],
+            "essential": [ds[i] for i in part.members[0]],
             "classes": [
                 {
                     "xi": list(mask_indices(mask)),
                     "size": part.sizes[mask],
-                    "members": [verts[i].d for i in part.members[mask]],
+                    "members": [ds[i] for i in part.members[mask]],
                 }
                 for mask in class_mask_order(f.k)
             ],
@@ -230,10 +231,10 @@ def cmd_classes(args) -> int:
         f"n = {f.n}",
         f"T = {part.T}",
         f"m = {part.m}",
-        "X = " + " ".join(str(verts[i].d) for i in part.members[0]),
+        "X = " + " ".join(str(ds[i]) for i in part.members[0]),
     ]
     for mask in class_mask_order(f.k):
-        members = " ".join(str(verts[i].d) for i in part.members[mask])
+        members = " ".join(str(ds[i]) for i in part.members[mask])
         lines.append(f"X_{_mask_label(mask)} = {members}")
     _emit(["\n".join(lines), "\n"], args.output)
     return EXIT_OK

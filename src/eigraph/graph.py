@@ -51,11 +51,11 @@ class IdealGraph:
 
     @cached_property
     def _index(self) -> dict:
-        return {v.d: i for i, v in enumerate(self.vertices)}
+        return {d: i for i, d in enumerate(self.classes.generators)}
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.adjacency)
 
     @property
     def edge_count(self) -> int:
@@ -103,7 +103,7 @@ def _disjoint_mask_rows(masks: list[int], k: int) -> list[int]:
 def build_essential_graph(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     """Essential ideal graph: vertices adjacent iff their full-exponent masks are disjoint."""
     part = class_partition(f, max_t)
-    rows = _disjoint_mask_rows([v.xi_mask for v in part.vertices], f.k)
+    rows = _disjoint_mask_rows(part.masks, f.k)
     return _finish(KIND_ESSENTIAL, part, rows)
 
 
@@ -115,19 +115,19 @@ def build_aig(f: FactoredInteger, max_t: int | None = None) -> IdealGraph:
     at_least[i][m_i - r_i], itself excluded.
     """
     part = class_partition(f, max_t)
-    verts = part.vertices
+    exps = part.exponent_vectors
     at_least = []
     for i, m in enumerate(f.exponents):
         sets = [0] * (m + 1)
-        for j, v in enumerate(verts):
-            sets[v.exponents[i]] |= 1 << j
+        for j, e in enumerate(exps):
+            sets[e[i]] |= 1 << j
         for r in range(m - 1, -1, -1):
             sets[r] |= sets[r + 1]
         at_least.append(sets)
     rows = []
-    for j, v in enumerate(verts):
+    for j, e in enumerate(exps):
         row = ~(1 << j)
-        for sets, m, r in zip(at_least, f.exponents, v.exponents):
+        for sets, m, r in zip(at_least, f.exponents, e):
             row &= sets[m - r]
         rows.append(row)
     return _finish(KIND_ANNIHILATING, part, rows)
@@ -138,21 +138,20 @@ def build_join_construction(part: ClassPartition) -> IdealGraph:
 
     The essential class X is a complete graph joined to every vertex; each
     class is an empty graph on its members, joined to X and to every class
-    whose index mask is disjoint from its own.  The rows are over
-    part.vertices, so the reference lists no vertices and takes no cap.
+    whose index mask is disjoint from its own.  The rows are over the
+    vertices of part, so the reference lists no vertices and takes no cap.
     Must agree with build_essential_graph edge for edge; with no essential
     vertices X is empty and the construction is the plain generalized join.
     """
-    verts = part.vertices
     class_bits = {mask: sum(1 << i for i in block) for mask, block in part.members.items()}
     x_bits = class_bits.pop(0)
-    joined = {0: (1 << len(verts)) - 1}
+    joined = {0: (1 << part.T) - 1}
     for a in class_bits:
         joined[a] = x_bits
         for b, b_bits in class_bits.items():
             if not a & b:
                 joined[a] |= b_bits
-    rows = [joined[v.xi_mask] & ~(1 << i) for i, v in enumerate(verts)]
+    rows = [joined[a] & ~(1 << i) for i, a in enumerate(part.masks)]
     return _finish(KIND_ESSENTIAL, part, rows)
 
 
@@ -247,15 +246,15 @@ def check_divisor_conjugate_iso(ess: IdealGraph, aig: IdealGraph) -> ConjugateCh
     kinds = (ess.kind, aig.kind)
     if kinds != (KIND_ESSENTIAL, KIND_ANNIHILATING) or ess.factored.n != aig.factored.n:
         raise InputError("need the essential graph and the AIG of one n, in that order")
-    n = ess.factored.n
-    mapping = {v.d: n // v.d for v in ess.vertices}
+    n, ds = ess.factored.n, ess.classes.generators
+    mapping = {d: n // d for d in ds}
     # Both builders list the divisors ascending, so d -> n/d sends index i to
     # T - 1 - i and the image of an essential row is the bit-reversed AIG row
     # of its conjugate.  The rows are reversed lazily, up to the first mismatch.
     width = f"0{ess.order}b"
     reversed_rows = (int(format(row, width)[::-1], 2) for row in reversed(aig.adjacency))
     pair = _first_row_mismatch(ess.adjacency, reversed_rows)
-    failing = None if pair is None else tuple(ess.vertices[i].d for i in pair)
+    failing = None if pair is None else tuple(ds[i] for i in pair)
     return ConjugateCheck(failing is None, mapping, ess.edge_count, aig.edge_count, failing)
 
 
@@ -283,8 +282,8 @@ def check_field_product_iso(aig: IdealGraph) -> FieldModelCheck:
     # psi sends zero slots S to the product of the primes outside S, so the
     # AIG vertex d is the image of the primes not dividing d: ~xi_mask.
     full = (1 << f.k) - 1
-    masks = [full ^ v.xi_mask for v in aig.vertices]
-    mapping = dict(sorted(zip(masks, (v.d for v in aig.vertices))))
+    masks = [full ^ a for a in aig.classes.masks]
+    mapping = dict(sorted(zip(masks, aig.classes.generators)))
     pair = _first_row_mismatch(_disjoint_mask_rows(masks, f.k), aig.adjacency)
     failing = None if pair is None else tuple(masks[i] for i in pair)
     return FieldModelCheck(failing is None, mapping, failing)
@@ -357,8 +356,8 @@ def to_dot(g: IdealGraph):
     f = g.factored
     yield f"graph {g.kind}_{f.n} {{\n"
     yield f'  comment = "n = {f.n} = {f.format_factorization()}";\n'
-    for i, v in enumerate(g.vertices):
-        yield f'  v{i} [label="{v.d}"];\n'
+    for i, d in enumerate(g.classes.generators):
+        yield f'  v{i} [label="{d}"];\n'
     for i, above in enumerate(g.neighbours_above(list(map(str, range(g.order))))):
         row = f";\n  v{i} -- v".join(above)
         if row:

@@ -8,8 +8,10 @@ vertices are adjacent in the essential ideal graph exactly when those
 index sets are disjoint.  The class quotient counts the vertices of each
 mask from the exponents alone and owns every law of those counts: the
 composite rule, and T for the cap check.  The class partition lists the
-vertices and groups their indices by mask, X at mask 0, the format of the
-similarity blocks.
+vertices as three columns, generator, mask and exponent vector, and groups
+their indices by mask, X at mask 0, the format of the similarity blocks.
+Production code reads the columns; an `Ideal` is built only for library
+callers and oracles, from the columns, when they read `vertices`.
 """
 
 from __future__ import annotations
@@ -264,31 +266,48 @@ class ClassQuotient:
 class ClassPartition(ClassQuotient):
     """The class quotient with its vertices, listed and grouped on first read.
 
-    vertices ascend by generator; members[a] holds class a's ascending
-    indices, X at mask 0 first, then class_mask_order.  Both are checked
-    against the class law.  Built directly it lists without a cap.
+    The listing is three parallel columns, ascending by generator:
+    generators (d), masks (xi_mask) and exponent_vectors; vertices is their
+    Ideal view for library callers and oracles.  members[a] holds class a's
+    ascending indices, X at mask 0 first, then class_mask_order.  Both are
+    checked against the class law.  Built directly it lists without a cap.
     """
 
     @cached_property
-    def vertices(self) -> tuple[Ideal, ...]:
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The listing: generators, masks and exponent vectors, ascending by generator."""
         f = self.modulus
-        # product() only yields exponents in range, so nothing is validated per
-        # vertex: prime i contributes r, p_i^r and its full bit, d is a product
-        # and xi_mask a sum.  Sorted by d, the unit ideal is first and zero last.
-        exps = product(*(range(m + 1) for m in f.exponents))
-        ds = map(math.prod, product(*([p**r for r in range(m + 1)] for p, m in f.factors)))
-        masks = map(sum, product(*([0] * m + [1 << i] for i, m in enumerate(f.exponents))))
-        verts = tuple(Ideal(f, e, d, mask) for d, e, mask in sorted(zip(ds, exps, masks))[1:-1])
-        if len(verts) != self.T:
-            raise InconsistencyError(f"{len(verts)} vertices for n = {f.n}, expected {self.T}")
-        return verts
+        # d and the mask are built one prime at a time in product() order, the
+        # last prime fastest, so they line up with the exponent vectors that
+        # product() yields; nothing is validated per vertex.  Ordered by d,
+        # the unit ideal is first and zero last.
+        ds, masks = [1], [0]
+        for i, (p, m) in enumerate(f.factors):
+            powers, bits = [p**r for r in range(m + 1)], [0] * m + [1 << i]
+            ds = [d * q for d in ds for q in powers]
+            masks = [a | b for a in masks for b in bits]
+        order = sorted(range(len(ds)), key=ds.__getitem__)[1:-1]
+        if len(order) != self.T:
+            raise InconsistencyError(f"{len(order)} vertices for n = {f.n}, expected {self.T}")
+        exps = list(product(*(range(m + 1) for m in f.exponents)))
+        return tuple(tuple(map(column.__getitem__, order)) for column in (ds, masks, exps))
+
+    generators = property(lambda self: self.columns[0], doc="Each vertex's generator d.")
+    masks = property(lambda self: self.columns[1], doc="Each vertex's xi_mask.")
+    exponent_vectors = property(lambda self: self.columns[2], doc="Each vertex's exponents.")
+
+    @cached_property
+    def vertices(self) -> tuple[Ideal, ...]:
+        """The Ideal view of the columns, for library callers and oracles."""
+        f = self.modulus
+        return tuple(map(Ideal, repeat(f), self.exponent_vectors, self.generators, self.masks))
 
     @cached_property
     def members(self) -> dict[int, tuple[int, ...]]:
         f, sizes = self.modulus, self.sizes
         members: dict[int, list[int]] = {a: [] for a in [0, *class_mask_order(f.k)]}
-        for i, v in enumerate(self.vertices):
-            members[v.xi_mask].append(i)
+        for i, a in enumerate(self.masks):
+            members[a].append(i)
         for a, c in members.items():
             if len(c) != sizes[a]:
                 raise InconsistencyError(f"class {a} of {f.n} lists {len(c)}, not {sizes[a]}")
@@ -320,7 +339,7 @@ class ClassPartition(ClassQuotient):
         mask_distance(a, a) is their distance, 1 in the clique X and 2 in
         any other class.
         """
-        masks = [v.xi_mask for v in self.vertices]
+        masks = self.masks
         near, far = self.distance_layers(masks)
         row = bytearray(sep.join("0" * len(masks)).encode())
         step = len(sep) + 1
@@ -356,7 +375,7 @@ def class_partition(f: FactoredInteger, max_t: int | None = None) -> ClassPartit
     t, cap = part.T, resolve_max_vertices(max_t)  # before any vertex is listed
     if t > cap:
         raise InputError(f"n = {f.n} yields T = {t} vertices, cap is {cap}")
-    part.vertices  # listed here, after the cap check, for every caller
+    part.columns  # listed here, after the cap check, for every caller
     return part
 
 

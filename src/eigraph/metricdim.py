@@ -155,13 +155,14 @@ def is_resolving(g: IdealGraph, witness, distances=None) -> ResolvingCheck:
     """
     w_idx = _witness_indices(g, witness)
     in_w = set(w_idx)
+    keys = g.classes.generators
     reps: dict = {}
     first_with: dict[tuple, object] = {}
     collision = None
     for v in range(g.order):
         if v in in_w:
             continue
-        key = g.vertices[v].d
+        key = keys[v]
         row = bfs_row(g, v) if distances is None else distances[v]
         rep = tuple(row[w] for w in w_idx)
         reps[key] = rep
@@ -235,12 +236,12 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
     t = g.order
     if t == 1:
         return DimReport(n, 1, 0, True, METHOD_BRUTE, 0)
-    part, verts = g.classes, g.vertices
+    part, masks = g.classes, g.classes.masks
     blocks = part.similarity_blocks()
     tops = sorted(max(b) for b in blocks)
     fixed = sorted(set(range(t)).difference(tops))
-    top_masks = [verts[v].xi_mask for v in tops]
-    near, far = part.distance_layers(list(dict.fromkeys(verts[i].xi_mask for i in fixed)))
+    top_masks = [masks[v] for v in tops]
+    near, far = part.distance_layers(list(dict.fromkeys(masks[i] for i in fixed)))
     groups: dict[tuple, int] = {}
     for pos, a in enumerate(top_masks):
         groups[near[a], far[a]] = groups.get((near[a], far[a]), 0) | 1 << pos
@@ -278,7 +279,7 @@ def dim_bruteforce(g: IdealGraph, *, budget: int = DEFAULT_SEARCH_BUDGET) -> Dim
         kept = scan(roots, 0, r)
         if kept is not None:
             w_idx = sorted(fixed + [tops[pos] for pos in kept])
-            witness = tuple(verts[i].d for i in w_idx)
+            witness = tuple(map(part.generators.__getitem__, w_idx))
             reps = _checked_representations(part, w_idx)
             return DimReport(n, t, s, True, METHOD_BRUTE, lower, witness, reps)
     raise InconsistencyError(f"no resolving set found for n = {n}")  # unreachable
@@ -378,13 +379,13 @@ def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Represe
     is raised.  The representations are read off each outside mask's code
     when first used.
     """
-    verts = part.vertices
-    w_masks = [verts[i].xi_mask for i in w_idx]
+    masks = part.masks
+    w_masks = [masks[i] for i in w_idx]
     columns = list(dict.fromkeys(w_masks))
     near, far = part.distance_layers(columns)
     outside = sorted(set(range(part.T)).difference(w_idx))
     # two outside members of one class share their mask, and so their code
-    o_masks = [verts[i].xi_mask for i in outside]
+    o_masks = [masks[i] for i in outside]
     if len(outside) != len({(near[a], far[a]) for a in o_masks}):
         raise InconsistencyError(f"constructed witness for n = {part.modulus.n} does not resolve")
 
@@ -396,7 +397,7 @@ def _checked_representations(part: ClassPartition, w_idx: list[int]) -> _Represe
     def digits(a: int) -> str:
         return "".join(by_witness(distance_digits(near[a], far[a], len(columns))))
 
-    return _Representations(dict(zip((verts[i].d for i in outside), o_masks)), digits)
+    return _Representations(dict(zip(map(part.generators.__getitem__, outside), o_masks)), digits)
 
 
 def constructive_resolving_set(part: ClassPartition) -> DimReport:
@@ -406,13 +407,13 @@ def constructive_resolving_set(part: ClassPartition) -> DimReport:
     checked there by _checked_representations.  The report is exact iff
     the dim law (_dim_law) is, and then the witness size must equal it.
     """
-    f, verts, t = part.modulus, part.vertices, part.T
+    f, t = part.modulus, part.T
     if t == 1:
         return DimReport(f.n, 1, 0, True, METHOD_CONSTRUCTIVE, 0)
     w_idx = _witness_rule(part)
     reps = _checked_representations(part, w_idx)
     lower = dim_lower_bound(part.similarity_blocks())
-    witness = tuple(verts[i].d for i in w_idx)
+    witness = tuple(map(part.generators.__getitem__, w_idx))
     dim, exact, _ = _dim_law(part)
     if exact and len(witness) != dim:
         raise InconsistencyError(

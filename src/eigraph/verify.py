@@ -163,10 +163,9 @@ def _check_adjacency(ctx: _VerifyContext):
     f = ctx.f
     ess = ctx.ess
     results = []
-    verts = ess.vertices
     t = ess.order
     n = f.n
-    ds = [v.d for v in verts]
+    ds, masks = ess.classes.generators, ess.classes.masks
     essential = essential_generators(f)
 
     # <a> + <b> = <gcd(a, b)>; the unit ideal counts as essential
@@ -174,7 +173,7 @@ def _check_adjacency(ctx: _VerifyContext):
     oracle = (map(sums.__contains__, map(math.gcd, repeat(d), ds)) for d in ds)
     results.append((_rows_match(ess, oracle), "essential adjacency vs ideal-sum oracle"))
 
-    ok = essential == {v.d for v in verts if is_essential(v)}
+    ok = essential == {v.d for v in ess.vertices if is_essential(v)}
     results.append((ok, "full-exponent mask vs ring-definition essentiality"))
 
     # <a><b> = <ab> is zero iff n divides ab; a single vertex builds no AIG
@@ -199,10 +198,9 @@ def _check_adjacency(ctx: _VerifyContext):
     if f.is_squarefree() and f.k >= 2:
         # Level i holds the vertices whose generator has i primes: popcount(xi_mask) = i.
         k = f.k
-        levels = Counter(v.xi_mask.bit_count() for v in verts)
-        ok = levels == Counter({i: math.comb(k, i) for i in range(1, k)}) and all(
-            ess.degrees[j] == squarefree_level_degree(k, v.xi_mask.bit_count())
-            for j, v in enumerate(verts)
+        levels = [a.bit_count() for a in masks]
+        ok = Counter(levels) == Counter({i: math.comb(k, i) for i in range(1, k)}) and all(
+            ess.degrees[j] == squarefree_level_degree(k, i) for j, i in enumerate(levels)
         )
         results.append((ok, "squarefree level degree law"))
     return results
@@ -237,7 +235,7 @@ def _check_distances(ctx: _VerifyContext):
             ((diam == 1) == ctx.ess.is_complete(), "diameter 1 iff complete")
         )
     if ctx.f.is_squarefree():
-        masks = [v.xi_mask for v in ctx.ess.vertices]
+        masks = ctx.ess.classes.masks
         law = ctx.ess.classes.mask_distance
         ok = all(
             list(map(law, repeat(masks[i]), masks[i + 1 :])) == dist[i][i + 1 :]
@@ -374,7 +372,7 @@ def _check_bounds(ctx: _VerifyContext):
     if f.is_squarefree():
         # The vertices are the distinct nontrivial proper divisors: valid pairs.
         n = f.n
-        divisors = [v.d for v in ctx.ess.vertices]
+        divisors = ctx.ess.classes.generators
         ok = all(
             gcd_lemma_holds(n, d1, d2)
             for i, d1 in enumerate(divisors)

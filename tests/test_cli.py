@@ -14,6 +14,7 @@ import eigraph.verify
 from eigraph import (
     ClassPartition,
     ClassQuotient,
+    Ideal,
     InputError,
     all_pairs_distances,
     build_aig,
@@ -23,6 +24,7 @@ from eigraph import (
     constructive_resolving_set,
     dim_bruteforce,
     dim_formula,
+    enumerate_vertices,
     factor,
     to_json_dict,
 )
@@ -453,6 +455,12 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
                 if getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, no_oracle)
     monkeypatch.setattr(ClassPartition, "mask_distance", no_oracle)
+    for argv in _production_argvs():
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+def _production_argvs():
+    """Every command but verify, in every format and dim method, on n of every shape."""
     formats = {
         "factor": ("text", "json"),
         "graph": ("text", "json", "dot"),
@@ -460,17 +468,34 @@ def test_production_commands_reach_no_oracle(capsys, monkeypatch):
         "classes": ("text", "json"),
         "distances": ("text", "json"),
     }
-    for n in ("6", "12", "30", "60", "1024", "2310", "2700", "1321091265351"):
-        argvs = [(c, n, "--format", fmt) for c, fmts in formats.items() for fmt in fmts]
-        argvs += [
+    for n in ("6", "12", "30", "49", "60", "1024", "2310", "2700", "1321091265351"):
+        yield from ((c, n, "--format", fmt) for c, fmts in formats.items() for fmt in fmts)
+        yield from (
             ("dim", n, "--method", method, "--format", fmt)
             for method in ("auto", "formula", "constructive", "brute")
             for fmt in ("text", "json")
-        ]
+        )
         for window in ((n,), (n, str(int(n) + 10))):
-            argvs += [("zagreb", *window, "--format", fmt) for fmt in ("text", "json", "csv")]
-        for argv in argvs:
-            assert run_cli(capsys, *argv)[0] == 0, argv
+            yield from (("zagreb", *window, "--format", fmt) for fmt in ("text", "json", "csv"))
+
+
+def test_production_commands_build_no_ideal(capsys, monkeypatch):
+    # Every command but verify reads the partition's generator, mask and
+    # exponent columns; the Ideal view of them is for library callers and
+    # the oracles verify runs.
+    assert {type(v) for v in enumerate_vertices(factor(2700))} == {Ideal}
+
+    def no_ideal(self, *args):
+        raise AssertionError("an Ideal was built")
+
+    monkeypatch.setattr(Ideal, "__init__", no_ideal)
+    for argv in _production_argvs():
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    # the patch bites: the library lister and verify's oracles still build Ideals
+    with pytest.raises(AssertionError, match="an Ideal was built"):
+        enumerate_vertices(factor(12))
+    with pytest.raises(AssertionError, match="an Ideal was built"):
+        run_verify(12, 12)
 
 
 def test_zagreb_command(capsys):
@@ -1062,15 +1087,15 @@ def test_verify_keeps_one_class_partition_per_graph(monkeypatch):
 
 def test_verify_lists_the_vertices_once_per_graph(monkeypatch):
     calls = []
-    listing = ClassPartition.vertices.func
+    listing = ClassPartition.columns.func
 
     def counting(part):
         calls.append(part.modulus.n)
         return listing(part)
 
     counted = cached_property(counting)
-    counted.__set_name__(ClassPartition, "vertices")
-    monkeypatch.setattr(ClassPartition, "vertices", counted)
+    counted.__set_name__(ClassPartition, "columns")
+    monkeypatch.setattr(ClassPartition, "columns", counted)
     assert run_verify(4, 100).passed
     # Per n: the essential graph and, unless T = 1, the AIG; 253 while the
     # certificate listed them again, 218 while the join reference did.

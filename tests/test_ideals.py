@@ -47,6 +47,39 @@ def test_enumerate_vertices_matches_validated_constructor(factored_100k):
         ], f.n
 
 
+def _columns_by_trial_division(n):
+    """(generators, masks, exponent vectors) of Z_n from plain integer arithmetic."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})[1:-1]
+    primes = [d for d in divisors + [n] if d > 1 and all(d % e for e in range(2, math.isqrt(d) + 1))]
+    full = _exponents_by_division(n, primes)
+    exponents = [_exponents_by_division(d, primes) for d in divisors]
+    masks = [sum(1 << i for i, (r, m) in enumerate(zip(e, full)) if r == m) for e in exponents]
+    return tuple(divisors), tuple(masks), tuple(exponents)
+
+
+def _exponents_by_division(d, primes):
+    exponents = []
+    for p in primes:
+        r = 0
+        while d % p == 0:
+            d, r = d // p, r + 1
+        exponents.append(r)
+    return tuple(exponents)
+
+
+def test_columns_match_a_listing_by_trial_division(factored_100k):
+    # every composite n <= 3000, both large-T n of the benchmark, and a
+    # square of a prime with its one vertex
+    fs = [*composites(factored_100k, 4, 3000), *map(factor, LARGE_T), factor(7919**2)]
+    for f in fs:
+        part = class_partition(f)
+        columns = (part.generators, part.masks, part.exponent_vectors)
+        assert columns == part.columns == _columns_by_trial_division(f.n), f.n
+        assert part.vertices == tuple(ideal_from_divisor(f, d) for d in part.generators), f.n
+    assert class_partition(factor(7919**2)).columns == ((7919,), (0,), ((1,),))
+
+
 def test_enumerate_rejects_bad_n():
     # the quotient holds the composite rule, checked before the cap
     for n in (7, 3):

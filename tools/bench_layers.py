@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_layers.py --out BENCH_37.json
+    python3 tools/bench_layers.py --out BENCH_39.json
     python3 tools/bench_layers.py --sizes 34 --out t34.json
     python3 tools/bench_layers.py --compare BENCH_OLD.json BENCH_NEW.json
 
@@ -12,10 +12,13 @@ over from one repeat to the next.  The inputs are four fixed n, one per
 vertex count T = 34, 358, 2878 and 11518, and the window 200000..200049
 (the first `far-window` slot of perfbench), on which `factor_range(END)`
 with the n below START skipped, as `verify` reads it, is timed against
-`factor_window(START, END)`.  The graph builds list the vertices
-themselves, so their time includes the listing.  The `bfs_row` cell runs
-BFS from the first BFS_SOURCES vertices (all of them at T = 34), one row
-at a time, as `verify`'s distance oracle reads them.
+`factor_window(START, END)`.  `partition.columns` is the listing every
+command reads, the generator, mask and exponent columns;
+`partition.vertices` is that listing and its `Ideal` view.  The graph
+builds list the vertices themselves, so their time includes the listing.
+The `bfs_row` cell runs BFS from the first BFS_SOURCES vertices (all of
+them at T = 34), one row at a time, as `verify`'s distance oracle reads
+them.
 
 Per cell the file records the minimum and median of REPEATS repeats
 (`time.perf_counter_ns`, in ms), the peak RSS of a fresh child process that
@@ -133,6 +136,11 @@ LAYERS = {
         lambda n: ClassQuotient(factor(n)),
         lambda q: q.sizes,
         lambda q, sizes: _text(sizes),
+    ),
+    "partition.columns": (
+        lambda n: ClassPartition(factor(n)),
+        lambda part: part.columns,
+        lambda part, columns: (f"{d} {a} {e}" for d, a, e in zip(*columns)),
     ),
     "partition.vertices": (
         lambda n: ClassPartition(factor(n)),
