@@ -187,60 +187,16 @@ def resolve_max_vertices(max_t: int | None = None) -> int:
     return max_t
 
 
-def smallest_prime_factor_sieve(limit: int) -> list[int]:
-    """spf[i] = smallest prime factor of composite i, for 0 <= i <= limit.
-
-    Primes, 0 and 1 read 0. The table starts as 2 at every even cell; then
-    each odd prime p <= isqrt(limit) fills its odd multiples from p*p with
-    one slice assignment, largest p first, so the smallest odd prime factor
-    is written last and wins.
-    """
-    if limit < 2:
-        return [0] * (limit + 1)
-    root = math.isqrt(limit)
-    composite = bytearray(root + 1)
-    for i in range(2, math.isqrt(root) + 1):
-        if not composite[i]:
-            composite[i * i :: i] = b"\x01" * len(range(i * i, root + 1, i))
-    spf = [2, 0] * (limit // 2 + 2)
-    spf[0] = spf[2] = 0
-    del spf[limit + 1 :]
-    for p in range(root - 1 + root % 2, 2, -2):
-        if not composite[p]:
-            spf[p * p :: 2 * p] = [p] * len(range(p * p, limit + 1, 2 * p))
-    return spf
-
-
 def factor_range(limit: int):
-    """Yield FactoredInteger for every n in [2, limit], ascending.
+    """Yield factor(n) for every n in [2, limit], ascending.
 
-    Each n walks the chain rem -> rem // spf[rem] over a smallest-prime-factor
-    table spanning [0, limit], one floor division per prime factor counted
-    with multiplicity, and a prime n (spf[n] == 0) is yielded without any.
+    factor_window(2, limit) as a generator: a limit at or above 2**63 is
+    refused when the first item is asked for, before any n is factored.
     """
     require_int("limit", limit)
     if limit >= MAX_N:
         raise _n_out_of_range(limit)
-    spf = smallest_prime_factor_sieve(limit)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        if not p:
-            yield FactoredInteger(n, ((n, 1),))
-            continue
-        factors = []
-        m = 1
-        rem = n // p
-        while rem > 1:
-            q = spf[rem] or rem
-            if q == p:
-                m += 1
-            else:
-                factors.append((p, m))
-                p = q
-                m = 1
-            rem //= q
-        factors.append((p, m))
-        yield FactoredInteger(n, tuple(factors))
+    yield from factor_window(2, limit)
 
 
 def factor_window(start: int, end: int):

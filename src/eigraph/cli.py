@@ -181,7 +181,8 @@ def cmd_factor(args) -> int:
 
 def cmd_graph(args) -> int:
     f = factor(args.n)
-    g = args.build(f, args.max_t)
+    # looked up at call time, so a patched module attribute is the one called
+    g = (build_aig if args.command == "aig" else build_essential_graph)(f, args.max_t)
     if args.format == "dot":
         _emit(to_dot(g), args.output)
         return EXIT_OK
@@ -398,13 +399,13 @@ _COMMANDS = {
         "build the essential ideal graph",
         _n,
         ("text", "json", "dot"),
-        {"func": cmd_graph, "build": build_essential_graph},
+        {"func": cmd_graph},
     ),
     "aig": (
         "build the annihilating ideal graph",
         _n,
         ("text", "json", "dot"),
-        {"func": cmd_graph, "build": build_aig},
+        {"func": cmd_graph},
     ),
     "classes": (
         "vertex classes by full-exponent index set",

@@ -41,7 +41,7 @@ from .graph import (
     check_field_product_iso,
     distance_similar_partition,
 )
-from .ideals import essential_generators, gcd_lemma_holds, is_essential
+from .ideals import essential_generators, gcd_lemma_holds
 from .metricdim import (
     DEFAULT_SEARCH_BUDGET,
     constructive_resolving_set,
@@ -90,11 +90,10 @@ VERIFY_JSON_SCHEMA = {
 }
 
 
-# A range ending above this is factored one n at a time (factor_window), so
-# its cost follows the window, not end. Up to it, factor_range walks [2, end]
-# over a table of at most 129 cells (about 0.1 ms, as much as factoring 50 n);
-# it stays because perfbench/test_perfbench.py pins `verify 90 90` to one
-# factor_range call over 91 cells.
+# Every range is factored one n at a time and no table is built. A range
+# ending at or below this reads factor_range(end), factor over [2, end], only
+# because perfbench/test_perfbench.py pins `verify 90 90` to one factor_range
+# call over 91 cells; the branch goes when that pin is re-recorded.
 SIEVE_LIMIT = 128
 
 
@@ -173,7 +172,7 @@ def _check_adjacency(ctx: _VerifyContext):
     oracle = (map(sums.__contains__, map(math.gcd, repeat(d), ds)) for d in ds)
     results.append((_rows_match(ess, oracle), "essential adjacency vs ideal-sum oracle"))
 
-    ok = essential == {v.d for v in ess.vertices if is_essential(v)}
+    ok = essential == {d for d, a in zip(ds, masks) if not a}
     results.append((ok, "full-exponent mask vs ring-definition essentiality"))
 
     # <a><b> = <ab> is zero iff n divides ab; a single vertex builds no AIG

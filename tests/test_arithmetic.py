@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -16,7 +17,7 @@ from eigraph import (
     factor_range,
     factor_window,
 )
-from eigraph.arithmetic import resolve_max_vertices, smallest_prime_factor_sieve
+from eigraph.arithmetic import resolve_max_vertices
 
 
 def test_factor_examples():
@@ -99,7 +100,7 @@ def test_factor_range_agrees_with_factor():
 
 
 def _walked(n):
-    """The object factor_range's SPF walk yields for n <= 2710."""
+    """The object factor_range yields for n <= 2710."""
     return list(factor_range(2710))[n - 2]
 
 
@@ -149,21 +150,24 @@ def test_factor_range_walks_repeated_primes(factored_100k):
                 wanted.add(p * p * q)  # with p and q swapped, also every p * q * q
     assert len(wanted) > 5000
     for n in sorted(wanted):
-        assert factored_100k[n - 2] == factor(n), n
+        assert factored_100k[n - 2].factors == tuple(sorted(sympy.factorint(n).items())), n
     assert factored_100k[2**16 - 2].factors == ((2, 16),)
     assert factored_100k[3**10 - 2].factors == ((3, 10),)
     assert factored_100k[7 * 7 * 13 - 2].factors == ((7, 2), (13, 1))
     assert factored_100k[7 * 13 * 13 - 2].factors == ((7, 1), (13, 2))
 
 
-def test_factor_range_rejects_a_limit_at_2_63_before_sieving(monkeypatch):
-    def no_sieve(limit):
-        raise AssertionError(f"sieve built up to {limit}")
+def test_factor_range_rejects_a_limit_at_2_63_before_factoring(monkeypatch):
+    def no_factor(n):
+        raise AssertionError(f"factored {n}")
 
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", no_sieve)
+    monkeypatch.setattr("eigraph.arithmetic.factor", no_factor)
     for limit in (2**63, 2**64):
+        # a generator, as the benchmark's tracer closes it: the check runs at the first next()
+        numbers = factor_range(limit)
+        assert inspect.isgenerator(numbers)
         with pytest.raises(InputError, match=rf"^n must satisfy 2 <= n < 2\*\*63, got {limit}$"):
-            next(factor_range(limit))
+            next(numbers)
 
 
 def test_factor_window_rejects_an_end_at_2_63_before_factoring(monkeypatch):
@@ -202,16 +206,13 @@ def _factor_range_oracle(limit):
         yield FactoredInteger(n, tuple(factors))
 
 
-def test_spf_sieve_matches_the_per_multiple_loop(factored_100k):
+def test_factor_range_matches_the_per_multiple_spf_loop(factored_100k):
+    # factor (trial division, Miller-Rabin, Pollard rho) against an SPF table
     limit = 10**5
     oracle = _spf_oracle(limit)
-    spf = smallest_prime_factor_sieve(limit)
-    assert len(spf) == limit + 1 and spf[0] == spf[1] == 0
-    assert all((spf[i] or i) == oracle[i] for i in range(2, limit + 1))
-    assert all(spf[p] == 0 for p in sympy.primerange(2, limit + 1))
+    assert [i for i in range(2, limit + 1) if oracle[i] == i] == list(sympy.primerange(2, limit + 1))
     for small in range(0, 300):
-        table = smallest_prime_factor_sieve(small)
-        assert [table[i] or i for i in range(2, small + 1)] == _spf_oracle(small)[2:]
+        assert list(factor_range(small)) == list(_factor_range_oracle(small)), small
     assert factored_100k == list(_factor_range_oracle(limit))
 
 
@@ -295,7 +296,7 @@ def test_resolve_max_vertices_refuses_a_non_int():
 
 
 def test_factor_range_and_window_refuse_a_non_int():
-    # a float would otherwise fail inside the sieve or range as a TypeError
+    # a float would otherwise fail inside range() as a TypeError
     with pytest.raises(InputError, match="limit must be an integer"):
         next(factor_range(10.0))
     for start, end in ((4.0, 6), (4, 6.0), (4, True)):

@@ -480,9 +480,9 @@ def _production_argvs():
 
 
 def test_production_commands_build_no_ideal(capsys, monkeypatch):
-    # Every command but verify reads the partition's generator, mask and
-    # exponent columns; the Ideal view of them is for library callers and
-    # the oracles verify runs.
+    # Every command, verify and its oracles too, reads the partition's
+    # generator, mask and exponent columns; the Ideal view of them is for
+    # library callers.
     assert {type(v) for v in enumerate_vertices(factor(2700))} == {Ideal}
 
     def no_ideal(self, *args):
@@ -491,11 +491,32 @@ def test_production_commands_build_no_ideal(capsys, monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", no_ideal)
     for argv in _production_argvs():
         assert run_cli(capsys, *argv)[0] == 0, argv
-    # the patch bites: the library lister and verify's oracles still build Ideals
+    # both sides of verify.SIEVE_LIMIT, every category
+    for window in (("4", "100"), ("2300", "2400"), ("1321091265351", "1321091265351")):
+        assert run_cli(capsys, "verify", *window)[0] == 0, window
+    # the patch bites: the library lister still builds Ideals
     with pytest.raises(AssertionError, match="an Ideal was built"):
         enumerate_vertices(factor(12))
-    with pytest.raises(AssertionError, match="an Ideal was built"):
-        run_verify(12, 12)
+
+
+def test_graph_and_aig_build_through_the_module_names(capsys, monkeypatch):
+    # An outside-in tracer such as perfbench/bench_trace.py patches module
+    # attributes, so each command must look its builder up when it runs.
+    built = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_aig", "build_essential_graph"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    for command, builder in (("aig", "build_aig"), ("graph", "build_essential_graph")):
+        built.clear()
+        assert run_cli(capsys, command, "12")[0] == 0
+        assert built == [builder], command
 
 
 def test_zagreb_command(capsys):
@@ -516,12 +537,18 @@ def test_zagreb_command(capsys):
     assert (payload["M1_closed"], payload["M2_closed"]) == (36, 54)
 
 
-def _no_sieve(limit):
-    raise AssertionError(f"sieve built up to {limit}")
+def _refuse_factor_range(monkeypatch):
+    """Make every alias of factor_range raise, so a run that passes factored no [2, END]."""
+
+    def no_range(limit):
+        raise AssertionError(f"factored every n in [2, {limit}]")
+
+    for module in (eigraph, eigraph.arithmetic, eigraph.verify):
+        monkeypatch.setattr(module, "factor_range", no_range)
 
 
 def test_zagreb_csv_sweep(capsys, monkeypatch):
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
+    _refuse_factor_range(monkeypatch)
     code, out, _ = run_cli(capsys, "zagreb", "4", "40", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -548,7 +575,6 @@ def test_zagreb_sweep_factors_only_its_window(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr("eigraph.arithmetic.factor", counting)
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
     code, out, _ = run_cli(capsys, "zagreb", "200000", "200049", "--format", "csv")
     assert code == 0
     assert factored == list(range(200000, 200050))
@@ -565,8 +591,7 @@ def _no_factor(n):
     raise AssertionError(f"factored {n}")
 
 
-def test_zagreb_sweep_rejects_an_end_at_2_63_before_sieving(capsys, monkeypatch):
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
+def test_zagreb_sweep_rejects_an_end_at_2_63_before_factoring(capsys, monkeypatch):
     top = str(2**63)
     single = run_cli(capsys, "zagreb", top)
     assert single == (1, "", f"error: n must satisfy 2 <= n < 2**63, got {top}\n")
@@ -809,7 +834,6 @@ def test_verify_sweep_factors_only_its_window(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr("eigraph.arithmetic.factor", counting)
-    monkeypatch.setattr("eigraph.arithmetic.smallest_prime_factor_sieve", _no_sieve)
     checks = "adjacency,distances,partition,join,zagreb,iso,bounds"
     code, out, _ = run_cli(capsys, "verify", "200000", "200049", "--checks", checks)
     assert code == 0
@@ -886,6 +910,17 @@ def test_range_rule_is_stated_once():
     assert text.count("n must satisfy 2 <= n < 2**63") == 1
 
 
+def test_library_has_no_assert_statement():
+    # python -O strips assert, so a consistency check raises InconsistencyError instead
+    import ast
+    import pathlib
+
+    for path in sorted(pathlib.Path(eigraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
 def test_verify_unknown_check(capsys):
     assert run_cli(capsys, "verify", "4", "10", "--checks", "nope")[0] == 1
 
@@ -901,8 +936,8 @@ def test_verify_rejects_empty_or_repeated_checks(capsys):
 
 
 def test_verify_rejects_a_range_with_no_composite(capsys):
-    # 127 is a prime at or below verify.SIEVE_LIMIT (128), so it takes the
-    # sieve path; 131 and 1000003 are primes above it, factored one n at a time.
+    # 127 is a prime at or below verify.SIEVE_LIMIT (128), so it is read from
+    # factor_range(127); 131 and 1000003 are primes above it, read from the window.
     for start, end in ((2, 3), (7, 7), (-5, -1), (127, 127), (131, 131), (1000003, 1000003)):
         code, out, err = run_cli(capsys, "verify", str(start), str(end))
         assert (code, out) == (1, ""), (start, end)

@@ -11,8 +11,10 @@ what it reads built untimed before each repeat, so no cached result carries
 over from one repeat to the next.  The inputs are four fixed n, one per
 vertex count T = 34, 358, 2878 and 11518, and the window 200000..200049
 (the first `far-window` slot of perfbench), on which `factor_range(END)`
-with the n below START skipped, as `verify` reads it, is timed against
-`factor_window(START, END)`.  `partition.columns` is the listing every
+with the n below START skipped, as `verify` once read it, is timed against
+`factor_window(START, END)`.  `factor_range` now yields `factor(n)` for
+every n in [2, END], so that cell times `factor` over [2, END]; it is kept
+because its digest still equals the `factor_window` cell's.  `partition.columns` is the listing every
 command reads, the generator, mask and exponent columns;
 `partition.vertices` is that listing and its `Ideal` view.  The graph
 builds list the vertices themselves, so their time includes the listing.
