@@ -88,8 +88,8 @@ def _mask_label(mask: int) -> str:
 def _emit(chunks, path: str | None) -> None:
     """Write the chunks of one output, the last ending in its newline, to path or stdout.
 
-    The file is opened only here, so a caller that factors and checks its
-    input first leaves no file behind when that fails.
+    main calls this once the command has returned, so an input error that a
+    command raises leaves no file behind, and a report that exits 2 is whole.
     """
     with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as handle:
         handle.writelines(chunks)
@@ -154,11 +154,11 @@ def _distances_text(part):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns the chunks of its output and its exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args):
     f = factor(args.n)
     if args.format == "json":
         payload = {
@@ -167,28 +167,24 @@ def cmd_factor(args) -> int:
             "k": f.k,
             "divisor_count": divisor_count(f),
         }
-        _emit([json.dumps(payload, indent=2), "\n"], args.output)
-    else:
-        lines = [
-            f"n = {f.n}",
-            f"factors = {f.format_factorization()}",
-            f"k = {f.k}",
-            f"divisor_count = {divisor_count(f)}",
-        ]
-        _emit(["\n".join(lines), "\n"], args.output)
-    return EXIT_OK
+        return [json.dumps(payload, indent=2), "\n"], EXIT_OK
+    lines = [
+        f"n = {f.n}",
+        f"factors = {f.format_factorization()}",
+        f"k = {f.k}",
+        f"divisor_count = {divisor_count(f)}",
+    ]
+    return ["\n".join(lines), "\n"], EXIT_OK
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     f = factor(args.n)
     # looked up at call time, so a patched module attribute is the one called
     g = (build_aig if args.command == "aig" else build_essential_graph)(f, args.max_t)
     if args.format == "dot":
-        _emit(to_dot(g), args.output)
-        return EXIT_OK
+        return to_dot(g), EXIT_OK
     if args.format == "json":
-        _emit(_graph_json(g), args.output)
-        return EXIT_OK
+        return _graph_json(g), EXIT_OK
     q = g.classes
     sizes = " ".join(f"{_mask_label(mask)}:{q.sizes[mask]}" for mask in class_mask_order(f.k))
     lines = [
@@ -201,11 +197,10 @@ def cmd_graph(args) -> int:
         f"classes = {sizes}" if sizes else "classes =",
         f"edges = {g.edge_count}",
     ]
-    _emit(["\n".join(lines), "\n"], args.output)
-    return EXIT_OK
+    return ["\n".join(lines), "\n"], EXIT_OK
 
 
-def cmd_classes(args) -> int:
+def cmd_classes(args):
     f = factor(args.n)
     part = class_partition(f, args.max_t)
     ds = part.generators
@@ -226,8 +221,7 @@ def cmd_classes(args) -> int:
                 for mask in class_mask_order(f.k)
             ],
         }
-        _emit([json.dumps(payload, indent=2), "\n"], args.output)
-        return EXIT_OK
+        return [json.dumps(payload, indent=2), "\n"], EXIT_OK
     lines = [
         f"n = {f.n}",
         f"T = {part.T}",
@@ -237,15 +231,13 @@ def cmd_classes(args) -> int:
     for mask in class_mask_order(f.k):
         members = " ".join(str(ds[i]) for i in part.members[mask])
         lines.append(f"X_{_mask_label(mask)} = {members}")
-    _emit(["\n".join(lines), "\n"], args.output)
-    return EXIT_OK
+    return ["\n".join(lines), "\n"], EXIT_OK
 
 
-def cmd_distances(args) -> int:
+def cmd_distances(args):
     f = factor(args.n)
     part = class_partition(f, args.max_t)
-    _emit((_distances_json if args.format == "json" else _distances_text)(part), args.output)
-    return EXIT_OK
+    return (_distances_json if args.format == "json" else _distances_text)(part), EXIT_OK
 
 
 def _dim_report_text(report: DimReport) -> str:
@@ -282,7 +274,7 @@ def _dim_json(report: DimReport):
     yield "\n  }\n}\n"
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args):
     f = factor(args.n)
     if args.method == "formula":
         report = dim_formula(f)
@@ -292,13 +284,11 @@ def cmd_dim(args) -> int:
     else:
         report = constructive_resolving_set(class_partition(f, args.max_t))
     if args.format == "json":
-        _emit(_dim_json(report), args.output)
-    else:
-        _emit([_dim_report_text(report), "\n"], args.output)
-    return EXIT_OK
+        return _dim_json(report), EXIT_OK
+    return [_dim_report_text(report), "\n"], EXIT_OK
 
 
-def cmd_zagreb(args) -> int:
+def cmd_zagreb(args):
     end = args.end if args.end is not None else args.n
     if end < args.n:
         raise InputError(f"range end {end} is below start {args.n}")
@@ -310,32 +300,28 @@ def cmd_zagreb(args) -> int:
     if not reports:
         raise no_composite_in(args.n, end)
     if args.format == "csv":
-        lines = [ZAGREB_CSV_HEADER] + [r.csv_row() for r in reports]
-        _emit(["\n".join(lines), "\n"], args.output)
+        text = "\n".join([ZAGREB_CSV_HEADER] + [r.csv_row() for r in reports])
     elif args.format == "json":
         payload = [r.to_json_dict() for r in reports]
-        _emit([json.dumps(payload[0] if end == args.n else payload, indent=2), "\n"], args.output)
+        text = json.dumps(payload[0] if end == args.n else payload, indent=2)
     else:
-        blocks = []
-        for r in reports:
-            d = r.to_json_dict()
-            blocks.append("\n".join(f"{key} = {value}" for key, value in d.items()))
-        _emit(["\n\n".join(blocks), "\n"], args.output)
+        blocks = (r.to_json_dict().items() for r in reports)
+        text = "\n\n".join("\n".join(f"{key} = {value}" for key, value in b) for b in blocks)
     agree = all(r.m1_agrees and r.m2_agrees for r in reports)
-    return EXIT_OK if agree else EXIT_INCONSISTENT
+    return [text, "\n"], EXIT_OK if agree else EXIT_INCONSISTENT
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.checks == "all":
         checks = CHECK_CATEGORIES
     else:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     summary = run_verify(args.start, args.end, checks, args.budget, args.max_t)
     if args.format == "json":
-        _emit([json.dumps(summary.to_json_dict(), indent=2), "\n"], args.output)
+        text = json.dumps(summary.to_json_dict(), indent=2)
     else:
-        _emit([summary.to_text(), "\n"], args.output)
-    return EXIT_OK if summary.passed else EXIT_INCONSISTENT
+        text = summary.to_text()
+    return [text, "\n"], EXIT_OK if summary.passed else EXIT_INCONSISTENT
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +457,9 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        chunks, code = args.func(args)
+        _emit(chunks, args.output)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

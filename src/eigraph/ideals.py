@@ -59,7 +59,7 @@ def disjoint_sets(masks: list[int], k: int) -> list[int]:
     return subset_sums(by_mask, k)[::-1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Ideal:
     """A nonzero proper ideal of Z_n, represented by its generator's exponents.
 
@@ -71,18 +71,6 @@ class Ideal:
     exponents: tuple[int, ...]
     d: int
     xi_mask: int
-
-    def __init__(
-        self, modulus: FactoredInteger, exponents: tuple[int, ...], d: int, xi_mask: int
-    ) -> None:
-        # As in FactoredInteger: the instance __dict__ takes the fields without
-        # one object.__setattr__ call each, and eq, hash, repr and
-        # immutability are those of the generated frozen dataclass.
-        state = self.__dict__
-        state["modulus"] = modulus
-        state["exponents"] = exponents
-        state["d"] = d
-        state["xi_mask"] = xi_mask
 
     @property
     def xi_indices(self) -> tuple[int, ...]:

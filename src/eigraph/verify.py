@@ -255,18 +255,11 @@ def _check_partition(ctx: _VerifyContext):
     if part.m >= 1 and part.T >= 2:  # m >= 1 only keeps the verify counts in perfbench/digests.json
         same = sorted(part.similarity_blocks()) == list(ctx.similar.blocks)
         results.append((same, "distance-similar blocks match the class structure"))
-        ok = all(_block_mutually_similar(ctx, block) for block in part.members.values())
+        # twinhood is an equivalence, so a class is mutually similar when it lies in one block
+        block_of = {i: b for b, block in enumerate(ctx.similar.blocks) for i in block}
+        ok = all(len({block_of[i] for i in cls}) <= 1 for cls in part.members.values())
         results.append((ok, "every class is internally distance-similar"))
     return results
-
-
-def _block_mutually_similar(ctx: _VerifyContext, block) -> bool:
-    rows = ctx.ess.adjacency
-    for a_pos, i in enumerate(block):
-        for j in block[a_pos + 1 :]:
-            if (rows[i] ^ rows[j]) & ~((1 << i) | (1 << j)):
-                return False
-    return True
 
 
 def _check_join(ctx: _VerifyContext):

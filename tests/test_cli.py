@@ -371,13 +371,65 @@ def test_distances_build_no_graph(capsys, monkeypatch):
             assert run_cli(capsys, "distances", n, "--format", fmt)[0] == 0, (n, fmt)
 
 
-@pytest.mark.parametrize("command", ["graph", "aig", "distances"])
-def test_errors_write_no_file(capsys, tmp_path, command):
+# one input error per subcommand, each raised before any output is written
+INPUT_ERRORS = {
+    "factor": ["factor", "1"],
+    "graph": ["graph", "2700", "--max-t", "10"],
+    "aig": ["aig", "2700", "--max-t", "10"],
+    "classes": ["classes", "2700", "--max-t", "10"],
+    "distances": ["distances", "2700", "--max-t", "10"],
+    "dim": ["dim", "2700", "--max-t", "10"],
+    "zagreb": ["zagreb", "2", "3"],
+    "verify": ["verify", "4", "10", "--checks", "nope"],
+}
+
+
+@pytest.mark.parametrize("argv", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_errors_write_no_file(capsys, tmp_path, argv):
     target = tmp_path / "out.json"
-    argv = [command, "2700", "--max-t", "10", "--format", "json", "--output", str(target)]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--output", str(target))
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
     assert not target.exists()
+
+
+# each subcommand with its formats and an input for it
+OUTPUT_CASES = {
+    "factor": (["2700"], ("text", "json")),
+    "graph": (["72"], ("text", "json", "dot")),
+    "aig": (["72"], ("text", "json", "dot")),
+    "classes": (["2700"], ("text", "json")),
+    "distances": (["72"], ("text", "json")),
+    "dim": (["2700"], ("text", "json")),
+    "zagreb": (["4", "40"], ("text", "json", "csv")),
+    "verify": (["4", "40"], ("text", "json")),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_CASES)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    operands, formats = OUTPUT_CASES[command]
+    for fmt in formats:
+        argv = [command, *operands, "--format", fmt]
+        target = tmp_path / f"{command}.{fmt}"
+        want = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out, err) == (want[0], "", want[2]), fmt
+        assert target.read_bytes() == want[1].encode(), fmt
+
+
+def test_output_file_holds_the_report_before_exit_2(capsys, tmp_path, monkeypatch):
+    import eigraph.zagreb
+
+    original = eigraph.zagreb.zagreb_general_closed
+    monkeypatch.setattr(
+        eigraph.zagreb, "zagreb_general_closed", lambda part: (original(part)[0] + 1, 0)
+    )
+    target = tmp_path / "z.txt"
+    want = run_cli(capsys, "zagreb", "2700")
+    assert want[0] == 2 and "M1_agrees = False" in want[1]
+    code, out, err = run_cli(capsys, "zagreb", "2700", "--output", str(target))
+    assert (code, out, err) == (2, "", want[2])
+    assert target.read_bytes() == want[1].encode()
 
 
 def test_dim_builds_no_distance_matrix(capsys, monkeypatch):
@@ -762,6 +814,28 @@ def test_verify_adjacency_finds_one_wrong_entry(monkeypatch, builder, cells):
     for n in (12, 30, 72, 210, 2700):
         details = {f["detail"] for f in run_verify(n, n, checks=("adjacency",)).failures}
         assert detail in details and other not in details, n
+
+
+def test_verify_partition_finds_a_class_split_by_one_row(monkeypatch):
+    # one entry of one row, from a vertex of the largest class to a vertex
+    # outside it, puts that vertex in another block of the row grouping
+    build = eigraph.verify.build_essential_graph
+    detail = "every class is internally distance-similar"
+
+    def tampered(f, max_t=None):
+        g = build(f, max_t)
+        cls = max(g.classes.members.values(), key=len)
+        outside = next(j for j in range(g.order) if j not in cls)
+        rows = list(g.adjacency)
+        rows[cls[0]] ^= 1 << outside
+        return IdealGraph(g.kind, g.classes, tuple(rows), tuple(map(int.bit_count, rows)))
+
+    for n in (12, 72, 2700):
+        assert run_verify(n, n, ("partition",)).passed, n
+    monkeypatch.setattr(eigraph.verify, "build_essential_graph", tampered)
+    for n in (12, 72, 2700):
+        failures = run_verify(n, n, ("partition",)).failures
+        assert {"n": n, "category": "partition", "detail": detail} in failures, n
 
 
 def test_verify_iso_category(capsys):

@@ -395,8 +395,7 @@ def test_ideal_validation():
 
 
 def test_ideal_keeps_the_frozen_dataclass_behaviour():
-    # the constructor writes the instance __dict__, like FactoredInteger's;
-    # equality, hashing, repr and immutability stay those of the dataclass
+    # a plain frozen dataclass: equality, hashing, repr and immutability
     f12 = factor(12)
     two = Ideal(f12, (1, 0), 2, 0)
     assert two == ideal_from_divisor(f12, 2) == enumerate_vertices(f12)[0]
