@@ -26,20 +26,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between integers coprime to 30, from 7
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FactoredInteger:
     """An integer n with its prime factorization, primes strictly ascending."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
-        # The generated frozen __init__ pays one object.__setattr__ per field.
-        # Writing the instance __dict__, the route cached_property takes, skips
-        # those calls and leaves eq, hash, repr and immutability unchanged.
-        state = self.__dict__
-        state["n"] = n
-        state["factors"] = factors
 
     @property
     def k(self) -> int:

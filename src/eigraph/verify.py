@@ -1,15 +1,17 @@
 """Verification sweep: closed forms cross-checked against oracles over a range of n.
 
-Each check category is a function of a per-n context that builds the
-shared artifacts (essential graph, AIG, distances, row grouping, dim
-formula) on first use; the dim oracle's BFS rows run only outside its
-witnesses.  Each graph keeps the class partition that listed its
-vertices; the dim certificate, the join reference and the Zagreb report
-read the essential graph's, so each n's vertices are listed once per
-graph, with one class quotient per listing.  Both partitions hold blocks
-of vertex indices, so the class law is compared with the distance-similar
-row grouping, an oracle, directly.
-A category returns (passed, detail) pairs; run_verify tallies them per
+Each check category is a generator over a per-n context that builds the
+shared artifacts (essential graph, AIG, BFS row table, row grouping, dim
+formula) on first use.  The row table runs each source's BFS the first
+time it is read: the distances category reads all T rows and the dim
+oracle only those outside its witnesses, so no row runs twice, in either
+order.  Each graph keeps the class partition that listed its vertices;
+the dim certificate, the join reference and the Zagreb report read the
+essential graph's, so each n's vertices are listed once per graph, with
+one class quotient per listing.  Both partitions hold blocks of vertex
+indices, so the class law is compared with the distance-similar row
+grouping, an oracle, directly.
+A category yields (passed, detail) pairs; run_verify tallies them per
 category and keeps every failure.
 """
 
@@ -32,7 +34,6 @@ from .arithmetic import (
 from .errors import InconsistencyError, InputError
 from .graph import (
     _bits,
-    all_pairs_distances,
     bfs_row,
     build_aig,
     build_essential_graph,
@@ -125,15 +126,8 @@ class _VerifyContext:
         return build_aig(self.f, self.max_t)
 
     @cached_property
-    def distances(self):
-        rows = self.__dict__.get("bfs_rows")  # the rows a dim oracle already ran
-        if rows is None:
-            return all_pairs_distances(self.ess)
-        return [rows[s] for s in range(self.ess.order)]
-
-    @cached_property
-    def bfs_rows(self):  # the matrix if the distances category built it
-        return self.__dict__["distances"] if "distances" in self.__dict__ else _BfsRows(self.ess)
+    def bfs_rows(self):
+        return _BfsRows(self.ess)
 
     @cached_property
     def similar(self):
@@ -161,7 +155,6 @@ def _rows_match(g, oracle_rows) -> bool:
 def _check_adjacency(ctx: _VerifyContext):
     f = ctx.f
     ess = ctx.ess
-    results = []
     t = ess.order
     n = f.n
     ds, masks = ess.classes.generators, ess.classes.masks
@@ -170,30 +163,30 @@ def _check_adjacency(ctx: _VerifyContext):
     # <a> + <b> = <gcd(a, b)>; the unit ideal counts as essential
     sums = essential | {1}
     oracle = (map(sums.__contains__, map(math.gcd, repeat(d), ds)) for d in ds)
-    results.append((_rows_match(ess, oracle), "essential adjacency vs ideal-sum oracle"))
+    yield _rows_match(ess, oracle), "essential adjacency vs ideal-sum oracle"
 
     ok = essential == {d for d, a in zip(ds, masks) if not a}
-    results.append((ok, "full-exponent mask vs ring-definition essentiality"))
+    yield ok, "full-exponent mask vs ring-definition essentiality"
 
     # <a><b> = <ab> is zero iff n divides ab; a single vertex builds no AIG
     oracle = (map(not_, map(mod, map(mul, repeat(d), ds), repeat(n))) for d in ds)
     ok = t < 2 or _rows_match(ctx.aig, oracle)
-    results.append((ok, "annihilating adjacency vs integer divisibility"))
+    yield ok, "annihilating adjacency vs integer divisibility"
 
     part = ctx.ess.classes
     if part.m >= 1:  # m >= 1 only keeps the verify counts in perfbench/digests.json
         ok = all(ess.degrees[i] == t - 1 for i in part.members[0])
-        results.append((ok, "essential vertices are universal"))
+        yield ok, "essential vertices are universal"
         # The universal vertices are exactly the closed twins of X, its block.
         universal = tuple(i for i in range(t) if ess.degrees[i] == t - 1)
         ok = universal == part.similarity_blocks()[0]
-        results.append((ok, "universal vertices are X plus p^a for n = p^a*q"))
+        yield ok, "universal vertices are X plus p^a for n = p^a*q"
         ok = all(
             ess.degrees[i] == part.class_degree(mask)
             for mask, members in part.members.items()
             for i in members
         )
-        results.append((ok, "class degree law"))
+        yield ok, "class degree law"
     if f.is_squarefree() and f.k >= 2:
         # Level i holds the vertices whose generator has i primes: popcount(xi_mask) = i.
         k = f.k
@@ -201,8 +194,7 @@ def _check_adjacency(ctx: _VerifyContext):
         ok = Counter(levels) == Counter({i: math.comb(k, i) for i in range(1, k)}) and all(
             ess.degrees[j] == squarefree_level_degree(k, i) for j, i in enumerate(levels)
         )
-        results.append((ok, "squarefree level degree law"))
-    return results
+        yield ok, "squarefree level degree law"
 
 
 _DIGIT_VALUES = bytes.maketrans(b"0123", bytes(range(4)))
@@ -214,25 +206,23 @@ def _rows_equal(a, b) -> bool:
 
 
 def _check_distances(ctx: _VerifyContext):
-    results = []
-    try:
-        dist = ctx.distances
-    except InconsistencyError:
-        return [(False, "essential graph is disconnected")]
     t = ctx.ess.order
+    try:
+        dist = [ctx.bfs_rows[s] for s in range(t)]
+    except InconsistencyError:
+        yield False, "essential graph is disconnected"
+        return
     # Symmetric: the matrix equals its transpose.  The rows `eigraph
     # distances` prints, from the class law, must equal BFS; read digit by
     # digit, 0 on the diagonal and 1..3 off it, they bound every entry.
     ok = _rows_equal(dist, map(list, zip(*dist)))
     rows = ctx.ess.classes.distance_rows()
     ok = ok and _rows_equal((list(row.encode().translate(_DIGIT_VALUES)) for row in rows), dist)
-    results.append((ok, "distance matrix symmetric with entries in 1..3"))
+    yield ok, "distance matrix symmetric with entries in 1..3"
     if t >= 2:
         diam = max(max(row) for row in dist)
-        results.append((diam <= 3, "diameter at most 3"))
-        results.append(
-            ((diam == 1) == ctx.ess.is_complete(), "diameter 1 iff complete")
-        )
+        yield diam <= 3, "diameter at most 3"
+        yield (diam == 1) == ctx.ess.is_complete(), "diameter 1 iff complete"
     if ctx.f.is_squarefree():
         masks = ctx.ess.classes.masks
         law = ctx.ess.classes.mask_distance
@@ -240,32 +230,29 @@ def _check_distances(ctx: _VerifyContext):
             list(map(law, repeat(masks[i]), masks[i + 1 :])) == dist[i][i + 1 :]
             for i in range(t)
         )
-        results.append((ok, "squarefree mask-distance law vs BFS"))
-    return results
+        yield ok, "squarefree mask-distance law vs BFS"
 
 
 def _check_partition(ctx: _VerifyContext):
     f = ctx.f
     part = ctx.ess.classes
-    results = []
     # the quotient against a product per mask; the partition checked its listing against it
     full = (1 << f.k) - 1
     want = [math.prod(m for i, m in enumerate(f.exponents) if not a >> i & 1) for a in range(full)]
-    results.append((list(part.sizes) == [want[0] - 1, *want[1:], 0], "class partition sizes"))
+    yield list(part.sizes) == [want[0] - 1, *want[1:], 0], "class partition sizes"
     if part.m >= 1 and part.T >= 2:  # m >= 1 only keeps the verify counts in perfbench/digests.json
         same = sorted(part.similarity_blocks()) == list(ctx.similar.blocks)
-        results.append((same, "distance-similar blocks match the class structure"))
+        yield same, "distance-similar blocks match the class structure"
         # twinhood is an equivalence, so a class is mutually similar when it lies in one block
         block_of = {i: b for b, block in enumerate(ctx.similar.blocks) for i in block}
         ok = all(len({block_of[i] for i in cls}) <= 1 for cls in part.members.values())
-        results.append((ok, "every class is internally distance-similar"))
-    return results
+        yield ok, "every class is internally distance-similar"
 
 
 def _check_join(ctx: _VerifyContext):
     # The join is built over the graph's own vertex tuple, so rows are compared.
     join = build_join_construction(ctx.ess.classes)
-    return [(join.adjacency == ctx.ess.adjacency, "join construction equals direct construction")]
+    yield join.adjacency == ctx.ess.adjacency, "join construction equals direct construction"
 
 
 def _resolves_on_bfs(ctx: _VerifyContext, report) -> bool:
@@ -276,91 +263,63 @@ def _resolves_on_bfs(ctx: _VerifyContext, report) -> bool:
 
 def _check_dim(ctx: _VerifyContext):
     f = ctx.f
-    results = []
     formula = ctx.formula
     t = formula.T
     if t == 1:
-        results.append((formula.dim_value == 0, "single-vertex dim is 0"))
-        return results
+        yield formula.dim_value == 0, "single-vertex dim is 0"
+        return
     lower = dim_lower_bound(ctx.similar.blocks)
-    results.append(
-        (formula.lower_bound <= lower, "partition bound dominates class-count bound")
-    )
+    yield formula.lower_bound <= lower, "partition bound dominates class-count bound"
     if formula.is_exact:
-        results.append(
-            (lower <= formula.dim_value <= t - 1, "dim within 1..T-1 bounds")
-        )
+        yield lower <= formula.dim_value <= t - 1, "dim within 1..T-1 bounds"
         complete = ctx.ess.is_complete()
         shape = f.k == 1 or (f.k == 2 and f.is_squarefree())
-        results.append(
-            (
-                (formula.dim_value == t - 1) == complete == shape,
-                "dim = T-1 iff complete iff prime power or two primes",
-            )
-        )
+        ok = (formula.dim_value == t - 1) == complete == shape
+        yield ok, "dim = T-1 iff complete iff prime power or two primes"
     # Squarefree k <= 5 gets no certificate result, so verify's printed
     # counts stay as they were; the tests check it for every such n <= 10^4.
     if not (f.is_squarefree() and f.k <= 5):
         try:
             cons = constructive_resolving_set(ctx.ess.classes)  # raises if its size is off the law
             ok = _resolves_on_bfs(ctx, cons)
-            results.append((ok, "constructive witness resolves with expected size"))
+            yield ok, "constructive witness resolves with expected size"
         except InconsistencyError as exc:
-            results.append((False, f"constructive witness failed: {exc}"))
+            yield False, f"constructive witness failed: {exc}"
     brute = dim_bruteforce(ctx.ess, budget=ctx.budget)
     if brute.is_exact:
         ok = _resolves_on_bfs(ctx, brute)
         if formula.is_exact:
             ok = ok and brute.dim_value == formula.dim_value
-            results.append((ok, "brute force equals formula"))
+            yield ok, "brute force equals formula"
         else:
             ok = ok and brute.dim_value <= formula.dim_value
-            results.append((ok, "brute force within upper bound"))
-    return results
+            yield ok, "brute force within upper bound"
 
 
 def _check_zagreb(ctx: _VerifyContext):
     f = ctx.f
     report = compute_zagreb_report(ctx.ess)
-    results = [
-        (report.m1_agrees, "M1 closed form equals definition"),
-        (report.m2_agrees, "M2 closed form equals definition"),
-        (
-            (report.m2_definition == 0) == (ctx.ess.edge_count == 0),
-            "M2 zero iff edgeless",
-        ),
-    ]
+    yield report.m1_agrees, "M1 closed form equals definition"
+    yield report.m2_agrees, "M2 closed form equals definition"
+    yield (report.m2_definition == 0) == (ctx.ess.edge_count == 0), "M2 zero iff edgeless"
     if f.is_squarefree() and f.k >= 2:
         diff = report.m2_paper_convention - report.m2_closed
-        results.append(
-            (
-                diff == squarefree_within_level_sum(f.k),
-                "published-convention excess equals within-level sum",
-            )
-        )
-    return results
+        ok = diff == squarefree_within_level_sum(f.k)
+        yield ok, "published-convention excess equals within-level sum"
 
 
 def _check_iso(ctx: _VerifyContext):
     f = ctx.f
-    results = []
     if f.k >= 2:
         conj = check_divisor_conjugate_iso(ctx.ess, ctx.aig)
-        results.append(
-            (
-                conj.isomorphic == f.is_squarefree(),
-                "divisor-conjugate isomorphism iff squarefree",
-            )
-        )
+        yield conj.isomorphic == f.is_squarefree(), "divisor-conjugate isomorphism iff squarefree"
         if f.is_squarefree():
             model = check_field_product_iso(ctx.aig)
-            results.append((model.edge_preserving, "field-product model embeds in AIG"))
-    return results
+            yield model.edge_preserving, "field-product model embeds in AIG"
 
 
 def _check_bounds(ctx: _VerifyContext):
     f = ctx.f
-    results = []
     if f.is_squarefree():
         # The vertices are the distinct nontrivial proper divisors: valid pairs.
         n = f.n
@@ -370,16 +329,11 @@ def _check_bounds(ctx: _VerifyContext):
             for i, d1 in enumerate(divisors)
             for d2 in divisors[i + 1 :]
         )
-        results.append((ok, "gcd biconditional for all divisor pairs"))
+        yield ok, "gcd biconditional for all divisor pairs"
     formula = ctx.formula
     if formula.is_exact and formula.T >= 2:
-        results.append(
-            (
-                finiteness_bound_check(formula.dim_value, formula.T),
-                "vertex count within 3^dim + dim",
-            )
-        )
-    return results
+        ok = finiteness_bound_check(formula.dim_value, formula.T)
+        yield ok, "vertex count within 3^dim + dim"
 
 
 CHECKS = {

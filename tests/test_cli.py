@@ -241,14 +241,6 @@ def test_io_failure_exit_3(capsys):
     assert "i/o error" in err
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "g.json"
-    code, out, _ = run_cli(capsys, "graph", "30", "--format", "json", "--output", str(target))
-    assert code == 0 and out == ""
-    payload = json.loads(target.read_text())
-    assert payload["n"] == 30
-
-
 def test_classes_command(capsys):
     code, out, _ = run_cli(capsys, "classes", "2700", "--format", "json")
     assert code == 0
@@ -764,7 +756,8 @@ def _one_pair_at_4(dist):  # symmetric, with one entry past 3
 
 @pytest.mark.parametrize("edit", [_one_cell_off, _one_pair_at_4])
 def test_verify_distances_finds_an_asymmetric_cell_or_an_entry_past_3(monkeypatch, edit):
-    monkeypatch.setattr(eigraph.verify, "all_pairs_distances", lambda g: edit(all_pairs_distances(g)))
+    # the context's row table is the matrix the distances category reads
+    monkeypatch.setattr(eigraph.verify, "_BfsRows", lambda g: edit(all_pairs_distances(g)))
     detail = "distance matrix symmetric with entries in 1..3"
     for n in (12, 360, 30):
         failures = run_verify(n, n, ("distances",)).failures
@@ -1114,8 +1107,11 @@ def test_verify_dim_runs_bfs_only_outside_its_witnesses(monkeypatch):
     # one BFS per vertex outside the certificate's or the search's witness,
     # each run once: 63 rows, where the whole matrix took 358
     assert dim_only.passed and len(calls) == len(set(calls)) == 63
-    # with the distances category, in either order, the oracle reads its
-    # matrix and no row runs twice
+    calls.clear()
+    assert run_verify(n, n, checks=("distances",)).passed
+    assert sorted(calls) == list(range(358))
+    # with the distances category, in either order, both read one row
+    # table and no row runs twice
     for checks in (CHECK_CATEGORIES, ("dim", *CHECK_CATEGORIES[:4], *CHECK_CATEGORIES[5:])):
         calls.clear()
         summary = run_verify(n, n, checks=checks)
